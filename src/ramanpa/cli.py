@@ -39,7 +39,6 @@ from .pa_kinetics import (
 )
 from .spectra import (
     SpectrumFormatError,
-    extract_kpa,
     fit_spectrum,
     normalize_spectrum,
     read_spectrum_csv,
@@ -47,8 +46,7 @@ from .spectra import (
     write_spectrum_csv,
 )
 from .svgplot import BandArea, Markers, Series, render_plot, write_svg
-from .uncertainty import UncertaintySpec, ratio_band_vs_delta, ratio_band_vs_omega, \
-    write_ratio_band_csv
+from .uncertainty import UncertaintySpec, _band, write_ratio_band_csv
 from .constants import MS
 
 EXIT_OK = 0
@@ -303,7 +301,6 @@ def cmd_ratio_sweep(args, config: RunConfig) -> int:
                                           n_samples=args.samples)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    out_dir, formats = _prepare(args, config)
     epsilon_q = config.get("raman.epsilon_q")
 
     axis = np.linspace(start, stop, points)
@@ -311,24 +308,19 @@ def cmd_ratio_sweep(args, config: RunConfig) -> int:
                                 epsilon_q_sigma=0.0, n_samples=100,
                                 seed=mc_spec.seed)
     if args.axis == "omega":
-        def make(spec, interference):
-            return ratio_band_vs_omega(axis, nominal_delta, spec,
-                                       interference=interference,
-                                       epsilon_q=epsilon_q)
         omega_col, delta_col = axis, np.full(points, nominal_delta)
         x_label = "omega_R (E_r)"
     else:
-        def make(spec, interference):
-            return ratio_band_vs_delta(axis, nominal_omega, spec,
-                                       interference=interference,
-                                       epsilon_q=epsilon_q)
         omega_col, delta_col = np.full(points, nominal_omega), axis
         x_label = "delta (E_r)"
-
-    bands = [] if args.no_interference else [make(mc_spec, True)]
-    bands.append(make(mc_spec, False))
-    nominal_with = make(zero_spec, True)
-    nominal_without = make(zero_spec, False)
+    try:
+        mc_with, mc_without = _band(axis, omega_col, delta_col, mc_spec, epsilon_q)
+        nominal_with, nominal_without = _band(axis, omega_col, delta_col, zero_spec,
+                                              epsilon_q)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+    bands = [mc_without] if args.no_interference else [mc_with, mc_without]
+    out_dir, formats = _prepare(args, config)
 
     if "csv" in formats:
         write_ratio_band_csv(_path(out_dir, "ratio_band.csv"), bands)

@@ -14,7 +14,7 @@ kinetics modules. Sign convention: C_0 >= 0; if C_0 = 0 then C_+1 >= 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -36,6 +36,10 @@ __all__ = [
 
 _TWO_PI_THIRD = 2.0943951023931953
 Q_WINDOW = (-3.0, 3.0)  # search window in k_r; all physical minima sit inside |q| <= 2
+# Newton iterations per candidate: from one scan step (<= 0.1 k_r) away they
+# reach the 1e-13 k_r level of the dense reference
+_NEWTON_STEPS = 6
+_CHUNK_CELLS = 1 << 18  # rows x scan points per chunk: a few MB per temporary
 
 
 @dataclass(frozen=True)
@@ -94,16 +98,24 @@ class BandCurve:
     spin_weights: np.ndarray
 
 
+def _diagonal(q, delta, epsilon_q):
+    """Bare-state energies (H_00, H_11, H_22) at quasimomentum q, broadcasting."""
+    return (q + 2.0) ** 2 - delta, q * q - epsilon_q, (q - 2.0) ** 2 + delta
+
+
+def _hamiltonians(q, omega, delta, epsilon_q) -> np.ndarray:
+    """H(q) over broadcast array arguments, shape (..., 3, 3)."""
+    a, b, c = _diagonal(q, delta, epsilon_q)
+    w = 0.5 * np.asarray(omega, dtype=float)
+    h = np.zeros(np.broadcast(a, b, c, w).shape + (3, 3))
+    h[..., 0, 0], h[..., 1, 1], h[..., 2, 2] = a, b, c
+    h[..., 0, 1] = h[..., 1, 0] = h[..., 1, 2] = h[..., 2, 1] = w
+    return h
+
+
 def build_hamiltonian(q: float, params: RamanParams) -> np.ndarray:
     """Return the 3x3 Hamiltonian at quasimomentum q (k_r), in E_r units."""
-    w = 0.5 * params.omega_r
-    return np.array(
-        [
-            [(q + 2.0) ** 2 - params.delta, w, 0.0],
-            [w, q * q - params.epsilon_q, w],
-            [0.0, w, (q - 2.0) ** 2 + params.delta],
-        ]
-    )
+    return _hamiltonians(q, params.omega_r, params.delta, params.epsilon_q)
 
 
 def _fix_vector_sign(vec: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -150,13 +162,7 @@ def band_curve(params: RamanParams, q_min: float, q_max: float, n_points: int) -
     if n_points < 2:
         raise ValueError("require n_points >= 2")
     qs = np.linspace(q_min, q_max, n_points)
-    w = 0.5 * params.omega_r
-    h = np.zeros((n_points, 3, 3))
-    h[:, 0, 0] = (qs + 2.0) ** 2 - params.delta
-    h[:, 1, 1] = qs * qs - params.epsilon_q
-    h[:, 2, 2] = (qs - 2.0) ** 2 + params.delta
-    h[:, 0, 1] = h[:, 1, 0] = h[:, 1, 2] = h[:, 2, 1] = w
-    vals, vecs = np.linalg.eigh(h)
+    vals, vecs = np.linalg.eigh(_hamiltonians(qs, params.omega_r, params.delta, params.epsilon_q))
     weights = np.swapaxes(vecs, 1, 2) ** 2  # [i, band, component]
     return BandCurve(q_grid=qs, energies=vals, spin_weights=weights)
 
@@ -167,9 +173,7 @@ def _lowest_eigenvalue(q, omega, delta, epsilon_q):
     Closed-form trigonometric solution of the characteristic cubic; for the
     tridiagonal H the determinant reduces to a0*b0*c0 - w^2*(a0 + c0).
     """
-    a = (q + 2.0) ** 2 - delta
-    b = q * q - epsilon_q
-    c = (q - 2.0) ** 2 + delta
+    a, b, c = _diagonal(q, delta, epsilon_q)
     w = 0.5 * omega
     mean = (a + b + c) / 3.0
     a0 = a - mean
@@ -184,41 +188,6 @@ def _lowest_eigenvalue(q, omega, delta, epsilon_q):
     return np.where(p2 > 0.0, lam, mean)
 
 
-def _ground_vector(q, omega, delta, epsilon_q, lam):
-    """Unit eigenvector for the known lowest eigenvalue, broadcasting like q.
-
-    The eigenvector spans the null space of H - lam*I; it is recovered from the
-    cross product of the two most independent rows (largest-norm choice keeps
-    the construction stable). Sign convention applied at the end.
-    """
-    al = (q + 2.0) ** 2 - delta - lam
-    bl = q * q - epsilon_q - lam
-    cl = (q - 2.0) ** 2 + delta - lam
-    w = 0.5 * omega + np.zeros_like(al)
-    w2 = w * w
-    cand = np.stack(
-        [
-            np.stack([w2, -al * w, al * bl - w2], axis=-1),        # row1 x row2
-            np.stack([bl * cl - w2, -w * cl, w2], axis=-1),        # row2 x row3
-            np.stack([w * cl, -al * cl, al * w], axis=-1),         # row1 x row3
-        ],
-        axis=-2,
-    )
-    norms = np.linalg.norm(cand, axis=-1)
-    best = np.argmax(norms, axis=-1)
-    vec = np.take_along_axis(cand, best[..., None, None], axis=-2)[..., 0, :]
-    nrm = np.linalg.norm(vec, axis=-1, keepdims=True)
-    # all rows parallel happens only for a diagonal matrix with a repeated
-    # eigenvalue; fall back to the bare component closest to lam
-    diag = np.stack([al, bl, cl], axis=-1)
-    fallback = (np.abs(diag) == np.min(np.abs(diag), axis=-1, keepdims=True)).astype(float)
-    fallback /= np.linalg.norm(fallback, axis=-1, keepdims=True)
-    ok = nrm > 1e-9 * np.maximum(1.0, np.abs(lam))[..., None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vec = np.where(ok, vec / np.where(nrm > 0, nrm, 1.0), fallback)
-    return _apply_sign_convention(vec)
-
-
 def _apply_sign_convention(vec):
     """C_0 >= 0; if C_0 = 0 then C_+1 >= 0; if both vanish, C_-1 >= 0."""
     cm, c0, cp = vec[..., 0], vec[..., 1], vec[..., 2]
@@ -226,60 +195,41 @@ def _apply_sign_convention(vec):
     return np.where(flip[..., None], -vec, vec)
 
 
-def _dedq(q, omega, delta, epsilon_q):
-    """dE/dq of the lowest band via the Hellmann-Feynman theorem."""
-    lam = _lowest_eigenvalue(q, omega, delta, epsilon_q)
-    v = _ground_vector(q, omega, delta, epsilon_q, lam)
-    return (
-        v[..., 0] ** 2 * 2.0 * (q + 2.0)
-        + v[..., 1] ** 2 * 2.0 * q
-        + v[..., 2] ** 2 * 2.0 * (q - 2.0)
-    )
+def _slope(q, omega, delta, epsilon_q):
+    """Sign-equivalent slope g of the lowest band and its total derivative dg/dq.
 
-
-def _dedq_sign(q, omega, delta, epsilon_q):
-    """Sign-equivalent of dE/dq for the lowest band, cheap enough for bisection.
-
-    Implicit differentiation of the characteristic polynomial p(lam, q) = 0
-    gives dE/dq = -(dp/dq)/(dp/dlam); dp/dlam < 0 at the lowest root, so
-    dp/dq alone carries the sign of the slope.
+    Implicit differentiation of the characteristic polynomial
+    p(lam, q) = a*b*c - w^2*(a + c), with (a, b, c) the diagonal of H - lam*I,
+    gives dE/dq = -p_q/p_lam. p_lam < 0 at the lowest root, so g = p_q carries
+    the sign of the slope and vanishes with it. Along the band lam moves with q,
+    so dg/dq = g_q + g_lam * dE/dq.
     """
     lam = _lowest_eigenvalue(q, omega, delta, epsilon_q)
-    a = (q + 2.0) ** 2 - delta - lam
-    b = q * q - epsilon_q - lam
-    c = (q - 2.0) ** 2 + delta - lam
+    a, b, c = _diagonal(q, delta, epsilon_q)
+    a, b, c = a - lam, b - lam, c - lam
+    aq, bq, cq = 2.0 * (q + 2.0), 2.0 * q, 2.0 * (q - 2.0)
     w = 0.5 * omega
     w2 = w * w
     pa = b * c - w2
     pb = a * c
     pc = a * b - w2
-    return pa * 2.0 * (q + 2.0) + pb * 2.0 * q + pc * 2.0 * (q - 2.0)
+    g = pa * aq + pb * bq + pc * cq
+    p_sum = pa + pb + pc  # -p_lam
+    g_q = 2.0 * (aq * bq * c + aq * b * cq + a * bq * cq + p_sum)
+    g_lam = -((b + c) * aq + (a + c) * bq + (a + b) * cq)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return g, g_q + g_lam * g / p_sum
 
 
-def band_minima(omega, delta, epsilon_q=EPSILON_Q_ER, scan_step=1e-3, q_window=Q_WINDOW):
-    """Global lowest-band minima over broadcast (omega, delta, epsilon_q) arrays.
-
-    Vectorized core of find_band_minimum: a shared grid scan locates every
-    discrete local minimum, each candidate is refined by bisection on the
-    analytic dE/dq, and the lowest refined energy wins. Exactly degenerate
-    minima resolve to smallest |q|, preferring q >= 0.
-
-    Returns (q_star, energy, coeffs) with shapes (n,), (n,), (n, 3).
-    """
-    om = np.atleast_1d(np.asarray(omega, dtype=float))
-    de = np.atleast_1d(np.asarray(delta, dtype=float))
-    ep = np.atleast_1d(np.asarray(epsilon_q, dtype=float))
-    om, de, ep = np.broadcast_arrays(om, de, ep)
-    q_lo, q_hi = float(q_window[0]), float(q_window[1])
-    n_q = int(round((q_hi - q_lo) / scan_step)) + 1
-    qs = np.linspace(q_lo, q_hi, n_q)
-
+def _minima_chunk(qs, om, de, ep, scan_step):
+    """band_minima on one chunk of 1-D rows over the scan grid qs."""
+    q_lo, q_hi = qs[0], qs[-1]
     energy = _lowest_eigenvalue(qs[None, :], om[:, None], de[:, None], ep[:, None])
     padded = np.pad(energy, ((0, 0), (1, 1)), constant_values=np.inf)
     is_min = (padded[:, 1:-1] <= padded[:, :-2]) & (padded[:, 1:-1] <= padded[:, 2:])
     masked = np.where(is_min, energy, np.inf)
 
-    n_cand = min(4, n_q)
+    n_cand = min(4, qs.size)
     cand_idx = np.argpartition(masked, n_cand - 1, axis=1)[:, :n_cand]
     cand_valid = np.take_along_axis(masked, cand_idx, axis=1) < np.inf
     # guarantee at least the global grid argmin is a candidate everywhere
@@ -287,26 +237,24 @@ def band_minima(omega, delta, epsilon_q=EPSILON_Q_ER, scan_step=1e-3, q_window=Q
     cand_idx = np.where(cand_valid, cand_idx, fallback_idx[:, None])
 
     qc = qs[cand_idx]
-    om_c = np.broadcast_to(om[:, None], qc.shape)
-    de_c = np.broadcast_to(de[:, None], qc.shape)
-    ep_c = np.broadcast_to(ep[:, None], qc.shape)
-
+    om_c, de_c, ep_c = om[:, None], de[:, None], ep[:, None]
     lo = np.clip(qc - scan_step, q_lo, q_hi)
     hi = np.clip(qc + scan_step, q_lo, q_hi)
-    g_lo = _dedq_sign(lo, om_c, de_c, ep_c)
-    g_hi = _dedq_sign(hi, om_c, de_c, ep_c)
-    blo, bhi = lo.copy(), hi.copy()
-    for _ in range(36):  # bracket width ends below 1e-12 k_r for step 0.02
-        mid = 0.5 * (blo + bhi)
-        g_mid = _dedq_sign(mid, om_c, de_c, ep_c)
-        exact = g_mid == 0.0  # stationary point hit head-on (symmetric cases)
-        left = g_mid > 0.0
-        bhi = np.where(exact, mid, np.where(left, mid, bhi))
-        blo = np.where(exact, mid, np.where(left, blo, mid))
-    q_ref = 0.5 * (blo + bhi)
+    g_lo, _ = _slope(lo, om_c, de_c, ep_c)
+    g_hi, _ = _slope(hi, om_c, de_c, ep_c)
+    blo, bhi, x = lo, hi, qc
+    for _ in range(_NEWTON_STEPS):
+        g, dg = _slope(x, om_c, de_c, ep_c)
+        bhi = np.where(g >= 0.0, x, bhi)
+        blo = np.where(g <= 0.0, x, blo)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = x - g / dg
+        # inclusive test: a converged row sits on a bracket end and must stay put
+        ok = (dg > 0.0) & (blo <= newton) & (newton <= bhi)
+        x = np.where(ok, newton, 0.5 * (blo + bhi))
     # unbracketed candidates: rising at the left edge or falling at the right
     # edge of the window mean the extremum is the edge itself
-    q_ref = np.where(g_lo > 0.0, lo, q_ref)
+    q_ref = np.where(g_lo > 0.0, lo, x)
     q_ref = np.where(g_hi < 0.0, hi, q_ref)
 
     e_ref = _lowest_eigenvalue(q_ref, om_c, de_c, ep_c)
@@ -315,40 +263,67 @@ def band_minima(omega, delta, epsilon_q=EPSILON_Q_ER, scan_step=1e-3, q_window=Q
     absq_key = np.round(np.abs(q_ref) * 1e9)
     sign_key = (q_ref < 0.0).astype(np.int64)
     order = np.lexsort((sign_key, absq_key, e_key), axis=1)
-    pick = order[:, :1]
-    q_star = np.take_along_axis(q_ref, pick, axis=1)[:, 0]
+    q_star = np.take_along_axis(q_ref, order[:, :1], axis=1)[:, 0]
 
     # final eigensolve at the minima for full-precision energies and vectors
-    h = np.zeros(q_star.shape + (3, 3))
-    h[..., 0, 0] = (q_star + 2.0) ** 2 - de
-    h[..., 1, 1] = q_star * q_star - ep
-    h[..., 2, 2] = (q_star - 2.0) ** 2 + de
-    h[..., 0, 1] = h[..., 1, 0] = h[..., 1, 2] = h[..., 2, 1] = 0.5 * om
-    vals, vecs = np.linalg.eigh(h)
-    coeffs = _apply_sign_convention(vecs[..., :, 0])
-    return q_star, vals[..., 0], coeffs
+    vals, vecs = np.linalg.eigh(_hamiltonians(q_star, om, de, ep))
+    return q_star, vals[:, 0], _apply_sign_convention(vecs[:, :, 0])
+
+
+def band_minima(omega, delta, epsilon_q=EPSILON_Q_ER, scan_step=1e-3, q_window=Q_WINDOW):
+    """Global lowest-band minima over broadcast (omega, delta, epsilon_q) arrays.
+
+    Vectorized core of find_band_minimum: a shared grid scan locates every
+    discrete local minimum, each candidate is refined by safeguarded Newton
+    iteration on the characteristic-polynomial slope (bisection whenever a
+    step would leave the bracket), and the lowest refined energy wins.
+    Exactly degenerate minima resolve to smallest |q|, preferring q >= 0.
+    Rows are solved in chunks of about 2^18 grid cells, so the scan
+    temporaries stay bounded for any row count and step; a step of 0.1 k_r
+    still finds every well (they are ~1 k_r wide).
+
+    Returns (q_star, energy, coeffs) with shapes (n,), (n,), (n, 3).
+    """
+    om = np.atleast_1d(np.asarray(omega, dtype=float))
+    de = np.atleast_1d(np.asarray(delta, dtype=float))
+    ep = np.atleast_1d(np.asarray(epsilon_q, dtype=float))
+    om, de, ep = np.broadcast_arrays(om, de, ep)
+    q_lo, q_hi = float(q_window[0]), float(q_window[1])
+    qs = np.linspace(q_lo, q_hi, int(round((q_hi - q_lo) / scan_step)) + 1)
+
+    n = om.shape[0]
+    q_star, energy, coeffs = np.empty(n), np.empty(n), np.empty((n, 3))
+    rows = max(1, _CHUNK_CELLS // qs.size)
+    for start in range(0, n, rows):
+        part = slice(start, start + rows)
+        q_star[part], energy[part], coeffs[part] = _minima_chunk(
+            qs, om[part], de[part], ep[part], scan_step)
+    return q_star, energy, coeffs
 
 
 def find_band_minimum(params: RamanParams, scan_step: float = 1e-3) -> DressedState:
     """Global minimum of the lowest band over q in [-3, 3] k_r.
 
-    Dense grid scan (step <= 0.001 k_r) plus derivative bisection brings
-    |dE/dq| below 1e-8 E_r/k_r at the returned point.
+    Dense grid scan (step <= 0.001 k_r) plus safeguarded Newton refinement
+    brings |dE/dq| below 1e-8 E_r/k_r at the returned point.
     """
     if scan_step > 1e-3:
         raise ValueError("scan_step must be <= 1e-3 k_r")
     q, e, c = band_minima(params.omega_r, params.delta, params.epsilon_q, scan_step)
-    return DressedState(q=float(q[0]), energy=float(e[0]), coeffs=tuple(float(x) for x in c[0]))
+    return _state(q[0], e[0], c[0])
+
+
+def _state(q, energy, coeffs) -> DressedState:
+    return DressedState(q=float(q), energy=float(energy), coeffs=tuple(float(x) for x in coeffs))
 
 
 def coefficients_vs_delta(params: RamanParams, delta_list: Sequence[float]) -> list[DressedState]:
-    """Band-minimum dressed states for each detuning in delta_list."""
+    """Band-minimum dressed states for each detuning in delta_list, in one solve."""
     if len(delta_list) == 0:
         raise ValueError("delta_list must be non-empty")
-    states = []
-    for d in delta_list:
-        states.append(find_band_minimum(replace(params, delta=float(d))))
-    return states
+    deltas = np.array([float(d) for d in delta_list])
+    q, e, c = band_minima(params.omega_r, deltas, params.epsilon_q)
+    return [_state(*row) for row in zip(q, e, c)]
 
 
 def write_band_csv(path, curve: BandCurve) -> None:

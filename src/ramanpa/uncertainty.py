@@ -26,8 +26,9 @@ __all__ = [
 ]
 
 # coarse scan is enough for sampling: wells are ~1 k_r wide, and every local
-# minimum is refined by derivative bisection afterwards
-_MC_SCAN_STEP = 0.02
+# minimum is refined by safeguarded Newton iteration afterwards (a 0.2 step
+# already misses the odd well)
+_MC_SCAN_STEP = 0.1
 _EXACT_SCAN_STEP = 1e-3
 VARIANT_WITH = "with-interference"
 VARIANT_WITHOUT = "without-interference"
@@ -106,59 +107,61 @@ def sample_parameters(nominal: RamanParams, spec: UncertaintySpec) -> list[Raman
             for o, d, e in zip(omegas, deltas, epsilons)]
 
 
-def _band(axis_values, omega_of, delta_of, spec: UncertaintySpec,
-          interference: bool, epsilon_q: float) -> RatioBand:
-    """Shared sweep driver; omega_of/delta_of map a sweep value to nominals."""
+def _band(axis_values, omegas, deltas, spec: UncertaintySpec,
+          epsilon_q: float) -> tuple[RatioBand, RatioBand]:
+    """Sweep both variants over nominal omegas/deltas broadcast against the axis.
+
+    Both variants come from one band-minimum solve per sweep point, since the
+    same coefficients feed both ratios. Returns (with, without) interference.
+    """
     axis = np.asarray(axis_values, dtype=float)
     if axis.size == 0:
         raise ValueError("sweep axis must be non-empty")
-    means = np.empty(axis.size)
-    stds = np.zeros(axis.size)
+    om_nom, de_nom, _ = np.broadcast_arrays(np.asarray(omegas, dtype=float),
+                                            np.asarray(deltas, dtype=float), axis)
+    if not (np.all(np.isfinite(om_nom)) and np.all(np.isfinite(de_nom))):
+        raise ValueError("sweep values and nominal omega_r, delta must be finite")
+    if np.any(om_nom < 0):
+        raise ValueError("nominal omega_r must be >= 0")
+    means = np.empty((2, axis.size))
+    stds = np.zeros((2, axis.size))
     if spec.is_zero:
         # zero-width band: one solve per point on the fine production grid
-        om = np.array([omega_of(v) for v in axis])
-        de = np.array([delta_of(v) for v in axis])
-        _, _, coeffs = band_minima(om, de, epsilon_q, scan_step=_EXACT_SCAN_STEP)
-        full, no_int = _batch_ratios(coeffs)
-        means[:] = full if interference else no_int
+        _, _, coeffs = band_minima(om_nom, de_nom, epsilon_q, scan_step=_EXACT_SCAN_STEP)
+        means[:] = _batch_ratios(coeffs)
         n_eff = 1
     else:
-        for i, v in enumerate(axis):
+        for i in range(axis.size):
             # one independent substream per sweep point: mirrored or reordered
             # sweeps reuse identical draws at equal indices
             rng = np.random.default_rng([spec.seed, i])
-            omegas, deltas, epsilons = _draw_samples(
-                rng, omega_of(v), delta_of(v), epsilon_q, spec)
-            _, _, coeffs = band_minima(omegas, deltas, epsilons,
-                                       scan_step=_MC_SCAN_STEP)
-            full, no_int = _batch_ratios(coeffs)
-            ratios = full if interference else no_int
-            means[i] = float(np.mean(ratios))
-            stds[i] = float(np.std(ratios, ddof=1))
+            draws = _draw_samples(rng, om_nom[i], de_nom[i], epsilon_q, spec)
+            _, _, coeffs = band_minima(*draws, scan_step=_MC_SCAN_STEP)
+            ratios = np.stack(_batch_ratios(coeffs))
+            means[:, i] = np.mean(ratios, axis=1)
+            stds[:, i] = np.std(ratios, axis=1, ddof=1)
         n_eff = spec.n_samples
     lower = np.clip(means - stds, 0.0, 1.05)
     upper = np.clip(means + stds, 0.0, 1.05)
-    return RatioBand(sweep_axis=axis, mean=means, lower=lower, upper=upper,
-                     variant=VARIANT_WITH if interference else VARIANT_WITHOUT,
-                     std=stds, n_samples=n_eff)
+    return tuple(RatioBand(sweep_axis=axis, mean=means[k], lower=lower[k], upper=upper[k],
+                           variant=variant, std=stds[k], n_samples=n_eff)
+                 for k, variant in enumerate((VARIANT_WITH, VARIANT_WITHOUT)))
 
 
 def ratio_band_vs_omega(omega_list, delta_nominal: float, spec: UncertaintySpec,
                         interference: bool = True,
                         epsilon_q: float = EPSILON_Q_ER) -> RatioBand:
     """Rate-ratio band swept over the Raman coupling at fixed nominal delta."""
-    return _band(omega_list, omega_of=lambda v: v,
-                 delta_of=lambda v: delta_nominal,
-                 spec=spec, interference=interference, epsilon_q=epsilon_q)
+    bands = _band(omega_list, omega_list, delta_nominal, spec, epsilon_q)
+    return bands[0] if interference else bands[1]
 
 
 def ratio_band_vs_delta(delta_list, omega_nominal: float, spec: UncertaintySpec,
                         interference: bool = True,
                         epsilon_q: float = EPSILON_Q_ER) -> RatioBand:
     """Rate-ratio band swept over the detuning at fixed nominal coupling."""
-    return _band(delta_list, omega_of=lambda v: omega_nominal,
-                 delta_of=lambda v: v,
-                 spec=spec, interference=interference, epsilon_q=epsilon_q)
+    bands = _band(delta_list, omega_nominal, delta_list, spec, epsilon_q)
+    return bands[0] if interference else bands[1]
 
 
 def write_ratio_band_csv(path, bands) -> None:

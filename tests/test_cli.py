@@ -234,6 +234,16 @@ def test_bad_geometry_is_usage_error(tmp_path):
     assert "q_min" in res.stderr
 
 
+@pytest.mark.parametrize("flags", [["--start=-5"], ["--stop=inf"],
+                                   ["--axis=delta", "--omega=-1"]])
+def test_ratio_sweep_bad_nominal_is_usage_error(tmp_path, flags):
+    res = run_cli(["ratio-sweep", *flags, "--points=3", "--samples=100",
+                   "--out-dir", str(tmp_path / "o")])
+    assert res.returncode == 1
+    assert "Traceback" not in res.stderr
+    assert "error:" in res.stderr
+
+
 def test_malformed_spectrum_is_data_error(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("detuning_khz,atoms_total\n0.0,100.0\n0.0,90.0\n",

@@ -1,5 +1,6 @@
 """Band-structure solver: Hamiltonian build, diagonalization, minima."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from ramanpa.dressed_states import (
     eigensystem,
     find_band_minimum,
 )
+from ramanpa.uncertainty import _MC_SCAN_STEP
 
 # lowest eigenvalue of [[4,6,0],[6,-0.65,6],[0,6,4]] from the symmetric/
 # antisymmetric 2x2 block reduction: 1.675 - sqrt(2.325^2 + 72)
@@ -266,3 +268,34 @@ def test_eigenvectors_orthonormal(q, omega, delta):
     pairs = eigensystem(build_hamiltonian(q, params(omega, delta)))
     basis = np.stack([p[1] for p in pairs])
     assert np.max(np.abs(basis @ basis.T - np.eye(3))) < 1e-9
+
+
+# ------------------------------------------------------ dense-grid oracle
+
+def test_band_minima_mc_step_matches_dense_oracle():
+    """Coarse scan plus Newton at the Monte Carlo step finds the dense-grid minima."""
+    rng = np.random.default_rng(1807)
+    n = 20000
+    omega = rng.uniform(0.0, 15.0, n)
+    delta = rng.uniform(-4.0, 4.0, n)
+    eps = rng.uniform(0.0, 2.0, n)
+    q, _, c = band_minima(omega, delta, eps, scan_step=_MC_SCAN_STEP)
+    q_ref, _, _ = band_minima(omega, delta, eps, scan_step=1e-3)
+    assert np.max(np.abs(q - q_ref)) < 1e-10
+    # Hellmann-Feynman: dE/dq = sum_m |C_m|^2 dH_mm/dq
+    dedq = 2.0 * (c[:, 0] ** 2 * (q + 2.0) + c[:, 1] ** 2 * q + c[:, 2] ** 2 * (q - 2.0))
+    assert np.max(np.abs(dedq)) < 1e-8
+
+
+@pytest.mark.parametrize("n_rows, step", [(20000, _MC_SCAN_STEP), (2000, 1e-3)])
+def test_band_minima_memory_is_bounded(n_rows, step):
+    rng = np.random.default_rng(11)
+    omega = rng.uniform(0.0, 15.0, n_rows)
+    delta = rng.uniform(-4.0, 4.0, n_rows)
+    tracemalloc.start()
+    try:
+        band_minima(omega, delta, 0.65, scan_step=step)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6

@@ -133,6 +133,13 @@ def test_band_rejects_empty_axis():
         ratio_band_vs_omega([], 0.0, ZERO)
 
 
+@pytest.mark.parametrize("omegas", [[-1.0, 5.0], [1.0, np.inf], [np.nan]])
+def test_band_rejects_negative_or_nonfinite_coupling(omegas):
+    for spec in (ZERO, NOMINAL_MC):
+        with pytest.raises(ValueError):
+            ratio_band_vs_omega(omegas, 0.0, spec)
+
+
 def test_band_dressed_minimum_ratio_ordering_per_draw():
     # same coefficients feed both variants, so the ordering survives averaging
     state = find_band_minimum(RamanParams(omega_r=7.0, delta=1.0))
