@@ -152,7 +152,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--counts", type=_counts_arg, help="N_-1,N_0,N_+1")
     p.add_argument("--k00", type=float, help="bare-state rate, cm^3/s")
     p.add_argument("--t-pa", type=float, help="pulse duration, ms")
-    p.add_argument("--dt", type=float, help="integrator step, ms")
+    p.add_argument("--dt", type=float, help="time-sample step, ms")
     p.add_argument("--cross-weight", type=float,
                    help="(+1,-1) channel weight relative to (0,0); default: "
                         "bare ratio 2 damped by the pair-energy offset")

@@ -53,9 +53,9 @@ class SpectrumFormatError(ValueError):
 class Spectrum:
     """Measured or synthetic PA spectrum.
 
-    detunings_khz must be strictly increasing; atoms_components, when present,
-    has one column per m_f = -1, 0, +1; stderr entries are per-point standard
-    errors of atoms_total.
+    Every value must be finite and detunings_khz strictly increasing;
+    atoms_components, when present, has one column per m_f = -1, 0, +1;
+    stderr entries are per-point standard errors of atoms_total.
     """
 
     detunings_khz: np.ndarray
@@ -88,6 +88,9 @@ class Spectrum:
                 raise ValueError("stderr length must match detunings")
             if np.any(self.stderr <= 0):
                 raise ValueError("stderr entries must be > 0")
+        arrays = (self.detunings_khz, self.atoms_total, self.atoms_components, self.stderr)
+        if not all(np.all(np.isfinite(a)) for a in arrays if a is not None):
+            raise ValueError("spectrum values must be finite")
 
     def __len__(self) -> int:
         return len(self.detunings_khz)
@@ -378,6 +381,9 @@ def read_spectrum_csv(path) -> Spectrum:
         except ValueError:
             raise SpectrumFormatError(
                 f"line {k}: non-numeric field in {row!r}", line_no=k) from None
+        if not all(math.isfinite(v) for v in vals):
+            raise SpectrumFormatError(
+                f"line {k}: non-finite field in {row!r}", line_no=k)
         if vals[0] <= prev:
             raise SpectrumFormatError(
                 f"line {k}: detunings not strictly increasing", line_no=k)

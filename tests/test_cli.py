@@ -253,6 +253,18 @@ def test_malformed_spectrum_is_data_error(tmp_path):
     assert "line 3" in res.stderr
 
 
+@pytest.mark.parametrize("count", ["inf", "nan"])
+def test_non_finite_spectrum_is_data_error(tmp_path, count):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"detuning_khz,atoms_total\n0.0,100.0\n1.0,{count}\n"
+                   "2.0,95.0\n3.0,99.0\n4.0,100.0\n", encoding="ascii")
+    res = run_cli(["fit", str(bad), "--out-dir", str(tmp_path / "o")])
+    assert res.returncode == 2
+    assert "line 3" in res.stderr
+    assert "non-finite" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_numeric_failure_exit_code(tmp_path, monkeypatch):
     def boom(data):
         raise ArithmeticError("synthetic blow-up")

@@ -1,6 +1,7 @@
-"""Loss kinetics: pulse-strength model, shell oracle, mixture integrator."""
+"""Loss kinetics: pulse-strength model, shell oracle, mixture kinetics."""
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from ramanpa.constants import EPSILON_Q_ER, PA_LINE_FWHM_KHZ, TRAP_OMEGA_BAR, er
 from ramanpa.dressed_states import RamanParams, build_hamiltonian
 from ramanpa.interference import bare_pair_singlet_weight
 from ramanpa.pa_kinetics import (
+    DEFAULT_CROSS_WEIGHT,
     LorentzianLine,
     MixtureState,
     PulseParams,
@@ -349,11 +351,73 @@ def test_default_cross_weight_is_detuned_by_pair_offset():
     assert default == pytest.approx(0.1573, abs=1e-4)
 
 
-def test_mixture_clamps_runaway_step():
-    # k00 * rho_center * dt ~ 17 per step overshoots through zero
-    series = run_mixture((1000.0, 1000.0, 1000.0), 1.0e-7)
-    assert series.clamped
+def shell_edge_fraction(lo0, hi0, c, t, n_shells=400):
+    """Shell-summed remaining fraction of the smaller edge, lo/(1 + hi g)."""
+    x = (np.arange(n_shells) + 0.5) / n_shells
+    shape = 1.0 - x * x
+    lo, hi = lo0 * shape, hi0 * shape
+    d = hi - lo
+    with np.errstate(over="ignore"):
+        g = c * t if lo0 == hi0 else np.expm1(c * d * t) / d
+        return float(np.sum(x * x * lo / (1.0 + hi * g)) / np.sum(x * x * lo))
+
+
+@pytest.mark.parametrize("counts", [(1000.0, 1000.0, 1000.0), (1000.0, 1000.0, 1200.0)],
+                         ids=["equal_edges", "unequal_edges"])
+def test_mixture_stiff_rate_stays_exact(counts):
+    # k00 * rho_center * dt ~ 17 per sample step: no step size to overshoot
+    k00, rho0, t_pa = 1.0e-7, 1.0e14, 0.01
+    series = run_mixture(counts, k00, t_pa=t_pa, rho0=rho0)
+    assert not series.clamped
+    assert np.all(np.isfinite(series.counts))
     assert np.all(series.counts >= 0.0)
+    assert np.all(np.diff(series.counts, axis=0) <= 0.0)
+    f = np.array(counts) / sum(counts)
+    c = DEFAULT_CROSS_WEIGHT * k00
+    for i in (1, 2, 100, 2000):
+        t = series.times[i]
+        m0 = remaining_fraction_oracle(k00 * f[1] * rho0 * t, 400)
+        edge = shell_edge_fraction(f[0] * rho0, f[2] * rho0, c, t)
+        assert series.counts[i][1] / counts[1] == pytest.approx(m0, rel=1e-12)
+        assert series.counts[i][0] / counts[0] == pytest.approx(edge, rel=1e-9, abs=1e-15)
+
+
+def test_mixture_equal_edges_follow_single_channel_law():
+    """D = 0: each edge obeys rho/(1 + c k rho t) shell by shell."""
+    counts, k00, rho0, t_pa = (1500.0, 5000.0, 1500.0), 3.0e-12, 1.0e14, 0.01
+    series = run_mixture(counts, k00, t_pa=t_pa, rho0=rho0, cross_weight=2.0)
+    f_edge = counts[0] / sum(counts)
+    for i in (0, 700, 2000):
+        eta = 2.0 * k00 * f_edge * rho0 * series.times[i]
+        expect = remaining_fraction_oracle(eta, 400)
+        assert series.counts[i][0] / counts[0] == pytest.approx(expect, rel=1e-12)
+        assert series.counts[i][2] / counts[2] == pytest.approx(expect, rel=1e-12)
+    assert series.counts[-1][0] < 0.9 * counts[0]
+
+
+@pytest.mark.parametrize("counts", [(0.0, 5000.0, 1500.0), (1500.0, 5000.0, 0.0)],
+                         ids=["minus_empty", "plus_empty"])
+def test_mixture_one_empty_edge_loses_nothing(counts):
+    series = run_mixture(counts, 3.0e-12, cross_weight=2.0)
+    for m in (0, 2):
+        assert series.counts[0][m] == pytest.approx(counts[m], rel=1e-12)
+        assert np.all(series.counts[:, m] == series.counts[0][m])
+    assert np.all(series.events_pm == 0.0)
+    assert series.counts[-1][1] < 0.9 * counts[1]
+
+
+def test_mixture_memory_is_bounded():
+    """Outputs scale with the sample count; the shell work stays in blocks."""
+    pulse = PulseParams(t_pa=0.01, rho0=1.0e14, n0=9300.0)
+    tracemalloc.start()
+    try:
+        series = simulate_mixture(MixtureState(counts=(1200.0, 7000.0, 1100.0)),
+                                  3.0e-12, pulse, dt=pulse.t_pa / 200000.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert series.times.size >= 200001
+    assert peak < 16e6
 
 
 def test_mixture_counts_never_increase():

@@ -136,6 +136,21 @@ def test_spectrum_validation():
         Spectrum(detunings_khz=np.array([0.0, 1.0]),
                  atoms_total=np.array([1.0, 2.0]),
                  stderr=np.array([0.1, 0.0]))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Spectrum(detunings_khz=np.array([0.0, 1.0]),
+                     atoms_total=np.array([1.0, bad]))
+        with pytest.raises(ValueError, match="finite"):
+            Spectrum(detunings_khz=np.array([0.0, bad]),
+                     atoms_total=np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match="finite"):
+            Spectrum(detunings_khz=np.array([0.0, 1.0]),
+                     atoms_total=np.array([1.0, 2.0]),
+                     atoms_components=np.array([[0.2, 0.5, 0.3], [bad, 1.0, 1.0]]))
+        with pytest.raises(ValueError, match="finite"):
+            Spectrum(detunings_khz=np.array([0.0, 1.0]),
+                     atoms_total=np.array([1.0, 2.0]),
+                     stderr=np.array([0.1, bad]))
 
 
 # ------------------------------------------------------------------ fitting
@@ -309,6 +324,11 @@ def write_lines(path, lines):
     (["detuning_khz,atoms_total,stderr", "0.0,100.0,3.0", "1.0,90.0,0.0"], 3,
      "stderr"),
     (["frequency,atoms_total", "0.0,100.0"], 1, "header"),
+    (["detuning_khz,atoms_total", "0.0,100.0", "1.0,inf"], 3, "non-finite"),
+    (["detuning_khz,atoms_total", "0.0,100.0", "1.0,nan"], 3, "non-finite"),
+    (["detuning_khz,atoms_total", "-inf,100.0", "1.0,90.0"], 2, "non-finite"),
+    (["detuning_khz,atoms_total,stderr", "0.0,100.0,3.0", "1.0,90.0,nan"], 3,
+     "non-finite"),
 ])
 def test_csv_errors_name_the_line(tmp_path, rows, bad_line, needle):
     path = tmp_path / "bad.csv"
