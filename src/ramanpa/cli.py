@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -30,9 +31,11 @@ from .interference import (
     write_ratio_sweep_csv,
 )
 from .pa_kinetics import (
+    LorentzianLine,
     MixtureState,
     PulseParams,
     eta_from_rate,
+    lorentzian_eta,
     remaining_fraction,
     simulate_mixture,
     write_mixture_csv,
@@ -57,6 +60,7 @@ EXIT_NUMERIC = 3
 _COLOR_WITH = "#e07b2a"     # with-interference curves
 _COLOR_WITHOUT = "#3a6fb0"  # without-interference curves
 _BAND_COLORS = ("#555555", "#888888", "#bbbbbb")
+_SPIN_LABELS = ("m_f=-1", "m_f=0", "m_f=+1")
 
 
 class _UsageError(ValueError):
@@ -64,6 +68,13 @@ class _UsageError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes only -2 and -2.5 for negative numbers; any token that
+        # starts with a minus and a digit is a value, so `--delta-list -2.5,0`
+        # and `--delta -1e-3` parse like their `--flag=value` forms
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):  # usage problems must exit 1, not argparse's 2
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
@@ -197,8 +208,8 @@ def _seed(args, config: RunConfig) -> int:
 def cmd_bands(args, config: RunConfig) -> int:
     try:
         params = config.raman_params(args.omega, args.delta)
-        if args.n_points < 2 or not args.q_min < args.q_max:
-            raise ValueError("need q_min < q_max and n_points >= 2")
+        if args.n_points < 2 or not -math.inf < args.q_min < args.q_max < math.inf:
+            raise ValueError("need finite q_min < q_max and n_points >= 2")
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     out_dir, formats = _prepare(args, config)
@@ -236,6 +247,8 @@ def cmd_coeffs(args, config: RunConfig) -> int:
         params = config.raman_params(args.omega, args.delta)
         if args.delta_list:
             deltas = [float(v) for v in args.delta_list.split(",")]
+            if not all(map(math.isfinite, deltas)):
+                raise ValueError("--delta-list entries must be finite")
         else:
             deltas = [params.delta]
     except ValueError as exc:
@@ -262,19 +275,12 @@ def cmd_coeffs(args, config: RunConfig) -> int:
     if "svg" in formats:
         dv = np.array(deltas)
         weights = np.array([s.weights for s in states])
-        labels = ("m_f=-1", "m_f=0", "m_f=+1")
-        if len(deltas) > 1:
-            layers = [Series(x=dv, y=weights[:, m], color=_BAND_COLORS[m],
-                             label=labels[m]) for m in range(3)]
-            svg = render_plot(f"Band-minimum spin weights, omega_R={params.omega_r:g} E_r",
-                              "delta (E_r)", "|C|^2", series=layers,
-                              y_range=(0.0, 1.05))
-        else:
-            layers = [Markers(x=dv, y=weights[:, m], color=_BAND_COLORS[m],
-                              label=labels[m]) for m in range(3)]
-            svg = render_plot(f"Band-minimum spin weights, omega_R={params.omega_r:g} E_r",
-                              "delta (E_r)", "|C|^2", markers=layers,
-                              y_range=(0.0, 1.05))
+        # a curve needs two detunings; a single one is drawn as markers
+        layer, key = (Series, "series") if len(deltas) > 1 else (Markers, "markers")
+        layers = [layer(x=dv, y=weights[:, m], color=_BAND_COLORS[m],
+                        label=_SPIN_LABELS[m]) for m in range(3)]
+        svg = render_plot(f"Band-minimum spin weights, omega_R={params.omega_r:g} E_r",
+                          "delta (E_r)", "|C|^2", y_range=(0.0, 1.05), **{key: layers})
         write_svg(_path(out_dir, "coeffs.svg"), svg)
 
     for d, s, r in zip(deltas, states, ratios):
@@ -358,15 +364,17 @@ def cmd_ratio_sweep(args, config: RunConfig) -> int:
 
 
 def cmd_fit(args, config: RunConfig) -> int:
-    out_dir, formats = _prepare(args, config)
     data = read_spectrum_csv(args.spectrum)
-
-    rho0 = args.rho0 if args.rho0 is not None else config.peak_density()
-    t_pa = (args.t_pa * MS) if args.t_pa is not None \
-        else config.get("pulse.t_pa_ms") * MS
-    data.pulse = PulseParams(t_pa=t_pa, rho0=rho0,
-                             n0=max(float(np.max(data.atoms_total)), 1.0),
-                             intensity=config.get("pulse.intensity_w_cm2"))
+    try:
+        rho0 = args.rho0 if args.rho0 is not None else config.peak_density()
+        t_pa = (args.t_pa * MS) if args.t_pa is not None \
+            else config.get("pulse.t_pa_ms") * MS
+        data.pulse = PulseParams(t_pa=t_pa, rho0=rho0,
+                                 n0=max(float(np.max(data.atoms_total)), 1.0),
+                                 intensity=config.get("pulse.intensity_w_cm2"))
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+    out_dir, formats = _prepare(args, config)
 
     try:
         fit = fit_spectrum(data)
@@ -400,7 +408,6 @@ def cmd_fit(args, config: RunConfig) -> int:
               file=sys.stderr)
 
     if "svg" in formats:
-        from .pa_kinetics import LorentzianLine, lorentzian_eta
         dense = np.linspace(data.detunings_khz[0], data.detunings_khz[-1], 400)
         if fit.eta_res > 0 and fit.gamma > 0:
             line = LorentzianLine(eta_res=fit.eta_res, nu0=fit.nu0, gamma=fit.gamma)
@@ -431,16 +438,14 @@ def _spectrum_detunings(config: RunConfig):
 def cmd_simulate(args, config: RunConfig) -> int:
     try:
         params = config.raman_params(args.omega, args.delta)
-        if args.noise < 0:
-            raise ValueError("--noise must be >= 0")
+        if not 0 <= args.noise < math.inf:
+            raise ValueError("--noise must be finite and >= 0")
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    out_dir, formats = _prepare(args, config)
-    seed = _seed(args, config)
 
     if args.mode == "mixture":
         return _run_mixture(
-            config, out_dir, formats,
+            args, config,
             counts=config.mixture_counts(),
             k00=config.get("kinetics.k00_cm3_s"),
             t_pa=config.get("pulse.t_pa_ms") * MS,
@@ -448,6 +453,8 @@ def cmd_simulate(args, config: RunConfig) -> int:
             cross_weight=config.get("kinetics.cross_weight"),
             n_shells=config.get("kinetics.n_shells"))
 
+    out_dir, formats = _prepare(args, config)
+    seed = _seed(args, config)
     state = find_band_minimum(params)
     ratio = (rate_ratio_no_interference(state.coeffs) if args.no_interference
              else rate_ratio(state.coeffs))
@@ -485,31 +492,32 @@ def cmd_simulate(args, config: RunConfig) -> int:
 
 
 def cmd_mixture_sim(args, config: RunConfig) -> int:
+    counts = args.counts if args.counts is not None else config.mixture_counts()
+    k00 = config.get("kinetics.k00_cm3_s") if args.k00 is None else args.k00
+    t_pa = (args.t_pa if args.t_pa is not None
+            else config.get("pulse.t_pa_ms")) * MS
+    dt = (args.dt * MS) if args.dt is not None else t_pa / 1000.0
+    cross = (config.get("kinetics.cross_weight")
+             if args.cross_weight is None else args.cross_weight)
+    shells = config.get("kinetics.n_shells") if args.n_shells is None \
+        else args.n_shells
+    return _run_mixture(args, config, counts=counts, k00=k00, t_pa=t_pa, dt=dt,
+                        cross_weight=cross, n_shells=shells)
+
+
+def _run_mixture(args, config: RunConfig, *, counts, k00, t_pa, dt,
+                 cross_weight, n_shells) -> int:
+    """Solve the mixture kinetics, then write outputs; bad inputs exit 1."""
     try:
-        counts = args.counts if args.counts is not None else config.mixture_counts()
-        k00 = config.get("kinetics.k00_cm3_s") if args.k00 is None else args.k00
-        t_pa = (args.t_pa if args.t_pa is not None
-                else config.get("pulse.t_pa_ms")) * MS
-        dt = (args.dt * MS) if args.dt is not None else t_pa / 1000.0
-        cross = (config.get("kinetics.cross_weight")
-                 if args.cross_weight is None else args.cross_weight)
-        shells = config.get("kinetics.n_shells") if args.n_shells is None \
-            else args.n_shells
+        initial = MixtureState(counts=counts, omega_bar=config.omega_bar)
+        pulse = PulseParams(t_pa=t_pa, rho0=config.peak_density(),
+                            n0=max(sum(counts), 1.0),
+                            intensity=config.get("pulse.intensity_w_cm2"))
+        series = simulate_mixture(initial, k00, pulse, dt,
+                                  cross_weight=cross_weight, n_shells=n_shells)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     out_dir, formats = _prepare(args, config)
-    return _run_mixture(config, out_dir, formats, counts=counts, k00=k00,
-                        t_pa=t_pa, dt=dt, cross_weight=cross, n_shells=shells)
-
-
-def _run_mixture(config: RunConfig, out_dir, formats, *, counts, k00, t_pa, dt,
-                 cross_weight, n_shells) -> int:
-    initial = MixtureState(counts=counts, omega_bar=config.omega_bar)
-    pulse = PulseParams(t_pa=t_pa, rho0=config.peak_density(),
-                        n0=max(sum(counts), 1.0),
-                        intensity=config.get("pulse.intensity_w_cm2"))
-    series = simulate_mixture(initial, k00, pulse, dt,
-                              cross_weight=cross_weight, n_shells=n_shells)
     start = series.counts[0]
     end = series.counts[-1]
     losses = [(s - e) / s if s > 0 else 0.0 for s, e in zip(start, end)]
@@ -527,9 +535,8 @@ def _run_mixture(config: RunConfig, out_dir, formats, *, counts, k00, t_pa, dt,
             "clamped": series.clamped,
         })
     if "svg" in formats:
-        labels = ("m_f=-1", "m_f=0", "m_f=+1")
         layers = [Series(x=series.times / MS, y=series.counts[:, m],
-                         color=_BAND_COLORS[m], label=labels[m])
+                         color=_BAND_COLORS[m], label=_SPIN_LABELS[m])
                   for m in range(3)]
         layers.append(Series(x=series.times / MS, y=series.molecules_cumulative,
                              color=_COLOR_WITH, label="molecules", dashed=True))
@@ -537,8 +544,7 @@ def _run_mixture(config: RunConfig, out_dir, formats, *, counts, k00, t_pa, dt,
                           series=layers)
         write_svg(_path(out_dir, "mixture_timeseries.svg"), svg)
 
-    labels = ("m_f=-1", "m_f=0", "m_f=+1")
-    summary = ", ".join(f"{lab} {lo:.1%}" for lab, lo in zip(labels, losses))
+    summary = ", ".join(f"{lab} {lo:.1%}" for lab, lo in zip(_SPIN_LABELS, losses))
     print(f"mixture losses after {t_pa / MS:g} ms: {summary}; "
           f"molecules = {series.molecules_cumulative[-1]:.1f}")
     return EXIT_OK

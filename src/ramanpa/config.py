@@ -76,10 +76,13 @@ def _parse_value(key: str, raw: str, line_no: int):
             return raw
         if isinstance(default, int) and not isinstance(default, bool):
             return int(raw)
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(
             f"line {line_no}: cannot parse {key} value {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"line {line_no}: {key} value {raw!r} is not finite")
+    return value
 
 
 @dataclass
@@ -185,4 +188,6 @@ class RunConfig:
             counts = tuple(float(v) for v in raw)
         except ValueError:
             raise ConfigError(f"mixture.counts has non-numeric entry: {raw!r}") from None
+        if not all(map(math.isfinite, counts)):
+            raise ConfigError(f"mixture.counts has non-finite entry: {raw!r}")
         return counts

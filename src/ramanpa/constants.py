@@ -7,11 +7,11 @@ frequencies in kHz, densities in cm^-3, times in seconds inside the library
 
 import math
 
-import scipy.constants as _cts
-
-HBAR = _cts.hbar                       # J s
-ATOMIC_MASS_KG = _cts.atomic_mass      # kg per u
-BOHR_RADIUS_M = _cts.value("Bohr radius")
+# CODATA 2022, as scipy.constants gives them (hbar, atomic_mass, "Bohr
+# radius"); written out so that importing the toolkit does not load scipy
+HBAR = 1.0545718176461565e-34          # J s
+ATOMIC_MASS_KG = 1.66053906892e-27     # kg per u
+BOHR_RADIUS_M = 5.29177210544e-11      # m
 
 # Default experimental scales. Overridable through RamanParams / RunConfig;
 # formulas never hard-code these.

@@ -14,6 +14,7 @@ kinetics modules. Sign convention: C_0 >= 0; if C_0 = 0 then C_+1 >= 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -58,6 +59,9 @@ class RamanParams:
     recoil_energy_hz: float = RECOIL_ENERGY_HZ
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.omega_r, self.delta, self.epsilon_q,
+                                       self.recoil_energy_hz))):
+            raise ValueError("dressing parameters must be finite")
         if self.omega_r < 0:
             raise ValueError("omega_r must be >= 0")
         if self.epsilon_q < 0:

@@ -14,10 +14,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .constants import (
     EPSILON_Q_ER,
+    HBAR,
     M3_TO_CM3,
     PA_LINE_FWHM_KHZ,
     TRAP_OMEGA_BAR,
@@ -60,6 +60,8 @@ class PulseParams:
     intensity: float = 0.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.t_pa, self.rho0, self.n0, self.intensity))):
+            raise ValueError("pulse parameters must be finite")
         if self.t_pa <= 0:
             raise ValueError("t_pa must be > 0")
         if self.rho0 <= 0:
@@ -98,8 +100,9 @@ class MixtureState:
     omega_bar: float = TRAP_OMEGA_BAR
 
     def __post_init__(self):
-        if len(self.counts) != 3 or any(c < 0 for c in self.counts):
-            raise ValueError("counts must be three numbers >= 0")
+        if len(self.counts) != 3 or not all(math.isfinite(c) and c >= 0
+                                                for c in self.counts):
+            raise ValueError("counts must be three finite numbers >= 0")
         if self.n_total is None:
             object.__setattr__(self, "n_total", float(sum(self.counts)))
         if self.n_total <= 0:
@@ -193,6 +196,8 @@ def invert_remaining_fraction(fraction: float) -> float:
         raise ValueError("fraction must be in (0, 1]")
     if fraction >= 1.0:
         return 0.0
+    from scipy.optimize import brentq  # loaded here, not at import time
+
     hi = 1.0
     while remaining_fraction(hi) > fraction:
         hi *= 2.0
@@ -241,11 +246,9 @@ def thomas_fermi_peak_density(n_atoms: float, omega_bar: float,
     rho_0 = (15 N / 8 pi) Rbar^-3 with Rbar = a_ho (15 N a_s / a_ho)^{1/5}
     and a_ho = sqrt(hbar / (m omega_bar)); SI inputs (rad/s, m, kg).
     """
-    from scipy.constants import hbar
-
     if n_atoms <= 0 or omega_bar <= 0 or scattering_length <= 0 or mass <= 0:
         raise ValueError("all Thomas-Fermi inputs must be > 0")
-    a_ho = math.sqrt(hbar / (mass * omega_bar))
+    a_ho = math.sqrt(HBAR / (mass * omega_bar))
     rbar = a_ho * (15.0 * n_atoms * scattering_length / a_ho) ** 0.2
     return (15.0 * n_atoms / (8.0 * math.pi)) / rbar**3 * M3_TO_CM3
 
@@ -280,14 +283,14 @@ def simulate_mixture(initial: MixtureState, k00: float, pulse: PulseParams,
     lo(t) = lo / (1 + hi g) with g = expm1(k_pm D t) / D (k_pm t when D = 0,
     k_pm = cross_weight k00). Event counts follow from atom conservation.
     """
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
+    if not math.isfinite(dt) or dt <= 0:
+        raise ValueError("dt must be finite and > 0")
     if dt > pulse.t_pa / 100.0:
         raise ValueError("dt must be <= t_pa/100")
-    if k00 < 0:
-        raise ValueError("k00 must be >= 0")
-    if cross_weight < 0:
-        raise ValueError("cross_weight must be >= 0")
+    if not math.isfinite(k00) or k00 < 0:
+        raise ValueError("k00 must be finite and >= 0")
+    if not math.isfinite(cross_weight) or cross_weight < 0:
+        raise ValueError("cross_weight must be finite and >= 0")
     if n_shells < 1:
         raise ValueError("n_shells must be >= 1")
 

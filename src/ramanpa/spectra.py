@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .dressed_states import RamanParams
 from .pa_kinetics import (
@@ -189,6 +188,8 @@ def fit_spectrum(data: Spectrum) -> FitResult:
     data-driven initial guess plus 5 perturbed restarts; the best run wins.
     A perfectly flat spectrum short-circuits to eta_res = 0.
     """
+    from scipy.optimize import minimize  # loaded here, not at import time
+
     n = len(data)
     if n < 5:
         raise ValueError("need at least 5 points to fit")

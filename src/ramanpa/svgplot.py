@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -48,6 +47,11 @@ class Markers:
     label: str = ""
     radius: float = 3.0
     yerr: np.ndarray | None = field(default=None)
+
+
+def escape(text: str) -> str:
+    """Escape &, < and > for XML text, as xml.sax.saxutils.escape does."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _finite(vals):

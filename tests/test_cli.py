@@ -2,6 +2,7 @@
 import filecmp
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -242,6 +243,63 @@ def test_ratio_sweep_bad_nominal_is_usage_error(tmp_path, flags):
     assert res.returncode == 1
     assert "Traceback" not in res.stderr
     assert "error:" in res.stderr
+
+
+# {spec} is a valid spectrum CSV, {cfg} a config file setting pulse.t_pa_ms = nan
+@pytest.mark.parametrize("args, code", [
+    (["bands", "--omega", "nan"], 1),
+    (["bands", "--q-max", "inf"], 1),
+    (["coeffs", "--omega", "inf"], 1),
+    (["coeffs", "--delta-list", "0,nan"], 1),
+    (["mixture-sim", "--dt", "nan"], 1),
+    (["mixture-sim", "--n-shells", "0"], 1),
+    (["mixture-sim", "--k00", "inf"], 1),
+    (["mixture-sim", "--counts=nan,7000,1100"], 1),
+    (["mixture-sim", "--cross-weight", "nan"], 1),
+    (["mixture-sim", "--t-pa", "nan"], 1),
+    (["mixture-sim", "--config", "{cfg}"], 2),
+    (["simulate", "--noise", "nan"], 1),
+    (["fit", "{spec}", "--rho0", "nan"], 1),
+    (["fit", "{spec}", "--t-pa", "inf"], 1),
+    (["coeffs", "--omega", "5.4", "--delta-list", "-2.5,0"], 0),
+    (["bands", "--delta", "-2"], 0),
+    (["ratio-sweep", "--axis", "delta", "--start", "-1e-1", "--points", "3",
+      "--samples", "100"], 0),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_non_finite_input_exits_cleanly(tmp_path, args, code):
+    spec = tmp_path / "spec.csv"
+    write_spectrum_csv(spec, synthesize_spectrum(
+        LorentzianLine(eta_res=1.0, nu0=0.0, gamma=20.0),
+        PulseParams(t_pa=5e-3, rho0=1e14, n0=9000.0),
+        np.linspace(-30, 30, 9), 0.0, 0))
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text("pulse.t_pa_ms = nan\n", encoding="ascii")
+    argv = [a.format(spec=spec, cfg=cfg) for a in args]
+    out = tmp_path / "o"
+    res = run_cli(argv + ["--out-dir", str(out), "--format", "csv,json,svg"])
+    assert res.returncode == code, res.stderr
+    assert "Traceback" not in res.stderr
+    if code:
+        assert "error" in res.stderr
+        if "{cfg}" in args:
+            assert "line 1" in res.stderr
+    for name, data in tree_bytes(out).items():
+        assert not re.search(rb"\b(nan|inf|infinity)\b", data, re.I), name
+
+
+@pytest.mark.parametrize("args", [
+    ["coeffs", "--omega", "5.4", "--delta-list", "-2.5,0"],
+    ["bands", "--omega", "5.4", "--delta", "-1e-3"],
+])
+def test_leading_minus_value_matches_equals_form(tmp_path, args):
+    joined = args[:-2] + [f"{args[-2]}={args[-1]}"]
+    trees = []
+    for name, argv in (("split", args), ("joined", joined)):
+        res = run_cli(argv + ["--out-dir", str(tmp_path / name),
+                              "--format", "csv,json,svg"])
+        assert res.returncode == 0, res.stderr
+        trees.append((res.stdout, tree_bytes(tmp_path / name)))
+    assert trees[0] == trees[1]
 
 
 def test_malformed_spectrum_is_data_error(tmp_path):

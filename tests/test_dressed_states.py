@@ -56,6 +56,13 @@ def test_hamiltonian_rejects_negative_coupling():
         params(-1.0, 0.0)
 
 
+@pytest.mark.parametrize("field", ["omega_r", "delta", "epsilon_q", "recoil_energy_hz"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_raman_params_reject_non_finite(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        RamanParams(**{"omega_r": 5.0, field: value})
+
+
 # ---------------------------------------------------------------- eigensystem
 
 def test_eigensystem_diagonal():

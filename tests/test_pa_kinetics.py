@@ -170,6 +170,10 @@ def test_pulse_validation():
         PulseParams(t_pa=0.0, rho0=1e14, n0=1e4)
     with pytest.raises(ValueError):
         PulseParams(t_pa=1e-3, rho0=-1.0, n0=1e4)
+    for field in ("t_pa", "rho0", "n0", "intensity"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                PulseParams(**{"t_pa": 1e-3, "rho0": 1e14, "n0": 1e4, field: value})
 
 
 # --------------------------------------------------------------- lineshape
@@ -442,8 +446,21 @@ def test_mixture_dt_precondition():
         simulate_mixture(MixtureState(counts=(1.0, 2.0, 3.0)), 1e-12, pulse, dt=0.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("arg", ["k00", "dt", "cross_weight"])
+def test_mixture_rejects_non_finite_arguments(arg, value):
+    pulse = PulseParams(t_pa=0.01, rho0=1e14, n0=9300.0)
+    kw = {"k00": 1e-12, "dt": 1e-5, "cross_weight": 2.0, arg: value}
+    with pytest.raises(ValueError, match="finite"):
+        simulate_mixture(MixtureState(counts=(1.0, 2.0, 3.0)), kw["k00"], pulse,
+                         kw["dt"], cross_weight=kw["cross_weight"])
+
+
 def test_mixture_state_validation():
     with pytest.raises(ValueError):
         MixtureState(counts=(-1.0, 2.0, 3.0))
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            MixtureState(counts=(1.0, value, 3.0))
     state = MixtureState(counts=(1.0, 2.0, 3.0))
     assert state.n_total == 6.0
