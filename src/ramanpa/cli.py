@@ -61,6 +61,7 @@ _COLOR_WITH = "#e07b2a"     # with-interference curves
 _COLOR_WITHOUT = "#3a6fb0"  # without-interference curves
 _BAND_COLORS = ("#555555", "#888888", "#bbbbbb")
 _SPIN_LABELS = ("m_f=-1", "m_f=0", "m_f=+1")
+_MAX_BAND_POINTS = 100_000  # bands --n-points cap: band_curve holds n x 3 x 3 arrays
 
 
 class _UsageError(ValueError):
@@ -118,7 +119,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--delta", type=float, help="detuning in E_r")
     p.add_argument("--q-min", type=float, default=-3.0)
     p.add_argument("--q-max", type=float, default=3.0)
-    p.add_argument("--n-points", type=int, default=601)
+    p.add_argument("--n-points", type=int, default=601,
+                   help=f"q grid points, 2 to {_MAX_BAND_POINTS} (default 601)")
     p.set_defaults(func=cmd_bands)
 
     p = sub.add_parser("coeffs", parents=[common],
@@ -208,8 +210,10 @@ def _seed(args, config: RunConfig) -> int:
 def cmd_bands(args, config: RunConfig) -> int:
     try:
         params = config.raman_params(args.omega, args.delta)
-        if args.n_points < 2 or not -math.inf < args.q_min < args.q_max < math.inf:
-            raise ValueError("need finite q_min < q_max and n_points >= 2")
+        if not (2 <= args.n_points <= _MAX_BAND_POINTS
+                and -math.inf < args.q_min < args.q_max < math.inf):
+            raise ValueError(f"need finite q_min < q_max and 2 <= n_points <= "
+                             f"{_MAX_BAND_POINTS}")
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     out_dir, formats = _prepare(args, config)
@@ -306,6 +310,8 @@ def cmd_ratio_sweep(args, config: RunConfig) -> int:
         nominal_delta = config.get("raman.delta") if args.delta is None else args.delta
         mc_spec = config.uncertainty_spec(seed=_seed(args, config),
                                           n_samples=args.samples)
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     epsilon_q = config.get("raman.epsilon_q")
@@ -372,6 +378,8 @@ def cmd_fit(args, config: RunConfig) -> int:
         data.pulse = PulseParams(t_pa=t_pa, rho0=rho0,
                                  n0=max(float(np.max(data.atoms_total)), 1.0),
                                  intensity=config.get("pulse.intensity_w_cm2"))
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     out_dir, formats = _prepare(args, config)
@@ -453,15 +461,19 @@ def cmd_simulate(args, config: RunConfig) -> int:
             cross_weight=config.get("kinetics.cross_weight"),
             n_shells=config.get("kinetics.n_shells"))
 
-    out_dir, formats = _prepare(args, config)
-    seed = _seed(args, config)
     state = find_band_minimum(params)
     ratio = (rate_ratio_no_interference(state.coeffs) if args.no_interference
              else rate_ratio(state.coeffs))
+    # config-built objects raise ConfigError (exit 2) before any output exists
     pulse = config.pulse_params()
     k00 = config.get("kinetics.k00_cm3_s")
-    eta00 = eta_from_rate(k00, pulse)
+    try:
+        eta00 = eta_from_rate(k00, pulse)
+    except ValueError as exc:  # a negative configured k00
+        raise ConfigError(f"invalid configured value: {exc}") from None
     line = config.lorentzian(eta_res=ratio * eta00)
+    out_dir, formats = _prepare(args, config)
+    seed = _seed(args, config)
     spectrum = synthesize_spectrum(
         line, pulse, _spectrum_detunings(config), args.noise, seed,
         component_weights=state.weights, include_stderr=args.noise > 0,
@@ -515,6 +527,8 @@ def _run_mixture(args, config: RunConfig, *, counts, k00, t_pa, dt,
                             intensity=config.get("pulse.intensity_w_cm2"))
         series = simulate_mixture(initial, k00, pulse, dt,
                                   cross_weight=cross_weight, n_shells=n_shells)
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     out_dir, formats = _prepare(args, config)

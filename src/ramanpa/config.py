@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .constants import (
     ATOMIC_MASS_KG,
@@ -85,6 +85,14 @@ def _parse_value(key: str, raw: str, line_no: int):
     return value
 
 
+def _configured(make, **values):
+    """make(**values) on configured values; a ValueError it raises is a ConfigError."""
+    try:
+        return make(**values)
+    except ValueError as exc:
+        raise ConfigError(f"invalid configured value: {exc}") from None
+
+
 @dataclass
 class RunConfig:
     """Immutable-by-convention bag of run settings with typed accessors."""
@@ -148,17 +156,21 @@ class RunConfig:
     def scattering_length_m(self) -> float:
         return self.values["atoms.scattering_length_a0"] * BOHR_RADIUS_M
 
+    # the views below raise ConfigError (exit 2) for out-of-range config values
+
     def peak_density(self) -> float:
         """Configured peak density, or the Thomas-Fermi value when unset."""
         explicit = self.values["pulse.rho0_cm3"]
         if explicit > 0:
             return explicit
-        return thomas_fermi_peak_density(
-            self.values["atoms.n_total"], self.omega_bar,
-            self.scattering_length_m, self.mass_kg)
+        return _configured(
+            thomas_fermi_peak_density, n_atoms=self.values["atoms.n_total"],
+            omega_bar=self.omega_bar, scattering_length=self.scattering_length_m,
+            mass=self.mass_kg)
 
     def pulse_params(self, n0=None) -> PulseParams:
-        return PulseParams(
+        return _configured(
+            PulseParams,
             t_pa=self.values["pulse.t_pa_ms"] * MS,
             rho0=self.peak_density(),
             n0=self.values["atoms.n_total"] if n0 is None else float(n0),
@@ -166,19 +178,21 @@ class RunConfig:
         )
 
     def lorentzian(self, eta_res: float) -> LorentzianLine:
-        return LorentzianLine(eta_res=eta_res,
-                              nu0=self.values["line.nu0_khz"],
-                              gamma=self.values["line.gamma_khz"])
+        return _configured(LorentzianLine, eta_res=eta_res,
+                           nu0=self.values["line.nu0_khz"],
+                           gamma=self.values["line.gamma_khz"])
 
     def uncertainty_spec(self, seed=None, n_samples=None) -> UncertaintySpec:
-        return UncertaintySpec(
-            omega_rel_sigma=self.values["uncertainty.omega_rel_sigma"],
-            delta_sigma=self.values["uncertainty.delta_sigma"],
-            epsilon_q_sigma=self.values["uncertainty.epsilon_q_sigma"],
-            n_samples=self.values["uncertainty.n_samples"] if n_samples is None
-            else int(n_samples),
-            seed=self.values["uncertainty.seed"] if seed is None else int(seed),
-        )
+        """Configured sampling plan with optional seed/n_samples overrides.
+
+        The configured plan must be valid on its own (else ConfigError); an
+        invalid override raises a plain ValueError.
+        """
+        spec = _configured(UncertaintySpec, **{
+            key: self.values[f"uncertainty.{key}"] for key in (
+                "omega_rel_sigma", "delta_sigma", "epsilon_q_sigma", "n_samples", "seed")})
+        overrides = {"seed": seed, "n_samples": n_samples}
+        return replace(spec, **{k: int(v) for k, v in overrides.items() if v is not None})
 
     def mixture_counts(self) -> tuple[float, float, float]:
         raw = str(self.values["mixture.counts"]).split(",")

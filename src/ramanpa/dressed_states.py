@@ -176,6 +176,8 @@ def _lowest_eigenvalue(q, omega, delta, epsilon_q):
 
     Closed-form trigonometric solution of the characteristic cubic; for the
     tridiagonal H the determinant reduces to a0*b0*c0 - w^2*(a0 + c0).
+    Refinement and tie-break use this form: its rounding fixes the refined q*
+    to the last bit. The grid scan evaluates the same root by _scan_energies.
     """
     a, b, c = _diagonal(q, delta, epsilon_q)
     w = 0.5 * omega
@@ -190,6 +192,42 @@ def _lowest_eigenvalue(q, omega, delta, epsilon_q):
         r = det / (2.0 * p * p * p)
     lam = mean + 2.0 * p * np.cos(np.arccos(np.clip(r, -1.0, 1.0)) / 3.0 + _TWO_PI_THIRD)
     return np.where(p2 > 0.0, lam, mean)
+
+
+def _scan_energies(qs, om, de, ep):
+    """Lowest eigenvalue of H on the (rows x grid qs) block of one chunk.
+
+    Trace-free form of the closed-form root (Smith 1961, Commun. ACM 4:168).
+    Less its mean diagonal q^2 + s, s = (8 - eps_q)/3, H has the diagonal
+    (h + x, -2h, h - x) with h = (4 + eps_q)/3 fixed per row and
+    x = 4q - delta, so (2p)^2 = 4x^2/3 + 4h^2 + 8w^2/3 and
+    -det/(2p^3) = 8h (h^2 + w^2 - x^2)/(2p)^3. The lowest root is
+    mean - 2p cos(arccos(-det/(2p^3))/3). Only x mixes q with the row, so
+    each pass over the block is one in-place ufunc on one of two buffers.
+    It agrees with _lowest_eigenvalue to ~1e-13 relative.
+    """
+    h = ((4.0 + ep) / 3.0)[:, None]
+    w2 = (0.25 * om * om)[:, None]
+    t = np.subtract(4.0 * qs, de[:, None])
+    t *= t  # x^2
+    cos_arg = (h * h + w2) - t
+    cos_arg *= 8.0 * h
+    t *= 4.0 / 3.0
+    t += 4.0 * h * h + (8.0 / 3.0) * w2  # (2p)^2
+    two_p = np.sqrt(t)
+    t *= two_p  # (2p)^3
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos_arg /= t
+    # fmin/fmax send the 0/0 of p = 0 to 1, where the root is the mean itself
+    np.fmin(cos_arg, 1.0, out=cos_arg)
+    np.fmax(cos_arg, -1.0, out=cos_arg)
+    np.arccos(cos_arg, out=cos_arg)
+    cos_arg /= 3.0
+    np.cos(cos_arg, out=cos_arg)
+    cos_arg *= two_p
+    np.subtract(qs * qs, cos_arg, out=cos_arg)
+    cos_arg += ((8.0 - ep) / 3.0)[:, None]
+    return cos_arg
 
 
 def _apply_sign_convention(vec):
@@ -228,20 +266,18 @@ def _slope(q, omega, delta, epsilon_q):
 def _minima_chunk(qs, om, de, ep, scan_step):
     """band_minima on one chunk of 1-D rows over the scan grid qs."""
     q_lo, q_hi = qs[0], qs[-1]
-    energy = _lowest_eigenvalue(qs[None, :], om[:, None], de[:, None], ep[:, None])
+    energy = _scan_energies(qs, om, de, ep)
     padded = np.pad(energy, ((0, 0), (1, 1)), constant_values=np.inf)
     is_min = (padded[:, 1:-1] <= padded[:, :-2]) & (padded[:, 1:-1] <= padded[:, 2:])
     masked = np.where(is_min, energy, np.inf)
 
     n_cand = min(4, qs.size)
     cand_idx = np.argpartition(masked, n_cand - 1, axis=1)[:, :n_cand]
-    cand_valid = np.take_along_axis(masked, cand_idx, axis=1) < np.inf
-    # guarantee at least the global grid argmin is a candidate everywhere
-    fallback_idx = np.argmin(energy, axis=1)
-    cand_idx = np.where(cand_valid, cand_idx, fallback_idx[:, None])
-
-    qc = qs[cand_idx]
-    om_c, de_c, ep_c = om[:, None], de[:, None], ep[:, None]
+    # only real local minima are refined, as flat arrays; a finite row always
+    # has one, since its grid argmin passes the <= test against the padding
+    rows, slots = np.nonzero(np.take_along_axis(masked, cand_idx, axis=1) < np.inf)
+    qc = qs[cand_idx[rows, slots]]
+    om_c, de_c, ep_c = om[rows], de[rows], ep[rows]
     lo = np.clip(qc - scan_step, q_lo, q_hi)
     hi = np.clip(qc + scan_step, q_lo, q_hi)
     g_lo, _ = _slope(lo, om_c, de_c, ep_c)
@@ -258,10 +294,14 @@ def _minima_chunk(qs, om, de, ep, scan_step):
         x = np.where(ok, newton, 0.5 * (blo + bhi))
     # unbracketed candidates: rising at the left edge or falling at the right
     # edge of the window mean the extremum is the edge itself
-    q_ref = np.where(g_lo > 0.0, lo, x)
-    q_ref = np.where(g_hi < 0.0, hi, q_ref)
+    x = np.where(g_lo > 0.0, lo, x)
+    x = np.where(g_hi < 0.0, hi, x)
 
-    e_ref = _lowest_eigenvalue(q_ref, om_c, de_c, ep_c)
+    # back to (rows, slots); empty slots carry an infinite energy
+    q_ref = np.zeros(cand_idx.shape)
+    e_ref = np.full(cand_idx.shape, np.inf)
+    q_ref[rows, slots] = x
+    e_ref[rows, slots] = _lowest_eigenvalue(x, om_c, de_c, ep_c)
     # tie-break keys: energy (1e-12 bins), then |q| (1e-9 bins), then q >= 0
     e_key = np.round(e_ref * 1e12)
     absq_key = np.round(np.abs(q_ref) * 1e9)
@@ -277,21 +317,25 @@ def _minima_chunk(qs, om, de, ep, scan_step):
 def band_minima(omega, delta, epsilon_q=EPSILON_Q_ER, scan_step=1e-3, q_window=Q_WINDOW):
     """Global lowest-band minima over broadcast (omega, delta, epsilon_q) arrays.
 
-    Vectorized core of find_band_minimum: a shared grid scan locates every
-    discrete local minimum, each candidate is refined by safeguarded Newton
-    iteration on the characteristic-polynomial slope (bisection whenever a
-    step would leave the bracket), and the lowest refined energy wins.
-    Exactly degenerate minima resolve to smallest |q|, preferring q >= 0.
-    Rows are solved in chunks of about 2^18 grid cells, so the scan
-    temporaries stay bounded for any row count and step; a step of 0.1 k_r
-    still finds every well (they are ~1 k_r wide).
+    Vectorized core of find_band_minimum: a shared grid scan in trace-free
+    form (_scan_energies) locates every discrete local minimum, up to four
+    per row; only those candidates are refined, as one flat batch, by
+    safeguarded Newton iteration on the characteristic-polynomial slope
+    (bisection whenever a step would leave the bracket), and the lowest
+    refined energy wins. Exactly degenerate minima resolve to smallest |q|,
+    preferring q >= 0. Rows are solved in chunks of about 2^18 grid cells,
+    so the scan temporaries stay bounded for any row count and step; a step
+    of 0.1 k_r still finds every well (they are ~1 k_r wide).
 
     Returns (q_star, energy, coeffs) with shapes (n,), (n,), (n, 3).
+    Raises ValueError if any omega, delta or epsilon_q is not finite.
     """
     om = np.atleast_1d(np.asarray(omega, dtype=float))
     de = np.atleast_1d(np.asarray(delta, dtype=float))
     ep = np.atleast_1d(np.asarray(epsilon_q, dtype=float))
     om, de, ep = np.broadcast_arrays(om, de, ep)
+    if not (np.isfinite(om).all() and np.isfinite(de).all() and np.isfinite(ep).all()):
+        raise ValueError("omega, delta and epsilon_q must be finite")
     q_lo, q_hi = float(q_window[0]), float(q_window[1])
     qs = np.linspace(q_lo, q_hi, int(round((q_hi - q_lo) / scan_step)) + 1)
 

@@ -30,7 +30,7 @@ def _validated(coeffs) -> np.ndarray:
     if c.shape != (3,):
         raise ValueError("expected three spin amplitudes (C_-1, C_0, C_+1)")
     norm = float(np.sum(np.abs(c) ** 2))
-    if abs(norm - 1.0) > 1e-12:
+    if not abs(norm - 1.0) <= 1e-12:  # NaN fails too
         raise ValueError(f"amplitudes not normalized: |c|^2 = {norm!r}")
     return c
 
@@ -51,31 +51,25 @@ def rate_ratio(coeffs) -> float:
     |C_0^2|^2 + 4|C_-1 C_+1|^2 - 4 Re[C_0^2 C_-1* C_+1*], algebraically equal
     to |2 C_-1 C_+1 - C_0^2|^2. Clipped to [0, 1] against rounding dust.
     """
-    cm, c0, cp = _validated(coeffs)
-    c0sq = c0 * c0
-    pair = cm * cp
-    # |z|^2 written as z * conj(z) so the real-coefficient cancellation is exact
-    val = ((c0sq * np.conj(c0sq)).real + 4.0 * (pair * np.conj(pair)).real
-           - 4.0 * (c0sq * np.conj(pair)).real)
-    return float(min(1.0, max(0.0, val)))
+    return float(_batch_ratios(_validated(coeffs))[0])
 
 
 def rate_ratio_no_interference(coeffs) -> float:
     """Rate ratio with the cross term dropped: |C_0^2|^2 + 4|C_-1 C_+1|^2."""
-    cm, c0, cp = _validated(coeffs)
-    c0sq = c0 * c0
-    pair = cm * cp
-    val = (c0sq * np.conj(c0sq)).real + 4.0 * (pair * np.conj(pair)).real
-    return float(min(1.0, max(0.0, val)))
+    return float(_batch_ratios(_validated(coeffs))[1])
 
 
 def _batch_ratios(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rate ratios with and without the cross term for real coeffs (..., 3)."""
+    """Rate ratios with and without the cross term over coeffs (..., 3).
+
+    Real or complex amplitudes; each |z|^2 is written as z * conj(z), so for
+    real input the cancellation in the cross term is exact.
+    """
     cm, c0, cp = coeffs[..., 0], coeffs[..., 1], coeffs[..., 2]
     c0sq = c0 * c0
     pair = cm * cp
-    no_int = c0sq * c0sq + 4.0 * pair * pair
-    full = no_int - 4.0 * c0sq * pair
+    no_int = (c0sq * np.conj(c0sq)).real + 4.0 * (pair * np.conj(pair)).real
+    full = no_int - 4.0 * (c0sq * np.conj(pair)).real
     return np.clip(full, 0.0, 1.0), np.clip(no_int, 0.0, 1.0)
 
 

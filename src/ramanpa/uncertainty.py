@@ -8,6 +8,7 @@ standard deviation prediction bands drawn around the nominal theory curves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +47,9 @@ class UncertaintySpec:
     epsilon_q_sigma: float = 0.0
 
     def __post_init__(self):
-        if self.omega_rel_sigma < 0 or self.delta_sigma < 0 or self.epsilon_q_sigma < 0:
-            raise ValueError("sigmas must be >= 0")
+        sigmas = (self.omega_rel_sigma, self.delta_sigma, self.epsilon_q_sigma)
+        if not all(0 <= s < math.inf for s in sigmas):
+            raise ValueError("sigmas must be finite and >= 0")
         if self.n_samples < 100:
             raise ValueError("n_samples must be >= 100")
         if self.seed < 0:

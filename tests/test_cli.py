@@ -218,6 +218,29 @@ def test_unknown_config_key_is_data_error(tmp_path):
     assert "raman.omega" in res.stderr
 
 
+@pytest.mark.parametrize("line", ["atoms.n_total = -1", "trap.frequency_hz = 0",
+                                  "pulse.t_pa_ms = 0", "line.gamma_khz = 0",
+                                  "kinetics.k00_cm3_s = -1e-12"])
+def test_out_of_range_config_value_is_data_error(tmp_path, line):
+    cfg = tmp_path / "range.cfg"
+    cfg.write_text(line + "\n", encoding="ascii")
+    out = tmp_path / "o"
+    res = run_cli(["simulate", "--config", str(cfg), "--out-dir", str(out)])
+    assert res.returncode == 2, res.stderr
+    assert "Traceback" not in res.stderr
+    assert "invalid configured value" in res.stderr
+    assert not out.exists()
+
+
+def test_out_of_range_uncertainty_config_is_data_error(tmp_path):
+    cfg = tmp_path / "range.cfg"
+    cfg.write_text("uncertainty.delta_sigma = -0.5\n", encoding="ascii")
+    res = run_cli(["ratio-sweep", "--config", str(cfg), "--points=3", "--samples=100",
+                   "--out-dir", str(tmp_path / "o")])
+    assert res.returncode == 2, res.stderr
+    assert "Traceback" not in res.stderr
+
+
 # ------------------------------------------------------------------ failures
 
 def test_unknown_command_is_usage_error():
@@ -226,6 +249,25 @@ def test_unknown_command_is_usage_error():
 
 def test_unknown_flag_is_usage_error():
     assert run_cli(["bands", "--omega", "5", "--frequency", "2"]).returncode == 1
+
+
+@pytest.mark.parametrize("n_points", [cli._MAX_BAND_POINTS + 1, 10**12])
+def test_bands_point_cap_rejects_before_allocating(tmp_path, monkeypatch, capsys, n_points):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("band_curve called above the point cap")
+
+    monkeypatch.setattr(cli, "band_curve", must_not_run)
+    monkeypatch.delenv("RAMANPA_CONFIG", raising=False)
+    out = tmp_path / "o"
+    code = cli.main(["bands", "--n-points", str(n_points), "--out-dir", str(out)])
+    assert code == 1
+    assert f"n_points <= {cli._MAX_BAND_POINTS}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bands_point_cap_is_documented():
+    res = run_cli(["bands", "--help"])
+    assert str(cli._MAX_BAND_POINTS) in res.stdout
 
 
 def test_bad_geometry_is_usage_error(tmp_path):

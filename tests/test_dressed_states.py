@@ -7,7 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ramanpa.dressed_states import (
+    Q_WINDOW,
     RamanParams,
+    _hamiltonians,
+    _lowest_eigenvalue,
+    _scan_energies,
     band_curve,
     band_minima,
     build_hamiltonian,
@@ -191,6 +195,15 @@ def test_minimum_scan_step_precondition():
         find_band_minimum(params(5.4, 0.0), scan_step=0.1)
 
 
+@pytest.mark.parametrize("omega, delta, eps", [
+    (math.nan, 0.0, 0.65), (5.4, math.inf, 0.65), (5.4, 0.0, -math.inf),
+    ([5.4, math.nan], 0.0, 0.65),
+])
+def test_band_minima_rejects_non_finite(omega, delta, eps):
+    with pytest.raises(ValueError, match="finite"):
+        band_minima(omega, delta, eps)
+
+
 def test_band_minima_broadcasts():
     omegas = np.array([0.0, 5.4, 12.0])
     qs, es, vecs = band_minima(omegas, 0.0)
@@ -306,3 +319,50 @@ def test_band_minima_memory_is_bounded(n_rows, step):
     finally:
         tracemalloc.stop()
     assert peak < 64e6
+
+
+def test_scan_and_refinement_eigenvalues_match_eigvalsh():
+    """Both closed forms against LAPACK on random (q, omega, delta, eps_q)."""
+    rng = np.random.default_rng(2024)
+    n_rows, n_q = 400, 150
+    omega = rng.uniform(0.0, 15.0, n_rows)
+    omega[:40] = 0.0
+    delta = rng.uniform(-4.0, 4.0, n_rows)
+    eps = rng.uniform(0.0, 2.0, n_rows)
+    qs = rng.uniform(-3.0, 3.0, n_q)
+    ref = np.linalg.eigvalsh(_hamiltonians(qs[None, :], omega[:, None], delta[:, None],
+                                           eps[:, None]))[..., 0]
+    tol = 1e-12 * np.maximum(1.0, np.abs(ref))
+    assert np.all(np.abs(_scan_energies(qs, omega, delta, eps) - ref) <= tol)
+    refined = _lowest_eigenvalue(qs[None, :], omega[:, None], delta[:, None], eps[:, None])
+    assert np.all(np.abs(refined - ref) <= tol)
+
+
+def test_band_minima_multi_well_rows():
+    """Rows with several grid wells pick the same global minimum at both steps.
+
+    The energies are also checked against a dense eigvalsh grid, which shares
+    no code with the scan: the refined minimum lies at or below every sample.
+    """
+    rng = np.random.default_rng(77)
+    n = 600
+    omega = rng.uniform(0.0, 2.0, n)
+    delta = rng.uniform(-0.7, 0.7, n)
+    eps = rng.uniform(0.0, 2.0, n)
+    coarse = np.linspace(*Q_WINDOW, int(round((Q_WINDOW[1] - Q_WINDOW[0]) / _MC_SCAN_STEP)) + 1)
+    energy = np.pad(_scan_energies(coarse, omega, delta, eps), ((0, 0), (1, 1)),
+                    constant_values=np.inf)
+    inner = energy[:, 1:-1]
+    wells = ((inner <= energy[:, :-2]) & (inner <= energy[:, 2:])).sum(axis=1)
+    assert np.sum(wells >= 2) > n // 4  # the multi-candidate path really runs
+
+    q, e, _ = band_minima(omega, delta, eps, scan_step=_MC_SCAN_STEP)
+    q_ref, e_ref, _ = band_minima(omega, delta, eps, scan_step=1e-3)
+    assert np.max(np.abs(q - q_ref)) < 1e-10
+    assert np.max(np.abs(e - e_ref)) < 1e-10
+
+    dense = np.linspace(*Q_WINDOW, 3001)
+    for rows in np.array_split(np.arange(n), 12):
+        grid_min = np.linalg.eigvalsh(_hamiltonians(
+            dense[None, :], omega[rows, None], delta[rows, None], eps[rows, None]))[..., 0]
+        assert np.all(e[rows] <= grid_min.min(axis=1) + 1e-12)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from ramanpa.dressed_states import RamanParams, find_band_minimum
 from ramanpa.interference import (
+    _batch_ratios,
     bare_pair_singlet_weight,
     rate_ratio,
     rate_ratio_no_interference,
@@ -44,6 +45,12 @@ def test_singlet_amplitude_edge_pair():
 
 def test_singlet_amplitude_cancellation_limit():
     assert singlet_amplitude(LIMIT_COEFFS) == pytest.approx(0.0, abs=1e-15)
+
+
+def test_ratios_reject_nan_amplitudes():
+    for fn in (rate_ratio, rate_ratio_no_interference, singlet_amplitude):
+        with pytest.raises(ValueError, match="normalized"):
+            fn((math.nan, 1.0, 0.0))
 
 
 def test_singlet_amplitude_rejects_unnormalized():
@@ -179,3 +186,33 @@ def test_no_interference_composes_from_pair_weights(coeffs):
     edge_over_bare = bare_pair_singlet_weight(1, -1) / bare_pair_singlet_weight(0, 0)
     expect = (c0 * c0) ** 2 + 2.0 * edge_over_bare * (cm * cp) ** 2
     assert rate_ratio_no_interference(coeffs) == pytest.approx(expect, abs=1e-12)
+
+
+def _random_unit_rows(rng, n, complex_=False):
+    v = rng.normal(size=(n, 3))
+    if complex_:
+        v = v + 1j * rng.normal(size=(n, 3))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def test_ratio_kernel_real_input_is_bit_identical():
+    """Scalar and batch ratios share one kernel; on real input it rounds like
+    the plain real-arithmetic form c0^4 + 4 (cm cp)^2 - 4 c0^2 cm cp."""
+    rows = _random_unit_rows(np.random.default_rng(31), 10_000)
+    full, no_int = _batch_ratios(rows)
+    for k, (cm, c0, cp) in enumerate(rows.tolist()):
+        c0sq, pair = c0 * c0, cm * cp
+        plain_no_int = c0sq * c0sq + 4.0 * (pair * pair)
+        plain_full = plain_no_int - 4.0 * (c0sq * pair)
+        assert full[k] == rate_ratio(rows[k]) == min(1.0, max(0.0, plain_full))
+        assert no_int[k] == rate_ratio_no_interference(rows[k]) == min(1.0, max(0.0, plain_no_int))
+
+
+def test_ratio_kernel_complex_input():
+    rows = _random_unit_rows(np.random.default_rng(32), 2_000, complex_=True)
+    cm, c0, cp = rows.T
+    full, no_int = _batch_ratios(rows)
+    assert np.allclose(full, np.abs(2.0 * cm * cp - c0 * c0) ** 2, rtol=0, atol=1e-14)
+    assert np.allclose(no_int, np.abs(c0) ** 4 + 4.0 * np.abs(cm * cp) ** 2, rtol=0, atol=1e-14)
+    # complex products may round differently in vector and scalar loops
+    assert all(rate_ratio(r) == pytest.approx(f, abs=1e-15) for r, f in zip(rows[:200], full))

@@ -1,4 +1,6 @@
 """Monte Carlo rate-ratio bands over dressing-parameter uncertainty."""
+import math
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,13 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         UncertaintySpec(seed=-1)
     assert ZERO.is_zero and not NOMINAL_MC.is_zero
+
+
+@pytest.mark.parametrize("field", ["omega_rel_sigma", "delta_sigma", "epsilon_q_sigma"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_spec_rejects_non_finite_sigma(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        UncertaintySpec(**{field: value})
 
 
 def test_sample_parameters_deterministic():
