@@ -34,7 +34,6 @@ from .pa_kinetics import (
     LorentzianLine,
     MixtureState,
     PulseParams,
-    eta_from_rate,
     lorentzian_eta,
     remaining_fraction,
     simulate_mixture,
@@ -308,8 +307,8 @@ def cmd_ratio_sweep(args, config: RunConfig) -> int:
             raise ValueError("need start <= stop and points >= 1")
         nominal_omega = config.get("raman.omega_r") if args.omega is None else args.omega
         nominal_delta = config.get("raman.delta") if args.delta is None else args.delta
-        mc_spec = config.uncertainty_spec(seed=_seed(args, config),
-                                          n_samples=args.samples)
+        # the flags' values are usage errors, the configured ones ConfigError
+        mc_spec = config.uncertainty_spec(seed=args.seed, n_samples=args.samples)
     except ConfigError:
         raise
     except ValueError as exc:
@@ -371,15 +370,13 @@ def cmd_ratio_sweep(args, config: RunConfig) -> int:
 
 def cmd_fit(args, config: RunConfig) -> int:
     data = read_spectrum_csv(args.spectrum)
+    rho0 = args.rho0 if args.rho0 is not None else config.peak_density()
     try:
-        rho0 = args.rho0 if args.rho0 is not None else config.peak_density()
         t_pa = (args.t_pa * MS) if args.t_pa is not None \
             else config.get("pulse.t_pa_ms") * MS
         data.pulse = PulseParams(t_pa=t_pa, rho0=rho0,
                                  n0=max(float(np.max(data.atoms_total)), 1.0),
                                  intensity=config.get("pulse.intensity_w_cm2"))
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     out_dir, formats = _prepare(args, config)
@@ -467,10 +464,7 @@ def cmd_simulate(args, config: RunConfig) -> int:
     # config-built objects raise ConfigError (exit 2) before any output exists
     pulse = config.pulse_params()
     k00 = config.get("kinetics.k00_cm3_s")
-    try:
-        eta00 = eta_from_rate(k00, pulse)
-    except ValueError as exc:  # a negative configured k00
-        raise ConfigError(f"invalid configured value: {exc}") from None
+    eta00 = config.eta00(pulse)
     line = config.lorentzian(eta_res=ratio * eta00)
     out_dir, formats = _prepare(args, config)
     seed = _seed(args, config)
@@ -520,15 +514,14 @@ def cmd_mixture_sim(args, config: RunConfig) -> int:
 def _run_mixture(args, config: RunConfig, *, counts, k00, t_pa, dt,
                  cross_weight, n_shells) -> int:
     """Solve the mixture kinetics, then write outputs; bad inputs exit 1."""
+    rho0 = config.peak_density()
     try:
         initial = MixtureState(counts=counts, omega_bar=config.omega_bar)
-        pulse = PulseParams(t_pa=t_pa, rho0=config.peak_density(),
+        pulse = PulseParams(t_pa=t_pa, rho0=rho0,
                             n0=max(sum(counts), 1.0),
                             intensity=config.get("pulse.intensity_w_cm2"))
         series = simulate_mixture(initial, k00, pulse, dt,
                                   cross_weight=cross_weight, n_shells=n_shells)
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     out_dir, formats = _prepare(args, config)

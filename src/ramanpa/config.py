@@ -26,6 +26,7 @@ from .pa_kinetics import (
     DEFAULT_CROSS_WEIGHT,
     LorentzianLine,
     PulseParams,
+    eta_from_rate,
     thomas_fermi_peak_density,
 )
 from .uncertainty import UncertaintySpec
@@ -182,17 +183,23 @@ class RunConfig:
                            nu0=self.values["line.nu0_khz"],
                            gamma=self.values["line.gamma_khz"])
 
-    def uncertainty_spec(self, seed=None, n_samples=None) -> UncertaintySpec:
-        """Configured sampling plan with optional seed/n_samples overrides.
+    def eta00(self, pulse: PulseParams) -> float:
+        """eta of the configured (0,0) rate kinetics.k00_cm3_s over pulse."""
+        return _configured(eta_from_rate, k_pa=self.values["kinetics.k00_cm3_s"], pulse=pulse)
 
-        The configured plan must be valid on its own (else ConfigError); an
-        invalid override raises a plain ValueError.
+    def uncertainty_spec(self, seed=None, n_samples=None) -> UncertaintySpec:
+        """Configured sampling plan; a seed or n_samples given replaces its value.
+
+        A bad configured value that no override replaces raises ConfigError;
+        a bad override raises a plain ValueError.
         """
+        overrides = {k: int(v) for k, v in (("seed", seed), ("n_samples", n_samples))
+                     if v is not None}
         spec = _configured(UncertaintySpec, **{
             key: self.values[f"uncertainty.{key}"] for key in (
-                "omega_rel_sigma", "delta_sigma", "epsilon_q_sigma", "n_samples", "seed")})
-        overrides = {"seed": seed, "n_samples": n_samples}
-        return replace(spec, **{k: int(v) for k, v in overrides.items() if v is not None})
+                "omega_rel_sigma", "delta_sigma", "epsilon_q_sigma", "n_samples", "seed")
+            if key not in overrides})
+        return replace(spec, **overrides)
 
     def mixture_counts(self) -> tuple[float, float, float]:
         raw = str(self.values["mixture.counts"]).split(",")

@@ -35,7 +35,6 @@ __all__ = [
     "write_band_csv",
 ]
 
-_TWO_PI_THIRD = 2.0943951023931953
 Q_WINDOW = (-3.0, 3.0)  # search window in k_r; all physical minima sit inside |q| <= 2
 # Newton iterations per candidate: from one scan step (<= 0.1 k_r) away they
 # reach the 1e-13 k_r level of the dense reference
@@ -174,43 +173,20 @@ def band_curve(params: RamanParams, q_min: float, q_max: float, n_points: int) -
 def _lowest_eigenvalue(q, omega, delta, epsilon_q):
     """Lowest eigenvalue of H(q), broadcasting over array arguments.
 
-    Closed-form trigonometric solution of the characteristic cubic; for the
-    tridiagonal H the determinant reduces to a0*b0*c0 - w^2*(a0 + c0).
-    Refinement and tie-break use this form: its rounding fixes the refined q*
-    to the last bit. The grid scan evaluates the same root by _scan_energies.
-    """
-    a, b, c = _diagonal(q, delta, epsilon_q)
-    w = 0.5 * omega
-    mean = (a + b + c) / 3.0
-    a0 = a - mean
-    b0 = b - mean
-    c0 = c - mean
-    p2 = a0 * a0 + b0 * b0 + c0 * c0 + 4.0 * w * w
-    p = np.sqrt(p2 / 6.0)
-    det = a0 * b0 * c0 - w * w * (a0 + c0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = det / (2.0 * p * p * p)
-    lam = mean + 2.0 * p * np.cos(np.arccos(np.clip(r, -1.0, 1.0)) / 3.0 + _TWO_PI_THIRD)
-    return np.where(p2 > 0.0, lam, mean)
-
-
-def _scan_energies(qs, om, de, ep):
-    """Lowest eigenvalue of H on the (rows x grid qs) block of one chunk.
-
     Trace-free form of the closed-form root (Smith 1961, Commun. ACM 4:168).
     Less its mean diagonal q^2 + s, s = (8 - eps_q)/3, H has the diagonal
-    (h + x, -2h, h - x) with h = (4 + eps_q)/3 fixed per row and
-    x = 4q - delta, so (2p)^2 = 4x^2/3 + 4h^2 + 8w^2/3 and
-    -det/(2p^3) = 8h (h^2 + w^2 - x^2)/(2p)^3. The lowest root is
-    mean - 2p cos(arccos(-det/(2p^3))/3). Only x mixes q with the row, so
-    each pass over the block is one in-place ufunc on one of two buffers.
-    It agrees with _lowest_eigenvalue to ~1e-13 relative.
+    (h + x, -2h, h - x) with h = (4 + eps_q)/3 and x = 4q - delta, so
+    (2p)^2 = 4x^2/3 + 4h^2 + 8w^2/3 and -det/(2p^3) = 8h (h^2 + w^2 - x^2)/(2p)^3.
+    The lowest root is mean - 2p cos(arccos(-det/(2p^3))/3). Only x mixes q
+    with the other arguments, so on a (rows x grid) scan block each pass is
+    one in-place ufunc on one of two buffers.
     """
-    h = ((4.0 + ep) / 3.0)[:, None]
-    w2 = (0.25 * om * om)[:, None]
-    t = np.subtract(4.0 * qs, de[:, None])
+    h = (4.0 + epsilon_q) / 3.0
+    w2 = 0.25 * omega * omega
+    t = np.empty(np.broadcast_shapes(*map(np.shape, (q, omega, delta, epsilon_q))))
+    np.subtract(4.0 * q, delta, out=t)
     t *= t  # x^2
-    cos_arg = (h * h + w2) - t
+    cos_arg = np.subtract(h * h + w2, t, out=np.empty_like(t))
     cos_arg *= 8.0 * h
     t *= 4.0 / 3.0
     t += 4.0 * h * h + (8.0 / 3.0) * w2  # (2p)^2
@@ -225,8 +201,8 @@ def _scan_energies(qs, om, de, ep):
     cos_arg /= 3.0
     np.cos(cos_arg, out=cos_arg)
     cos_arg *= two_p
-    np.subtract(qs * qs, cos_arg, out=cos_arg)
-    cos_arg += ((8.0 - ep) / 3.0)[:, None]
+    np.subtract(q * q, cos_arg, out=cos_arg)
+    cos_arg += (8.0 - epsilon_q) / 3.0
     return cos_arg
 
 
@@ -266,7 +242,7 @@ def _slope(q, omega, delta, epsilon_q):
 def _minima_chunk(qs, om, de, ep, scan_step):
     """band_minima on one chunk of 1-D rows over the scan grid qs."""
     q_lo, q_hi = qs[0], qs[-1]
-    energy = _scan_energies(qs, om, de, ep)
+    energy = _lowest_eigenvalue(qs, om[:, None], de[:, None], ep[:, None])
     padded = np.pad(energy, ((0, 0), (1, 1)), constant_values=np.inf)
     is_min = (padded[:, 1:-1] <= padded[:, :-2]) & (padded[:, 1:-1] <= padded[:, 2:])
     masked = np.where(is_min, energy, np.inf)
@@ -317,15 +293,16 @@ def _minima_chunk(qs, om, de, ep, scan_step):
 def band_minima(omega, delta, epsilon_q=EPSILON_Q_ER, scan_step=1e-3, q_window=Q_WINDOW):
     """Global lowest-band minima over broadcast (omega, delta, epsilon_q) arrays.
 
-    Vectorized core of find_band_minimum: a shared grid scan in trace-free
-    form (_scan_energies) locates every discrete local minimum, up to four
-    per row; only those candidates are refined, as one flat batch, by
-    safeguarded Newton iteration on the characteristic-polynomial slope
-    (bisection whenever a step would leave the bracket), and the lowest
-    refined energy wins. Exactly degenerate minima resolve to smallest |q|,
-    preferring q >= 0. Rows are solved in chunks of about 2^18 grid cells,
-    so the scan temporaries stay bounded for any row count and step; a step
-    of 0.1 k_r still finds every well (they are ~1 k_r wide).
+    Vectorized core of find_band_minimum: a shared grid scan of the
+    trace-free closed-form root (_lowest_eigenvalue) locates every discrete
+    local minimum, up to four per row; only those candidates are refined, as
+    one flat batch, by safeguarded Newton iteration on the
+    characteristic-polynomial slope (bisection whenever a step would leave
+    the bracket), and the lowest refined energy wins. Exactly degenerate
+    minima resolve to smallest |q|, preferring q >= 0. Rows are solved in
+    chunks of about 2^18 grid cells, so the scan temporaries stay bounded for
+    any row count and step; a step of 0.1 k_r still finds every well (they
+    are ~1 k_r wide).
 
     Returns (q_star, energy, coeffs) with shapes (n,), (n,), (n, 3).
     Raises ValueError if any omega, delta or epsilon_q is not finite.

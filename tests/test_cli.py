@@ -241,6 +241,27 @@ def test_out_of_range_uncertainty_config_is_data_error(tmp_path):
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("line", ["uncertainty.n_samples = 10", "uncertainty.seed = -1"])
+def test_flags_replace_bad_configured_sampling_plan(tmp_path, line):
+    cfg = tmp_path / "plan.cfg"
+    cfg.write_text(line + "\n", encoding="ascii")
+    base = ["ratio-sweep", "--config", str(cfg), "--points=2"]
+    out = tmp_path / "o"
+    res = run_cli(base + ["--samples=100", "--seed=5", "--format=json", "--out-dir", str(out)])
+    assert res.returncode == 0, res.stderr
+    payload = json.loads((out / "ratio_sweep.json").read_text())
+    assert payload["n_samples"] == 100 and payload["seed"] == 5
+    # without the flags the configured value is checked: a data error
+    res = run_cli(base + ["--out-dir", str(tmp_path / "p")])
+    assert res.returncode == 2 and "Traceback" not in res.stderr
+
+
+def test_bad_sampling_flag_is_usage_error(tmp_path):
+    res = run_cli(["ratio-sweep", "--points=2", "--samples=10",
+                   "--out-dir", str(tmp_path / "o")])
+    assert res.returncode == 1 and "Traceback" not in res.stderr
+
+
 # ------------------------------------------------------------------ failures
 
 def test_unknown_command_is_usage_error():

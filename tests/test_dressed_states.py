@@ -11,7 +11,6 @@ from ramanpa.dressed_states import (
     RamanParams,
     _hamiltonians,
     _lowest_eigenvalue,
-    _scan_energies,
     band_curve,
     band_minima,
     build_hamiltonian,
@@ -321,8 +320,8 @@ def test_band_minima_memory_is_bounded(n_rows, step):
     assert peak < 64e6
 
 
-def test_scan_and_refinement_eigenvalues_match_eigvalsh():
-    """Both closed forms against LAPACK on random (q, omega, delta, eps_q)."""
+def test_closed_form_eigenvalue_matches_eigvalsh():
+    """The scan's closed-form root against LAPACK on random (q, omega, delta, eps_q)."""
     rng = np.random.default_rng(2024)
     n_rows, n_q = 400, 150
     omega = rng.uniform(0.0, 15.0, n_rows)
@@ -333,9 +332,12 @@ def test_scan_and_refinement_eigenvalues_match_eigvalsh():
     ref = np.linalg.eigvalsh(_hamiltonians(qs[None, :], omega[:, None], delta[:, None],
                                            eps[:, None]))[..., 0]
     tol = 1e-12 * np.maximum(1.0, np.abs(ref))
-    assert np.all(np.abs(_scan_energies(qs, omega, delta, eps) - ref) <= tol)
-    refined = _lowest_eigenvalue(qs[None, :], omega[:, None], delta[:, None], eps[:, None])
-    assert np.all(np.abs(refined - ref) <= tol)
+    # the (rows x grid) block of the scan and the flat rows of the refinement
+    block = _lowest_eigenvalue(qs, omega[:, None], delta[:, None], eps[:, None])
+    assert np.all(np.abs(block - ref) <= tol)
+    q_flat = np.broadcast_to(qs, ref.shape).ravel()
+    flat = _lowest_eigenvalue(q_flat, *(np.repeat(v, n_q) for v in (omega, delta, eps)))
+    assert np.all(np.abs(flat - ref.ravel()) <= tol.ravel())
 
 
 def test_band_minima_multi_well_rows():
@@ -350,8 +352,8 @@ def test_band_minima_multi_well_rows():
     delta = rng.uniform(-0.7, 0.7, n)
     eps = rng.uniform(0.0, 2.0, n)
     coarse = np.linspace(*Q_WINDOW, int(round((Q_WINDOW[1] - Q_WINDOW[0]) / _MC_SCAN_STEP)) + 1)
-    energy = np.pad(_scan_energies(coarse, omega, delta, eps), ((0, 0), (1, 1)),
-                    constant_values=np.inf)
+    energy = np.pad(_lowest_eigenvalue(coarse, omega[:, None], delta[:, None], eps[:, None]),
+                    ((0, 0), (1, 1)), constant_values=np.inf)
     inner = energy[:, 1:-1]
     wells = ((inner <= energy[:, :-2]) & (inner <= energy[:, 2:])).sum(axis=1)
     assert np.sum(wells >= 2) > n // 4  # the multi-candidate path really runs
