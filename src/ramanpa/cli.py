@@ -48,7 +48,8 @@ from .spectra import (
     write_spectrum_csv,
 )
 from .svgplot import BandArea, Markers, Series, render_plot, write_svg
-from .uncertainty import UncertaintySpec, _band, write_ratio_band_csv
+from .tables import write_csv
+from .uncertainty import _MAX_SAMPLES, UncertaintySpec, _band, write_ratio_band_csv
 from .constants import MS
 
 EXIT_OK = 0
@@ -61,6 +62,7 @@ _COLOR_WITHOUT = "#3a6fb0"  # without-interference curves
 _BAND_COLORS = ("#555555", "#888888", "#bbbbbb")
 _SPIN_LABELS = ("m_f=-1", "m_f=0", "m_f=+1")
 _MAX_BAND_POINTS = 100_000  # bands --n-points cap: band_curve holds n x 3 x 3 arrays
+_MAX_SWEEP_POINTS = 100_000  # ratio-sweep --points cap, checked before linspace
 
 
 class _UsageError(ValueError):
@@ -134,10 +136,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--axis", choices=("omega", "delta"), default="omega")
     p.add_argument("--start", type=float)
     p.add_argument("--stop", type=float)
-    p.add_argument("--points", type=int)
+    p.add_argument("--points", type=int,
+                   help=f"sweep points, 1 to {_MAX_SWEEP_POINTS} (default 25 omega, 21 delta)")
     p.add_argument("--omega", type=float, help="nominal coupling for the delta axis")
     p.add_argument("--delta", type=float, help="nominal detuning for the omega axis")
-    p.add_argument("--samples", type=int, help="Monte Carlo samples per point")
+    p.add_argument("--samples", type=int,
+                   help=f"Monte Carlo samples per point, 100 to {_MAX_SAMPLES}")
     p.add_argument("--no-interference", action="store_true",
                    help="emit only the no-interference variant band")
     p.set_defaults(func=cmd_ratio_sweep)
@@ -164,7 +168,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--counts", type=_counts_arg, help="N_-1,N_0,N_+1")
     p.add_argument("--k00", type=float, help="bare-state rate, cm^3/s")
     p.add_argument("--t-pa", type=float, help="pulse duration, ms")
-    p.add_argument("--dt", type=float, help="time-sample step, ms")
+    p.add_argument("--dt", type=float,
+                   help="time-sample step, ms, t_pa/10^6 to t_pa/100 (default t_pa/1000)")
     p.add_argument("--cross-weight", type=float,
                    help="(+1,-1) channel weight relative to (0,0); default: "
                         "bare ratio 2 damped by the pair-energy offset")
@@ -263,12 +268,11 @@ def cmd_coeffs(args, config: RunConfig) -> int:
     ratios_ni = [rate_ratio_no_interference(s.coeffs) for s in states]
 
     if "csv" in formats:
-        with open(_path(out_dir, "coeffs.csv"), "w", encoding="ascii", newline="\n") as fh:
-            fh.write("delta_Er,q_star_kr,energy_Er,C_m-1,C_m0,C_m+1,"
-                     "ratio,ratio_no_interference\n")
-            for d, s, r, rn in zip(deltas, states, ratios, ratios_ni):
-                row = (d, s.q, s.energy, *s.coeffs, r, rn)
-                fh.write(",".join(f"{v:.12g}" for v in row) + "\n")
+        rows = [(d, s.q, s.energy, *s.coeffs, r, rn)
+                for d, s, r, rn in zip(deltas, states, ratios, ratios_ni)]
+        write_csv(_path(out_dir, "coeffs.csv"),
+                  ("delta_Er", "q_star_kr", "energy_Er", "C_m-1", "C_m0", "C_m+1",
+                   "ratio", "ratio_no_interference"), list(zip(*rows)))
     if "json" in formats:
         _dump_json(_path(out_dir, "coeffs.json"), [
             {"delta_Er": d, "q_star_kr": s.q, "energy_Er": s.energy,
@@ -303,8 +307,8 @@ def cmd_ratio_sweep(args, config: RunConfig) -> int:
             start = -2.5 if args.start is None else args.start
             stop = 2.5 if args.stop is None else args.stop
             points = 21 if args.points is None else args.points
-        if points < 1 or not start <= stop:
-            raise ValueError("need start <= stop and points >= 1")
+        if not (1 <= points <= _MAX_SWEEP_POINTS and start <= stop):
+            raise ValueError(f"need start <= stop and 1 <= points <= {_MAX_SWEEP_POINTS}")
         nominal_omega = config.get("raman.omega_r") if args.omega is None else args.omega
         nominal_delta = config.get("raman.delta") if args.delta is None else args.delta
         # the flags' values are usage errors, the configured ones ConfigError

@@ -21,6 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .constants import EPSILON_Q_ER, RECOIL_ENERGY_HZ
+from .tables import write_csv
 
 __all__ = [
     "RamanParams",
@@ -357,12 +358,6 @@ def write_band_csv(path, curve: BandCurve) -> None:
     Columns: q, the three band energies, then the three spin weights per band.
     """
     header = ["q_kr", "E1_Er", "E2_Er", "E3_Er"]
-    for b in (1, 2, 3):
-        header += [f"w{b}_m-1", f"w{b}_m0", f"w{b}_m+1"]
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for i, q in enumerate(curve.q_grid):
-            row = [q, *curve.energies[i]]
-            for b in range(3):
-                row.extend(curve.spin_weights[i, b])
-            fh.write(",".join(f"{x:.12g}" for x in row) + "\n")
+    header += [f"w{b}_m{m}" for b in (1, 2, 3) for m in ("-1", "0", "+1")]
+    write_csv(path, header, [curve.q_grid, *curve.energies.T,
+                             *curve.spin_weights.reshape(len(curve.q_grid), 9).T])

@@ -14,6 +14,8 @@ import math
 
 import numpy as np
 
+from .tables import write_csv
+
 __all__ = [
     "singlet_amplitude",
     "rate_ratio",
@@ -94,12 +96,5 @@ def bare_pair_singlet_weight(mf_a: int, mf_b: int) -> float:
 
 def write_ratio_sweep_csv(path, omega_r, delta, ratio, ratio_no_interference) -> None:
     """Write a nominal rate-ratio sweep as CSV, one row per parameter point."""
-    cols = [np.atleast_1d(np.asarray(a, dtype=float))
-            for a in (omega_r, delta, ratio, ratio_no_interference)]
-    n = len(cols[0])
-    if any(len(c) != n for c in cols):
-        raise ValueError("all sweep columns must have equal length")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("omega_r_Er,delta_Er,ratio,ratio_no_interference\n")
-        for row in zip(*cols):
-            fh.write(",".join(f"{x:.12g}" for x in row) + "\n")
+    write_csv(path, ("omega_r_Er", "delta_Er", "ratio", "ratio_no_interference"),
+              (omega_r, delta, ratio, ratio_no_interference))

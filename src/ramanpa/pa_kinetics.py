@@ -24,6 +24,7 @@ from .constants import (
     er_to_khz,
 )
 from .interference import bare_pair_singlet_weight
+from .tables import write_csv
 
 __all__ = [
     "PulseParams",
@@ -124,7 +125,6 @@ class MixtureSeries:
     events_00: np.ndarray
     events_pm: np.ndarray
     clamped: bool = False
-    final_state: MixtureState | None = None
 
     @property
     def molecules_cumulative(self) -> np.ndarray:
@@ -285,8 +285,8 @@ def simulate_mixture(initial: MixtureState, k00: float, pulse: PulseParams,
     """
     if not math.isfinite(dt) or dt <= 0:
         raise ValueError("dt must be finite and > 0")
-    if dt > pulse.t_pa / 100.0:
-        raise ValueError("dt must be <= t_pa/100")
+    if not pulse.t_pa / 1e6 <= dt <= pulse.t_pa / 100.0:
+        raise ValueError("dt must be between t_pa/10^6 and t_pa/100")
     if not math.isfinite(k00) or k00 < 0:
         raise ValueError("k00 must be finite and >= 0")
     if not math.isfinite(cross_weight) or cross_weight < 0:
@@ -312,7 +312,7 @@ def simulate_mixture(initial: MixtureState, k00: float, pulse: PulseParams,
     k_pm = cross_weight * k00
     w00, wlo = norm * u * r00, norm * u * lo0
 
-    n_steps = math.ceil(pulse.t_pa / dt)  # >= 100 by the dt precondition
+    n_steps = math.ceil(pulse.t_pa / dt)  # 100 to 10^6 by the dt precondition
     times = np.linspace(0.0, pulse.t_pa, n_steps + 1)
     counts = np.empty((n_steps + 1, 3))
     rows = max(1, _BLOCK_CELLS // n_shells)
@@ -326,17 +326,10 @@ def simulate_mixture(initial: MixtureState, k00: float, pulse: PulseParams,
     epm = counts[0, lo] - counts[:, lo]
     counts[:, hi] = norm * float(np.sum(u * hi0)) - epm
 
-    final = MixtureState(counts=tuple(float(c) for c in counts[-1]),
-                         n_total=initial.n_total, omega_bar=initial.omega_bar)
-    return MixtureSeries(times=times, counts=counts, events_00=e00,
-                         events_pm=epm, final_state=final)
+    return MixtureSeries(times=times, counts=counts, events_00=e00, events_pm=epm)
 
 
 def write_mixture_csv(path, series: MixtureSeries) -> None:
     """Write a mixture time series as CSV, one row per sample time."""
-    mol = series.molecules_cumulative
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("t_s,N_m-1,N_m0,N_m+1,molecules_cumulative\n")
-        for i, t in enumerate(series.times):
-            row = (t, *series.counts[i], mol[i])
-            fh.write(",".join(f"{v:.12g}" for v in row) + "\n")
+    write_csv(path, ("t_s", "N_m-1", "N_m0", "N_m+1", "molecules_cumulative"),
+              (series.times, *series.counts.T, series.molecules_cumulative))

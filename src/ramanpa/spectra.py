@@ -22,6 +22,7 @@ from .pa_kinetics import (
     lorentzian_eta,
     remaining_fraction,
 )
+from .tables import write_csv
 
 __all__ = [
     "Spectrum",
@@ -101,7 +102,8 @@ class FitResult:
 
     covariance is the 4x4 estimate over (n0, eta_res, nu0, gamma); k_pa is
     eta_res/(rho0*t_pa) when pulse metadata was available, else nan;
-    objective_trace records the best run's accepted objective values.
+    objective_trace is [objective at the winning start, objective at the
+    optimum] (empty for a flat spectrum).
     """
 
     n0: float
@@ -239,16 +241,13 @@ def fit_spectrum(data: Spectrum) -> FitResult:
         starts.append(theta0 + np.array([0.05, 0.3, 0.2, 0.3])
                       * rng.standard_normal(4))
 
-    best = None
-    best_trace: list = []
+    best = best_start = None
     for start in starts:
-        trace = [objective(start)]
         res = minimize(objective, start, method="Nelder-Mead",
-                       callback=lambda xk: trace.append(objective(xk)),
                        options={"xatol": 1e-7, "fatol": 1e-9,
                                 "maxiter": 2000, "maxfev": 4000})
         if best is None or res.fun < best.fun:
-            best, best_trace = res, trace
+            best, best_start = res, start
     converged = bool(best.success) and np.isfinite(best.fun)
 
     theta = to_internal(best.x)
@@ -268,7 +267,7 @@ def fit_spectrum(data: Spectrum) -> FitResult:
     return FitResult(n0=n0, eta_res=eta_res, nu0=nu0, gamma=gamma,
                      k_pa=k_pa_of(eta_res), residual_rms=residual_rms,
                      converged=converged, covariance=covariance,
-                     objective_trace=best_trace)
+                     objective_trace=[objective(best_start), float(best.fun)])
 
 
 def _covariance(objective, theta, fmin, n_points, weighted, jac_diag):
@@ -331,20 +330,15 @@ def normalize_spectrum(data: Spectrum, fit: FitResult) -> Spectrum:
 
 def write_spectrum_csv(path, data: Spectrum) -> None:
     """Write a spectrum as CSV; component and stderr columns only if present."""
-    cols = ["detuning_khz", "atoms_total"]
+    header = ["detuning_khz", "atoms_total"]
+    columns = [data.detunings_khz, data.atoms_total]
     if data.atoms_components is not None:
-        cols += list(_COMPONENT_COLS)
+        header += _COMPONENT_COLS
+        columns += list(data.atoms_components.T)
     if data.stderr is not None:
-        cols.append("stderr")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
-        for i in range(len(data)):
-            row = [data.detunings_khz[i], data.atoms_total[i]]
-            if data.atoms_components is not None:
-                row.extend(data.atoms_components[i])
-            if data.stderr is not None:
-                row.append(data.stderr[i])
-            fh.write(",".join(f"{v:.12g}" for v in row) + "\n")
+        header.append("stderr")
+        columns.append(data.stderr)
+    write_csv(path, header, columns)
 
 
 def read_spectrum_csv(path) -> Spectrum:

@@ -16,6 +16,7 @@ import numpy as np
 from .constants import EPSILON_Q_ER
 from .dressed_states import RamanParams, band_minima
 from .interference import _batch_ratios
+from .tables import write_csv
 
 __all__ = [
     "UncertaintySpec",
@@ -31,6 +32,7 @@ __all__ = [
 # already misses the odd well)
 _MC_SCAN_STEP = 0.1
 _EXACT_SCAN_STEP = 1e-3
+_MAX_SAMPLES = 10**6  # per sweep point; about 136 MiB peak at the cap
 VARIANT_WITH = "with-interference"
 VARIANT_WITHOUT = "without-interference"
 
@@ -50,8 +52,8 @@ class UncertaintySpec:
         sigmas = (self.omega_rel_sigma, self.delta_sigma, self.epsilon_q_sigma)
         if not all(0 <= s < math.inf for s in sigmas):
             raise ValueError("sigmas must be finite and >= 0")
-        if self.n_samples < 100:
-            raise ValueError("n_samples must be >= 100")
+        if not 100 <= self.n_samples <= _MAX_SAMPLES:
+            raise ValueError(f"n_samples must be between 100 and {_MAX_SAMPLES}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -170,9 +172,7 @@ def write_ratio_band_csv(path, bands) -> None:
     """Write one or more bands as CSV rows tagged by variant."""
     if isinstance(bands, RatioBand):
         bands = [bands]
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("axis_value_Er,mean,lower,upper,variant\n")
-        for band in bands:
-            for i, v in enumerate(band.sweep_axis):
-                fh.write(f"{v:.12g},{band.mean[i]:.12g},{band.lower[i]:.12g},"
-                         f"{band.upper[i]:.12g},{band.variant}\n")
+    fields = ("sweep_axis", "mean", "lower", "upper")
+    write_csv(path, ("axis_value_Er", "mean", "lower", "upper", "variant"),
+              [[v for b in bands for v in getattr(b, f)] for f in fields]
+              + [[b.variant for b in bands for _ in b.sweep_axis]])

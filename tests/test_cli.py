@@ -291,6 +291,48 @@ def test_bands_point_cap_is_documented():
     assert str(cli._MAX_BAND_POINTS) in res.stdout
 
 
+@pytest.mark.parametrize("args", [
+    ["mixture-sim", "--dt", "1e-15"],
+    ["ratio-sweep", "--points=2", "--samples", str(10**15)],
+    ["ratio-sweep", "--points", str(10**15)],
+])
+def test_huge_sizes_exit_before_allocating(tmp_path, args):
+    # each of these would ask numpy for more than 2^47 bytes
+    out = tmp_path / "o"
+    res = run_cli(args + ["--out-dir", str(out)])
+    assert res.returncode == 1, res.stderr
+    assert "Traceback" not in res.stderr and "error:" in res.stderr
+    assert not out.exists()
+
+
+def test_ratio_sweep_point_cap_rejects_before_solving(tmp_path, monkeypatch, capsys):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("_band called above the point cap")
+
+    monkeypatch.setattr(cli, "_band", must_not_run)
+    monkeypatch.delenv("RAMANPA_CONFIG", raising=False)
+    code = cli.main(["ratio-sweep", "--points", str(cli._MAX_SWEEP_POINTS + 1),
+                     "--out-dir", str(tmp_path / "o")])
+    assert code == 1
+    assert f"points <= {cli._MAX_SWEEP_POINTS}" in capsys.readouterr().err
+
+
+def test_sample_cap_in_config_is_data_error(tmp_path):
+    cfg = tmp_path / "plan.cfg"
+    cfg.write_text("uncertainty.n_samples = 1000000000000000\n", encoding="ascii")
+    res = run_cli(["ratio-sweep", "--config", str(cfg), "--points=2",
+                   "--out-dir", str(tmp_path / "o")])
+    assert res.returncode == 2 and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("verb, text", [("ratio-sweep", "1 to 100000"),
+                                        ("ratio-sweep", "100 to 1000000"),
+                                        ("mixture-sim", "t_pa/10^6")])
+def test_size_caps_are_documented(verb, text):
+    res = run_cli([verb, "--help"])
+    assert text in " ".join(res.stdout.split())
+
+
 def test_bad_geometry_is_usage_error(tmp_path):
     res = run_cli(["bands", "--q-min", "3", "--q-max", "-3",
                    "--out-dir", str(tmp_path / "o")])

@@ -444,6 +444,12 @@ def test_mixture_dt_precondition():
         simulate_mixture(MixtureState(counts=(1.0, 2.0, 3.0)), 1e-12, pulse, dt=0.001)
     with pytest.raises(ValueError):
         simulate_mixture(MixtureState(counts=(1.0, 2.0, 3.0)), 1e-12, pulse, dt=0.0)
+    # at most 10^6 sample intervals
+    with pytest.raises(ValueError, match="10\\^6"):
+        simulate_mixture(MixtureState(counts=(1.0, 2.0, 3.0)), 1e-12, pulse, dt=0.99e-8)
+    series = simulate_mixture(MixtureState(counts=(1.0, 2.0, 3.0)), 1e-12, pulse,
+                              dt=1e-8, n_shells=1)
+    assert series.times.size == 10**6 + 1
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])

@@ -39,6 +39,12 @@ def test_spec_rejects_non_finite_sigma(field, value):
         UncertaintySpec(**{field: value})
 
 
+def test_spec_caps_sample_count():
+    assert UncertaintySpec(n_samples=10**6).n_samples == 10**6
+    with pytest.raises(ValueError, match="1000000"):
+        UncertaintySpec(n_samples=10**6 + 1)
+
+
 def test_sample_parameters_deterministic():
     nominal = RamanParams(omega_r=5.4, delta=0.0)
     a = sample_parameters(nominal, NOMINAL_MC)
