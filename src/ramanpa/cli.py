@@ -20,6 +20,7 @@ import numpy as np
 
 from .config import ENV_CONFIG, ConfigError, RunConfig
 from .dressed_states import (
+    DRESSING_LIMIT_ER,
     band_curve,
     coefficients_vs_delta,
     find_band_minimum,
@@ -116,8 +117,10 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("bands", parents=[common],
                        help="dressed band structure over a q grid")
-    p.add_argument("--omega", type=float, help="Raman coupling in E_r")
-    p.add_argument("--delta", type=float, help="detuning in E_r")
+    p.add_argument("--omega", type=float,
+                   help=f"Raman coupling in E_r, 0 to {DRESSING_LIMIT_ER:g}")
+    p.add_argument("--delta", type=float,
+                   help=f"detuning in E_r, |delta| <= {DRESSING_LIMIT_ER:g}")
     p.add_argument("--q-min", type=float, default=-3.0)
     p.add_argument("--q-max", type=float, default=3.0)
     p.add_argument("--n-points", type=int, default=601,
@@ -255,8 +258,9 @@ def cmd_coeffs(args, config: RunConfig) -> int:
         params = config.raman_params(args.omega, args.delta)
         if args.delta_list:
             deltas = [float(v) for v in args.delta_list.split(",")]
-            if not all(map(math.isfinite, deltas)):
-                raise ValueError("--delta-list entries must be finite")
+            if not all(abs(d) <= DRESSING_LIMIT_ER for d in deltas):
+                raise ValueError(f"--delta-list entries must be finite and within "
+                                 f"+-{DRESSING_LIMIT_ER:g} E_r")
         else:
             deltas = [params.delta]
     except ValueError as exc:
@@ -418,7 +422,7 @@ def cmd_fit(args, config: RunConfig) -> int:
 
     if "svg" in formats:
         dense = np.linspace(data.detunings_khz[0], data.detunings_khz[-1], 400)
-        if fit.eta_res > 0 and fit.gamma > 0:
+        if 0 < fit.eta_res < math.inf and 0 < fit.gamma < math.inf and math.isfinite(fit.nu0):
             line = LorentzianLine(eta_res=fit.eta_res, nu0=fit.nu0, gamma=fit.gamma)
             model = fit.n0 * remaining_fraction(lorentzian_eta(dense, line))
         else:

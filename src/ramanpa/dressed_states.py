@@ -41,6 +41,10 @@ Q_WINDOW = (-3.0, 3.0)  # search window in k_r; all physical minima sit inside |
 # reach the 1e-13 k_r level of the dense reference
 _NEWTON_STEPS = 6
 _CHUNK_CELLS = 1 << 18  # rows x scan points per chunk: a few MB per temporary
+# bound on |omega_r|, |delta| and |epsilon_q| in E_r: far above the paper's
+# <= 12 E_r, and far below the scale (~1e12) where rounding flattens the band
+# and alone decides q*
+DRESSING_LIMIT_ER = 1e6
 
 
 @dataclass(frozen=True)
@@ -59,9 +63,10 @@ class RamanParams:
     recoil_energy_hz: float = RECOIL_ENERGY_HZ
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.omega_r, self.delta, self.epsilon_q,
-                                       self.recoil_energy_hz))):
-            raise ValueError("dressing parameters must be finite")
+        if not (math.isfinite(self.recoil_energy_hz) and all(
+                abs(v) <= DRESSING_LIMIT_ER for v in (self.omega_r, self.delta, self.epsilon_q))):
+            raise ValueError(f"dressing parameters must be finite, with |omega_r|, |delta| "
+                             f"and |epsilon_q| <= {DRESSING_LIMIT_ER:g} E_r")
         if self.omega_r < 0:
             raise ValueError("omega_r must be >= 0")
         if self.epsilon_q < 0:
@@ -241,24 +246,24 @@ def _slope(q, omega, delta, epsilon_q):
 
 
 def _minima_chunk(qs, om, de, ep, scan_step):
-    """band_minima on one chunk of 1-D rows over the scan grid qs."""
+    """band_minima on one chunk of 1-D rows over the scan grid qs.
+
+    The state at q* needs no eigensolver. The closed-form root lam is good to
+    rounding there, so the unit eigenvector is the longest cross product of
+    two rows of the tridiagonal H - lam I (Kopp 2008, Int. J. Mod. Phys. C
+    19:523), and the energy is its Rayleigh quotient, exact on decoupled rows.
+    """
     q_lo, q_hi = qs[0], qs[-1]
     energy = _lowest_eigenvalue(qs, om[:, None], de[:, None], ep[:, None])
-    padded = np.pad(energy, ((0, 0), (1, 1)), constant_values=np.inf)
-    is_min = (padded[:, 1:-1] <= padded[:, :-2]) & (padded[:, 1:-1] <= padded[:, 2:])
-    masked = np.where(is_min, energy, np.inf)
-
-    n_cand = min(4, qs.size)
-    cand_idx = np.argpartition(masked, n_cand - 1, axis=1)[:, :n_cand]
-    # only real local minima are refined, as flat arrays; a finite row always
-    # has one, since its grid argmin passes the <= test against the padding
-    rows, slots = np.nonzero(np.take_along_axis(masked, cand_idx, axis=1) < np.inf)
-    qc = qs[cand_idx[rows, slots]]
+    is_min = np.ones(energy.shape, dtype=bool)
+    is_min[:, 1:] = energy[:, 1:] <= energy[:, :-1]
+    is_min[:, :-1] &= energy[:, :-1] <= energy[:, 1:]
+    # rows come out sorted, and each finite row has a well: its grid argmin
+    rows, cols = np.nonzero(is_min)
+    qc = qs[cols]
     om_c, de_c, ep_c = om[rows], de[rows], ep[rows]
     lo = np.clip(qc - scan_step, q_lo, q_hi)
     hi = np.clip(qc + scan_step, q_lo, q_hi)
-    g_lo, _ = _slope(lo, om_c, de_c, ep_c)
-    g_hi, _ = _slope(hi, om_c, de_c, ep_c)
     blo, bhi, x = lo, hi, qc
     for _ in range(_NEWTON_STEPS):
         g, dg = _slope(x, om_c, de_c, ep_c)
@@ -269,26 +274,34 @@ def _minima_chunk(qs, om, de, ep, scan_step):
         # inclusive test: a converged row sits on a bracket end and must stay put
         ok = (dg > 0.0) & (blo <= newton) & (newton <= bhi)
         x = np.where(ok, newton, 0.5 * (blo + bhi))
-    # unbracketed candidates: rising at the left edge or falling at the right
-    # edge of the window mean the extremum is the edge itself
-    x = np.where(g_lo > 0.0, lo, x)
-    x = np.where(g_hi < 0.0, hi, x)
+    # only a well in the first or last grid column can be unbracketed: rising
+    # at the left edge or falling at the right edge of the window means the
+    # extremum is the edge itself
+    edge = np.flatnonzero((cols == 0) | (cols == qs.size - 1))
+    g_lo, _ = _slope(lo[edge], om_c[edge], de_c[edge], ep_c[edge])
+    g_hi, _ = _slope(hi[edge], om_c[edge], de_c[edge], ep_c[edge])
+    x[edge] = np.where(g_hi < 0.0, hi[edge], np.where(g_lo > 0.0, lo[edge], x[edge]))
 
-    # back to (rows, slots); empty slots carry an infinite energy
-    q_ref = np.zeros(cand_idx.shape)
-    e_ref = np.full(cand_idx.shape, np.inf)
-    q_ref[rows, slots] = x
-    e_ref[rows, slots] = _lowest_eigenvalue(x, om_c, de_c, ep_c)
-    # tie-break keys: energy (1e-12 bins), then |q| (1e-9 bins), then q >= 0
-    e_key = np.round(e_ref * 1e12)
-    absq_key = np.round(np.abs(q_ref) * 1e9)
-    sign_key = (q_ref < 0.0).astype(np.int64)
-    order = np.lexsort((sign_key, absq_key, e_key), axis=1)
-    q_star = np.take_along_axis(q_ref, order[:, :1], axis=1)[:, 0]
+    # winner per row: energy (1e-12 bins), then |q| (1e-9 bins), then q >= 0
+    lam = _lowest_eigenvalue(x, om_c, de_c, ep_c)
+    order = np.lexsort((x < 0.0, np.round(np.abs(x) * 1e9), np.round(lam * 1e12), rows))
+    win = order[np.flatnonzero(np.diff(rows, prepend=-1))]
+    q_star, lam = x[win], lam[win]
 
-    # final eigensolve at the minima for full-precision energies and vectors
-    vals, vecs = np.linalg.eigh(_hamiltonians(q_star, om, de, ep))
-    return q_star, vals[:, 0], _apply_sign_convention(vecs[:, :, 0])
+    a, b, c = _diagonal(q_star, de, ep)
+    w = 0.5 * om
+    a_, b_, c_, w2 = a - lam, b - lam, c - lam, w * w
+    cross = np.stack([np.stack([w * c_, -a_ * c_, a_ * w], axis=-1),  # r0 x r2
+                      np.stack([w2, -a_ * w, a_ * b_ - w2], axis=-1),  # r0 x r1
+                      np.stack([b_ * c_ - w2, -w * c_, w2], axis=-1)])  # r1 x r2
+    norm2 = (cross * cross).sum(axis=-1)
+    best = np.argmax(norm2, axis=0)
+    pick = np.arange(q_star.size)
+    vec = cross[best, pick] / np.sqrt(norm2[best, pick])[:, None]
+    v0, v1, v2 = vec.T
+    e = a * v0 * v0 + b * v1 * v1 + c * v2 * v2 + 2.0 * w * v1 * (v0 + v2)
+    # + 0.0 turns the -0.0 of a flipped zero component into 0.0
+    return q_star, e, _apply_sign_convention(vec) + 0.0
 
 
 def band_minima(omega, delta, epsilon_q=EPSILON_Q_ER, scan_step=1e-3, q_window=Q_WINDOW):
@@ -296,24 +309,27 @@ def band_minima(omega, delta, epsilon_q=EPSILON_Q_ER, scan_step=1e-3, q_window=Q
 
     Vectorized core of find_band_minimum: a shared grid scan of the
     trace-free closed-form root (_lowest_eigenvalue) locates every discrete
-    local minimum, up to four per row; only those candidates are refined, as
-    one flat batch, by safeguarded Newton iteration on the
-    characteristic-polynomial slope (bisection whenever a step would leave
-    the bracket), and the lowest refined energy wins. Exactly degenerate
-    minima resolve to smallest |q|, preferring q >= 0. Rows are solved in
-    chunks of about 2^18 grid cells, so the scan temporaries stay bounded for
-    any row count and step; a step of 0.1 k_r still finds every well (they
-    are ~1 k_r wide).
+    local minimum of every row; all of them are refined, as one flat batch, by
+    safeguarded Newton iteration on the characteristic-polynomial slope
+    (bisection whenever a step would leave the bracket), and the lowest
+    refined energy wins. Exactly degenerate minima resolve to smallest |q|,
+    preferring q >= 0. The state at q* comes without an eigensolver: the
+    closed-form eigenvector (longest cross product of two rows of H - E I)
+    and its Rayleigh-quotient energy. Rows are solved in chunks of about 2^18
+    grid cells, so the scan temporaries stay bounded for any row count and
+    step; a step of 0.1 k_r still finds every well (they are ~1 k_r wide).
 
     Returns (q_star, energy, coeffs) with shapes (n,), (n,), (n, 3).
-    Raises ValueError if any omega, delta or epsilon_q is not finite.
+    Raises ValueError if any omega, delta or epsilon_q is not finite or
+    exceeds DRESSING_LIMIT_ER in magnitude.
     """
     om = np.atleast_1d(np.asarray(omega, dtype=float))
     de = np.atleast_1d(np.asarray(delta, dtype=float))
     ep = np.atleast_1d(np.asarray(epsilon_q, dtype=float))
     om, de, ep = np.broadcast_arrays(om, de, ep)
-    if not (np.isfinite(om).all() and np.isfinite(de).all() and np.isfinite(ep).all()):
-        raise ValueError("omega, delta and epsilon_q must be finite")
+    if not all(np.all(np.abs(v) <= DRESSING_LIMIT_ER) for v in (om, de, ep)):
+        raise ValueError(f"omega, delta and epsilon_q must be finite, with magnitude "
+                         f"<= {DRESSING_LIMIT_ER:g} E_r")
     q_lo, q_hi = float(q_window[0]), float(q_window[1])
     qs = np.linspace(q_lo, q_hi, int(round((q_hi - q_lo) / scan_step)) + 1)
 

@@ -43,9 +43,12 @@ __all__ = [
     "write_mixture_csv",
 ]
 
-# below this eta the closed form cancels to O(eta^{5/2}); switch to the series
-_SERIES_SWITCH = 1e-4
-_SERIES_TERMS = 12
+# below this eta the closed form cancels to O(eta^{5/2}) and loses digits
+# (1e-11 relative at 1e-2); the series takes over, exact to rounding up to here
+_SERIES_SWITCH = 0.1
+_SERIES_TERMS = 20
+_SERIES_POWERS = np.arange(_SERIES_TERMS + 1.0)
+_SERIES_COEFFS = np.cumprod([1.0] + [-(n + 2.0) / (n + 3.5) for n in range(_SERIES_TERMS)])
 # time rows x shells per block of the closed-form mixture evaluation
 _BLOCK_CELLS = 2**14
 
@@ -82,6 +85,8 @@ class LorentzianLine:
     gamma: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.eta_res, self.nu0, self.gamma))):
+            raise ValueError("line parameters must be finite")
         if self.eta_res < 0:
             raise ValueError("eta_res must be >= 0")
         if self.gamma <= 0:
@@ -131,43 +136,27 @@ class MixtureSeries:
         return self.events_00 + self.events_pm
 
 
-def _series_fraction(eta):
-    """Small-eta power series of the remaining fraction.
-
-    Coefficients obey c_0 = 1, c_{n+1}/c_n = (n+2)/(n+3.5), giving
-    f = 1 - (4/7) eta + ...; truncation error is far below 1e-16 at the
-    switch point.
-    """
-    out = np.ones_like(eta)
-    term = np.ones_like(eta)
-    c = 1.0
-    for n in range(_SERIES_TERMS):
-        c *= (n + 2.0) / (n + 3.5)
-        term = term * (-eta)
-        out = out + c * term
-    return out
-
-
 def remaining_fraction(eta):
     """Fraction of atoms remaining after a pulse of strength eta.
 
     Closed form (15/2) eta^{-5/2} [sqrt(eta) + eta^{3/2}/3
     - sqrt(1+eta) asinh(sqrt(eta))]; strictly decreasing, 1 at eta = 0,
-    asymptotically (5/2)/eta. Accepts scalars or arrays.
+    asymptotically (5/2)/eta. Below _SERIES_SWITCH the power series
+    sum_n c_n (-eta)^n, c_0 = 1 and c_{n+1}/c_n = (n+2)/(n+3.5), replaces it;
+    truncated after _SERIES_TERMS terms it is exact to rounding there.
+    Accepts scalars or arrays.
     """
     arr = np.asarray(eta, dtype=float)
-    if np.any(arr < 0):
+    if (arr < 0).any():
         raise ValueError("eta must be >= 0")
+    big = np.maximum(arr, _SERIES_SWITCH)  # keeps the closed form off eta = 0
+    root = np.sqrt(big)
+    out = np.asarray(7.5 * big**-2.5 * (root + big * root / 3.0
+                                        - np.sqrt(1.0 + big) * np.arcsinh(root)))
     small = arr < _SERIES_SWITCH
-    if not small.any():
-        root = np.sqrt(arr)
-        out = 7.5 * arr**-2.5 * (root + arr * root / 3.0 - np.sqrt(1.0 + arr) * np.arcsinh(root))
-    else:
-        safe = np.where(small, 1.0, arr)  # keep the closed form off eta=0
-        root = np.sqrt(safe)
-        closed = 7.5 * safe**-2.5 * (root + safe * root / 3.0 - np.sqrt(1.0 + safe) * np.arcsinh(root))
-        out = np.where(small, _series_fraction(arr), closed)
-    return float(out) if np.ndim(eta) == 0 else out
+    if small.any():
+        out[small] = np.power.outer(arr[small], _SERIES_POWERS) @ _SERIES_COEFFS
+    return float(out) if out.ndim == 0 else out
 
 
 def remaining_fraction_oracle(eta: float, n_shells: int) -> float:

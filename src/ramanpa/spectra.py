@@ -172,7 +172,7 @@ def component_spectrum(data: Spectrum, m_f: int) -> Spectrum:
 def _forward(det, theta):
     """Model in internal coordinates (n0, log eta_res, nu0, log gamma)."""
     n0, log_eta, nu0, log_gamma = theta
-    if not np.all(np.isfinite(theta)) or abs(log_eta) > 60 or abs(log_gamma) > 60:
+    if not all(map(math.isfinite, theta)) or abs(log_eta) > 60 or abs(log_gamma) > 60:
         return None
     # inlined Lorentzian; the optimizer calls this thousands of times per fit
     half = 0.5 * math.exp(log_gamma)
@@ -217,10 +217,11 @@ def fit_spectrum(data: Spectrum) -> FitResult:
     n0_ref = float(np.max(y))
     x_scale = 0.5 * span
 
+    # search coords are all O(1): (n0/n0_ref, log eta, nu0/x_scale, log gamma)
+    internal_scale = np.array([n0_ref, 1.0, x_scale, 1.0])
+
     def to_internal(theta_s):
-        # search coords are all O(1): (n0/n0_ref, log eta, nu0/x_scale, log gamma)
-        return np.array([theta_s[0] * n0_ref, theta_s[1],
-                         theta_s[2] * x_scale, theta_s[3]])
+        return theta_s * internal_scale
 
     def objective(theta_s):
         model = _forward(x, to_internal(theta_s))

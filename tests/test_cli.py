@@ -465,6 +465,59 @@ def test_non_converged_fit_still_reports(tmp_path, monkeypatch, capsys):
     assert not (out / "spectrum_normalized.csv").exists()
 
 
+@pytest.mark.parametrize("field, value", [("nu0", "nan"), ("eta_res", "nan"), ("gamma", "inf")])
+def test_fit_svg_with_non_finite_line_is_flat(tmp_path, monkeypatch, capsys, field, value):
+    def broken(data):
+        values = dict(n0=9000.0, eta_res=1.0, nu0=0.0, gamma=20.0)
+        values[field] = float(value)
+        return FitResult(**values, k_pa=1e-12, residual_rms=1.0, converged=True,
+                         covariance=np.zeros((4, 4)))
+
+    drawn = []
+    real_plot = cli.render_plot
+
+    def recording_plot(*args, **kwargs):
+        drawn.append(kwargs["series"])
+        return real_plot(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "fit_spectrum", broken)
+    monkeypatch.setattr(cli, "render_plot", recording_plot)
+    spec = tmp_path / "s.csv"
+    write_spectrum_csv(spec, synthesize_spectrum(
+        LorentzianLine(eta_res=1.0, nu0=0.0, gamma=20.0),
+        PulseParams(t_pa=5e-3, rho0=1e14, n0=9000.0),
+        np.linspace(-30, 30, 9), 0.0, 0))
+    monkeypatch.delenv("RAMANPA_CONFIG", raising=False)
+    out = tmp_path / "o"
+    code = cli.main(["fit", str(spec), "--out-dir", str(out), "--format", "svg"])
+    assert code == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert (out / "fit.svg").exists()
+    (model,) = drawn[0]
+    assert np.all(model.y == 9000.0)  # the flat model
+
+
+@pytest.mark.parametrize("args", [
+    ["bands", "--omega", "1e200"],
+    ["bands", "--delta", "1e200"],
+    ["bands", "--delta=-2e6"],
+    ["coeffs", "--delta-list", "0,1e200"],
+    ["ratio-sweep", "--stop", "1e200", "--points", "3", "--samples", "100"],
+], ids=" ".join)
+def test_unresolvable_dressing_is_usage_error(tmp_path, args):
+    out = tmp_path / "o"
+    res = run_cli(args + ["--out-dir", str(out), "--format", "json"])
+    assert res.returncode == 1
+    assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
+    assert "1e+06" in res.stderr and "Warning" not in res.stderr
+    assert not out.exists()
+
+
+def test_dressing_limit_is_documented():
+    text = " ".join(run_cli(["bands", "--help"]).stdout.split())
+    assert "0 to 1e+06" in text and "|delta| <= 1e+06" in text
+
+
 def test_format_filter_limits_outputs(tmp_path):
     out = tmp_path / "o"
     res = run_cli(["bands", "--omega", "8", "--out-dir", str(out),

@@ -1,14 +1,18 @@
 """Band-structure solver: Hamiltonian build, diagonalization, minima."""
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ramanpa.dressed_states as ds
 from ramanpa.dressed_states import (
+    DRESSING_LIMIT_ER,
     Q_WINDOW,
     RamanParams,
+    _apply_sign_convention,
     _hamiltonians,
     _lowest_eigenvalue,
     band_curve,
@@ -64,6 +68,16 @@ def test_hamiltonian_rejects_negative_coupling():
 def test_raman_params_reject_non_finite(field, value):
     with pytest.raises(ValueError, match="finite"):
         RamanParams(**{"omega_r": 5.0, field: value})
+
+
+@pytest.mark.parametrize("field", ["omega_r", "delta", "epsilon_q"])
+def test_raman_params_reject_unresolvable_scale(field):
+    RamanParams(**{"omega_r": 5.0, field: DRESSING_LIMIT_ER})
+    with pytest.raises(ValueError, match="<= 1e\\+06"):
+        RamanParams(**{"omega_r": 5.0, field: 2.0 * DRESSING_LIMIT_ER})
+    if field == "delta":
+        with pytest.raises(ValueError, match="<= 1e\\+06"):
+            RamanParams(omega_r=5.0, delta=-1e200)
 
 
 # ---------------------------------------------------------------- eigensystem
@@ -201,6 +215,32 @@ def test_minimum_scan_step_precondition():
 def test_band_minima_rejects_non_finite(omega, delta, eps):
     with pytest.raises(ValueError, match="finite"):
         band_minima(omega, delta, eps)
+
+
+@pytest.mark.parametrize("omega, delta, eps", [
+    (1e200, 0.0, 0.65), (5.4, -1e200, 0.65), (5.4, 0.0, 2e6), ([5.4, 2e6], 0.0, 0.65),
+])
+def test_band_minima_rejects_unresolvable_scale(omega, delta, eps):
+    with pytest.raises(ValueError, match="<= 1e\\+06"):
+        band_minima(omega, delta, eps)
+
+
+def test_band_minima_at_the_dressing_limit():
+    """At the bound the minimum is still resolved, with no overflow warning."""
+    lim = DRESSING_LIMIT_ER
+    omega = np.array([lim, 0.0, lim, 5.4])
+    delta = np.array([0.0, lim, -lim, 3.0])
+    eps = np.array([0.65, 0.65, 0.65, lim])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q, e, c = band_minima(omega, delta, eps, scan_step=_MC_SCAN_STEP)
+        q_ref, _, _ = band_minima(omega, delta, eps, scan_step=1e-3)
+    assert np.max(np.abs(q - q_ref)) < 1e-10
+    assert q[0] == pytest.approx(0.0, abs=1e-12) and q[1] == pytest.approx(-2.0, abs=1e-12)
+    vals = np.linalg.eigvalsh(_hamiltonians(q, omega, delta, eps))[:, 0]
+    assert np.all(np.abs(e - vals) <= 1e-12 * np.abs(vals))
+    dedq = 2.0 * (c[:, 0] ** 2 * (q + 2.0) + c[:, 1] ** 2 * q + c[:, 2] ** 2 * (q - 2.0))
+    assert np.max(np.abs(dedq)) < 1e-8
 
 
 def test_band_minima_broadcasts():
@@ -368,3 +408,90 @@ def test_band_minima_multi_well_rows():
         grid_min = np.linalg.eigvalsh(_hamiltonians(
             dense[None, :], omega[rows, None], delta[rows, None], eps[rows, None]))[..., 0]
         assert np.all(e[rows] <= grid_min.min(axis=1) + 1e-12)
+
+
+# --------------------------------------------------------- eigh-free kernel
+
+def _kernel_rows(n=3000):
+    """Random rows, with a block at omega = 0 and a block at delta = 0."""
+    rng = np.random.default_rng(4242)
+    omega = rng.uniform(0.0, 15.0, n)
+    delta = rng.uniform(-4.0, 4.0, n)
+    eps = rng.uniform(0.0, 2.0, n)
+    omega[: n // 6] = 0.0
+    delta[n // 6: n // 3] = 0.0
+    return omega, delta, eps
+
+
+@pytest.mark.parametrize("step", [_MC_SCAN_STEP, 1e-3])
+def test_band_minima_state_matches_eigh(step):
+    """Closed-form vectors and Rayleigh energies against LAPACK at the returned q*."""
+    omega, delta, eps = _kernel_rows()
+    q, e, c = band_minima(omega, delta, eps, scan_step=step)
+    vals, vecs = np.linalg.eigh(_hamiltonians(q, omega, delta, eps))
+    assert np.max(np.abs(c - _apply_sign_convention(vecs[:, :, 0]))) < 1e-14
+    assert np.all(np.abs(e - vals[:, 0]) <= 1e-12 * np.maximum(1.0, np.abs(vals[:, 0])))
+    assert not np.any(np.signbit(c) & (c == 0.0))  # no -0.0 reaches the outputs
+    assert np.all(c[:, 1] >= 0.0)
+
+
+def test_band_minima_makes_no_linalg_call(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("band_minima called np.linalg")
+
+    for name in np.linalg.__all__:
+        if not isinstance(getattr(np.linalg, name), type):
+            monkeypatch.setattr(np.linalg, name, forbidden)
+    omega, delta, eps = _kernel_rows(300)
+    q, e, c = band_minima(omega, delta, eps, scan_step=_MC_SCAN_STEP)
+    assert np.all(np.isfinite(e)) and np.all(np.isfinite(c))
+    assert find_band_minimum(params(0.0, 0.0)).coeffs == (0.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("omega, delta, window", [
+    (0.0, 0.0, (0.5, 1.5)), (0.0, 0.0, (-1.5, -0.5)), (5.4, 2.5, (-1.0, 1.0)),
+    (5.4, -2.5, (-1.0, 1.0)), (1.0, 0.3, (-2.5, -1.0)), (1.0, 0.3, (-1.9, 2.1)),
+])
+def test_band_minima_window_edges(omega, delta, window):
+    """A window that cuts the band returns the lowest point inside it, edges included."""
+    q, e, _ = band_minima(omega, delta, 0.65, scan_step=_MC_SCAN_STEP, q_window=window)
+    dense = np.linspace(*window, 2001)
+    vals = np.linalg.eigvalsh(_hamiltonians(dense, omega, delta, 0.65))[:, 0]
+    assert e[0] <= vals.min() + 1e-12
+    assert abs(q[0] - dense[np.argmin(vals)]) < 1e-3
+
+
+def test_band_minima_refines_every_grid_well(monkeypatch):
+    """Rows with more than four grid minima at step 1e-3 keep the dense-grid minimum.
+
+    A physical row has at most three wells, so a ripple on every other column
+    of the scan block turns each remaining column into a grid minimum; the
+    refinement still sees the true band and must land on the same minimum.
+    """
+    rng = np.random.default_rng(99)
+    n = 60
+    omega = rng.uniform(0.0, 2.0, n)
+    delta = rng.uniform(-0.7, 0.7, n)
+    eps = rng.uniform(0.0, 2.0, n)
+    q_ref, e_ref, _ = band_minima(omega, delta, eps, scan_step=1e-3)
+
+    true_root = ds._lowest_eigenvalue
+    wells = []
+
+    def rippled(q, omega, delta, epsilon_q):
+        out = true_root(q, omega, delta, epsilon_q)
+        if out.ndim == 2:  # the (rows x grid) scan block
+            out[:, 1::2] += 0.05  # above any |dE/dq| * step of these rows
+            inner = out[:, 1:-1]
+            wells.append(((inner <= out[:, :-2]) & (inner <= out[:, 2:])).sum(axis=1))
+        return out
+
+    monkeypatch.setattr(ds, "_lowest_eigenvalue", rippled)
+    q, e, _ = band_minima(omega, delta, eps, scan_step=1e-3)
+    assert np.concatenate(wells).min() > 4
+    assert np.max(np.abs(q - q_ref)) < 1e-10
+    assert np.max(np.abs(e - e_ref)) < 1e-10
+    dense = np.linspace(*Q_WINDOW, 3001)
+    grid_min = np.linalg.eigvalsh(_hamiltonians(
+        dense[None, :], omega[:, None], delta[:, None], eps[:, None]))[..., 0].min(axis=1)
+    assert np.all(e <= grid_min + 1e-12)

@@ -25,9 +25,10 @@ from ramanpa.pa_kinetics import (
     thomas_fermi_peak_density,
 )
 
-# frozen closed-form values, cross-checked against the shell oracle
+# frozen closed-form values, cross-checked against the shell oracle; the one
+# below eta = 0.1 (series side) is the 50-digit value rounded to a double
 FROZEN_FRACTION = {
-    0.01: 0.9943235345921675,
+    0.01: 0.9943235345818242,
     0.1: 0.9464093469664046,
     1.0: 0.6516213978965402,
     3.0: 0.39942333949842274,
@@ -52,6 +53,17 @@ def test_fraction_hand_value_at_unit_strength():
 @pytest.mark.parametrize("eta", sorted(FROZEN_FRACTION))
 def test_fraction_frozen_values(eta):
     assert remaining_fraction(eta) == pytest.approx(FROZEN_FRACTION[eta], rel=1e-12)
+
+
+@pytest.mark.parametrize("eta", [1.2e-4, 1e-3, 1e-2, 0.099, 0.1, 0.3])
+def test_fraction_matches_50_digit_reference(eta):
+    """Both sides of the series switch agree with 50-digit arithmetic."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        x = mp.mpf(eta)
+        root = mp.sqrt(x)
+        exact = 7.5 * x ** -2.5 * (root + x * root / 3 - mp.sqrt(1 + x) * mp.asinh(root))
+        assert abs(remaining_fraction(eta) - exact) <= 1e-13 * exact
 
 
 def test_fraction_asymptote():
@@ -201,6 +213,13 @@ def test_lorentzian_validation():
         LorentzianLine(eta_res=-0.1, nu0=0.0, gamma=20.0)
     with pytest.raises(ValueError):
         LorentzianLine(eta_res=1.0, nu0=0.0, gamma=0.0)
+
+
+@pytest.mark.parametrize("field", ["eta_res", "nu0", "gamma"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_lorentzian_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        LorentzianLine(**{"eta_res": 1.0, "nu0": 0.0, "gamma": 20.0, field: value})
 
 
 # ------------------------------------------------------ Thomas-Fermi density
