@@ -10,6 +10,7 @@ config and seed. Exit codes: 0 success, 1 usage error, 2 data error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -32,8 +33,8 @@ from .interference import (
     write_ratio_sweep_csv,
 )
 from .pa_kinetics import (
+    _MAX_SHELLS,
     LorentzianLine,
-    MixtureState,
     PulseParams,
     lorentzian_eta,
     remaining_fraction,
@@ -64,10 +65,22 @@ _BAND_COLORS = ("#555555", "#888888", "#bbbbbb")
 _SPIN_LABELS = ("m_f=-1", "m_f=0", "m_f=+1")
 _MAX_BAND_POINTS = 100_000  # bands --n-points cap: band_curve holds n x 3 x 3 arrays
 _MAX_SWEEP_POINTS = 100_000  # ratio-sweep --points cap, checked before linspace
+_MAX_BAND_Q = math.sqrt(DRESSING_LIMIT_ER)  # bands --q-min/--q-max bound: q^2 <= 1e6 E_r
 
 
 class _UsageError(ValueError):
     """Bad flag values; maps to exit code 1."""
+
+
+@contextlib.contextmanager
+def _flag_values():
+    """Turn a ValueError from flag values into _UsageError; a ConfigError passes."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -121,8 +134,10 @@ def _build_parser() -> _Parser:
                    help=f"Raman coupling in E_r, 0 to {DRESSING_LIMIT_ER:g}")
     p.add_argument("--delta", type=float,
                    help=f"detuning in E_r, |delta| <= {DRESSING_LIMIT_ER:g}")
-    p.add_argument("--q-min", type=float, default=-3.0)
-    p.add_argument("--q-max", type=float, default=3.0)
+    p.add_argument("--q-min", type=float, default=-3.0,
+                   help=f"grid start in k_r, |q| <= {_MAX_BAND_Q:g} (default -3)")
+    p.add_argument("--q-max", type=float, default=3.0,
+                   help=f"grid end in k_r, |q| <= {_MAX_BAND_Q:g} (default 3)")
     p.add_argument("--n-points", type=int, default=601,
                    help=f"q grid points, 2 to {_MAX_BAND_POINTS} (default 601)")
     p.set_defaults(func=cmd_bands)
@@ -161,7 +176,7 @@ def _build_parser() -> _Parser:
                    default="superposition")
     p.add_argument("--omega", type=float)
     p.add_argument("--delta", type=float)
-    p.add_argument("--noise", type=float, default=0.0, help="relative noise sigma")
+    p.add_argument("--noise", type=float, default=0.0, help="relative noise sigma, 0 to 1 (default 0)")
     p.add_argument("--no-interference", action="store_true",
                    help="scale by the no-interference ratio instead")
     p.set_defaults(func=cmd_simulate)
@@ -176,7 +191,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--cross-weight", type=float,
                    help="(+1,-1) channel weight relative to (0,0); default: "
                         "bare ratio 2 damped by the pair-energy offset")
-    p.add_argument("--n-shells", type=int)
+    p.add_argument("--n-shells", type=int,
+                   help=f"Thomas-Fermi density shells, 1 to {_MAX_SHELLS} "
+                        "(default: kinetics.n_shells, 400)")
     p.set_defaults(func=cmd_mixture_sim)
 
     return parser
@@ -209,20 +226,26 @@ def _dump_json(path, payload):
 
 
 def _seed(args, config: RunConfig) -> int:
-    return config.get("uncertainty.seed") if args.seed is None else int(args.seed)
+    """--seed, else uncertainty.seed; a negative one is a usage or config error."""
+    if args.seed is None:
+        seed = config.get("uncertainty.seed")
+        if seed < 0:
+            raise ConfigError("invalid configured value: uncertainty.seed must be >= 0")
+        return seed
+    if args.seed < 0:
+        raise _UsageError("--seed must be >= 0")
+    return args.seed
 
 
 # commands -------------------------------------------------------------------
 
 def cmd_bands(args, config: RunConfig) -> int:
-    try:
+    with _flag_values():
         params = config.raman_params(args.omega, args.delta)
         if not (2 <= args.n_points <= _MAX_BAND_POINTS
-                and -math.inf < args.q_min < args.q_max < math.inf):
-            raise ValueError(f"need finite q_min < q_max and 2 <= n_points <= "
-                             f"{_MAX_BAND_POINTS}")
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+                and -_MAX_BAND_Q <= args.q_min < args.q_max <= _MAX_BAND_Q):
+            raise ValueError(f"need q_min < q_max within +-{_MAX_BAND_Q:g} k_r and "
+                             f"2 <= n_points <= {_MAX_BAND_POINTS}")
     out_dir, formats = _prepare(args, config)
 
     curve = band_curve(params, args.q_min, args.q_max, args.n_points)
@@ -254,7 +277,7 @@ def cmd_bands(args, config: RunConfig) -> int:
 
 
 def cmd_coeffs(args, config: RunConfig) -> int:
-    try:
+    with _flag_values():
         params = config.raman_params(args.omega, args.delta)
         if args.delta_list:
             deltas = [float(v) for v in args.delta_list.split(",")]
@@ -263,8 +286,6 @@ def cmd_coeffs(args, config: RunConfig) -> int:
                                  f"+-{DRESSING_LIMIT_ER:g} E_r")
         else:
             deltas = [params.delta]
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
     out_dir, formats = _prepare(args, config)
 
     states = coefficients_vs_delta(params, deltas)
@@ -302,7 +323,7 @@ def cmd_coeffs(args, config: RunConfig) -> int:
 
 
 def cmd_ratio_sweep(args, config: RunConfig) -> int:
-    try:
+    with _flag_values():
         if args.axis == "omega":
             start = 0.0 if args.start is None else args.start
             stop = 12.0 if args.stop is None else args.stop
@@ -311,34 +332,27 @@ def cmd_ratio_sweep(args, config: RunConfig) -> int:
             start = -2.5 if args.start is None else args.start
             stop = 2.5 if args.stop is None else args.stop
             points = 21 if args.points is None else args.points
-        if not (1 <= points <= _MAX_SWEEP_POINTS and start <= stop):
-            raise ValueError(f"need start <= stop and 1 <= points <= {_MAX_SWEEP_POINTS}")
-        nominal_omega = config.get("raman.omega_r") if args.omega is None else args.omega
-        nominal_delta = config.get("raman.delta") if args.delta is None else args.delta
-        # the flags' values are usage errors, the configured ones ConfigError
+        if not (1 <= points <= _MAX_SWEEP_POINTS and -math.inf < start <= stop < math.inf):
+            raise ValueError(f"need finite start <= stop and 1 <= points <= "
+                             f"{_MAX_SWEEP_POINTS}")
+        nominal = config.raman_params(args.omega, args.delta)
         mc_spec = config.uncertainty_spec(seed=args.seed, n_samples=args.samples)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-    epsilon_q = config.get("raman.epsilon_q")
+    epsilon_q = nominal.epsilon_q
 
     axis = np.linspace(start, stop, points)
     zero_spec = UncertaintySpec(omega_rel_sigma=0.0, delta_sigma=0.0,
                                 epsilon_q_sigma=0.0, n_samples=100,
                                 seed=mc_spec.seed)
     if args.axis == "omega":
-        omega_col, delta_col = axis, np.full(points, nominal_delta)
+        omega_col, delta_col = axis, np.full(points, nominal.delta)
         x_label = "omega_R (E_r)"
     else:
-        omega_col, delta_col = np.full(points, nominal_omega), axis
+        omega_col, delta_col = np.full(points, nominal.omega_r), axis
         x_label = "delta (E_r)"
-    try:
+    with _flag_values():
         mc_with, mc_without = _band(axis, omega_col, delta_col, mc_spec, epsilon_q)
         nominal_with, nominal_without = _band(axis, omega_col, delta_col, zero_spec,
                                               epsilon_q)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
     bands = [mc_without] if args.no_interference else [mc_with, mc_without]
     out_dir, formats = _prepare(args, config)
 
@@ -379,14 +393,12 @@ def cmd_ratio_sweep(args, config: RunConfig) -> int:
 def cmd_fit(args, config: RunConfig) -> int:
     data = read_spectrum_csv(args.spectrum)
     rho0 = args.rho0 if args.rho0 is not None else config.peak_density()
-    try:
+    with _flag_values():
         t_pa = (args.t_pa * MS) if args.t_pa is not None \
             else config.get("pulse.t_pa_ms") * MS
         data.pulse = PulseParams(t_pa=t_pa, rho0=rho0,
                                  n0=max(float(np.max(data.atoms_total)), 1.0),
                                  intensity=config.get("pulse.intensity_w_cm2"))
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
     out_dir, formats = _prepare(args, config)
 
     try:
@@ -449,22 +461,15 @@ def _spectrum_detunings(config: RunConfig):
 
 
 def cmd_simulate(args, config: RunConfig) -> int:
-    try:
+    with _flag_values():
         params = config.raman_params(args.omega, args.delta)
-        if not 0 <= args.noise < math.inf:
-            raise ValueError("--noise must be finite and >= 0")
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+        # (1 + sigma g) noise past sigma = 1 clips most points to 0, and huge
+        # sigmas overflow
+        if not 0 <= args.noise <= 1:
+            raise ValueError("--noise must be between 0 and 1")
 
     if args.mode == "mixture":
-        return _run_mixture(
-            args, config,
-            counts=config.mixture_counts(),
-            k00=config.get("kinetics.k00_cm3_s"),
-            t_pa=config.get("pulse.t_pa_ms") * MS,
-            dt=config.get("pulse.t_pa_ms") * MS / 1000.0,
-            cross_weight=config.get("kinetics.cross_weight"),
-            n_shells=config.get("kinetics.n_shells"))
+        return _run_mixture(args, config, config.mixture_args())
 
     state = find_band_minimum(params)
     ratio = (rate_ratio_no_interference(state.coeffs) if args.no_interference
@@ -474,8 +479,8 @@ def cmd_simulate(args, config: RunConfig) -> int:
     k00 = config.get("kinetics.k00_cm3_s")
     eta00 = config.eta00(pulse)
     line = config.lorentzian(eta_res=ratio * eta00)
-    out_dir, formats = _prepare(args, config)
     seed = _seed(args, config)
+    out_dir, formats = _prepare(args, config)
     spectrum = synthesize_spectrum(
         line, pulse, _spectrum_detunings(config), args.noise, seed,
         component_weights=state.weights, include_stderr=args.noise > 0,
@@ -506,32 +511,17 @@ def cmd_simulate(args, config: RunConfig) -> int:
 
 
 def cmd_mixture_sim(args, config: RunConfig) -> int:
-    counts = args.counts if args.counts is not None else config.mixture_counts()
-    k00 = config.get("kinetics.k00_cm3_s") if args.k00 is None else args.k00
-    t_pa = (args.t_pa if args.t_pa is not None
-            else config.get("pulse.t_pa_ms")) * MS
-    dt = (args.dt * MS) if args.dt is not None else t_pa / 1000.0
-    cross = (config.get("kinetics.cross_weight")
-             if args.cross_weight is None else args.cross_weight)
-    shells = config.get("kinetics.n_shells") if args.n_shells is None \
-        else args.n_shells
-    return _run_mixture(args, config, counts=counts, k00=k00, t_pa=t_pa, dt=dt,
-                        cross_weight=cross, n_shells=shells)
+    with _flag_values():
+        mixture = config.mixture_args(
+            counts=args.counts, k00=args.k00, t_pa_ms=args.t_pa, dt_ms=args.dt,
+            cross_weight=args.cross_weight, n_shells=args.n_shells)
+    return _run_mixture(args, config, mixture)
 
 
-def _run_mixture(args, config: RunConfig, *, counts, k00, t_pa, dt,
-                 cross_weight, n_shells) -> int:
-    """Solve the mixture kinetics, then write outputs; bad inputs exit 1."""
-    rho0 = config.peak_density()
-    try:
-        initial = MixtureState(counts=counts, omega_bar=config.omega_bar)
-        pulse = PulseParams(t_pa=t_pa, rho0=rho0,
-                            n0=max(sum(counts), 1.0),
-                            intensity=config.get("pulse.intensity_w_cm2"))
-        series = simulate_mixture(initial, k00, pulse, dt,
-                                  cross_weight=cross_weight, n_shells=n_shells)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+def _run_mixture(args, config: RunConfig, mixture: dict) -> int:
+    """Solve the mixture kinetics for checked simulate_mixture arguments, then write outputs."""
+    series = simulate_mixture(**mixture)
+    k00, t_pa, cross_weight = mixture["k00"], mixture["pulse"].t_pa, mixture["cross_weight"]
     out_dir, formats = _prepare(args, config)
     start = series.counts[0]
     end = series.counts[-1]

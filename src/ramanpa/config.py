@@ -25,7 +25,9 @@ from .dressed_states import RamanParams
 from .pa_kinetics import (
     DEFAULT_CROSS_WEIGHT,
     LorentzianLine,
+    MixtureState,
     PulseParams,
+    check_mixture_args,
     eta_from_rate,
     thomas_fermi_peak_density,
 )
@@ -137,14 +139,6 @@ class RunConfig:
 
     # typed views -----------------------------------------------------------
 
-    def raman_params(self, omega_r=None, delta=None) -> RamanParams:
-        return RamanParams(
-            omega_r=self.values["raman.omega_r"] if omega_r is None else float(omega_r),
-            delta=self.values["raman.delta"] if delta is None else float(delta),
-            epsilon_q=self.values["raman.epsilon_q"],
-            recoil_energy_hz=self.values["raman.recoil_energy_hz"],
-        )
-
     @property
     def omega_bar(self) -> float:
         return 2.0 * math.pi * self.values["trap.frequency_hz"]
@@ -157,7 +151,19 @@ class RunConfig:
     def scattering_length_m(self) -> float:
         return self.values["atoms.scattering_length_a0"] * BOHR_RADIUS_M
 
-    # the views below raise ConfigError (exit 2) for out-of-range config values
+    # the views below raise ConfigError (exit 2) for out-of-range config values;
+    # where an argument replaces a configured value, a bad argument raises a
+    # plain ValueError
+
+    def raman_params(self, omega_r=None, delta=None) -> RamanParams:
+        """Configured dressing; an omega_r or delta given replaces its value."""
+        overrides = {k: float(v) for k, v in (("omega_r", omega_r), ("delta", delta))
+                     if v is not None}
+        # 0 stands in for a replaced value while the configured ones are checked
+        params = _configured(RamanParams, **{
+            key: 0.0 if key in overrides else self.values[f"raman.{key}"]
+            for key in ("omega_r", "delta", "epsilon_q", "recoil_energy_hz")})
+        return replace(params, **overrides)
 
     def peak_density(self) -> float:
         """Configured peak density, or the Thomas-Fermi value when unset."""
@@ -188,11 +194,7 @@ class RunConfig:
         return _configured(eta_from_rate, k_pa=self.values["kinetics.k00_cm3_s"], pulse=pulse)
 
     def uncertainty_spec(self, seed=None, n_samples=None) -> UncertaintySpec:
-        """Configured sampling plan; a seed or n_samples given replaces its value.
-
-        A bad configured value that no override replaces raises ConfigError;
-        a bad override raises a plain ValueError.
-        """
+        """Configured sampling plan; a seed or n_samples given replaces its value."""
         overrides = {k: int(v) for k, v in (("seed", seed), ("n_samples", n_samples))
                      if v is not None}
         spec = _configured(UncertaintySpec, **{
@@ -212,3 +214,39 @@ class RunConfig:
         if not all(map(math.isfinite, counts)):
             raise ConfigError(f"mixture.counts has non-finite entry: {raw!r}")
         return counts
+
+    def mixture_args(self, **given) -> dict:
+        """simulate_mixture's keyword arguments from the configured kinetics.
+
+        given may hold counts, k00, t_pa_ms, dt_ms, cross_weight and n_shells;
+        each one that is not None replaces its configured value. dt_ms defaults
+        to t_pa_ms / 1000.
+        """
+        given = {k: v for k, v in given.items() if v is not None}
+        fixed = dict(omega_bar=self.omega_bar, rho0=self.peak_density(),
+                     intensity=self.values["pulse.intensity_w_cm2"])
+        # defaults stand in for the given values while the configured ones are checked
+        defaults = RunConfig()._kinetics()
+        _configured(_mixture_args, **fixed, **self._kinetics(**{k: defaults[k] for k in given}))
+        return _mixture_args(**fixed, **self._kinetics(**given))
+
+    def _kinetics(self, **given) -> dict:
+        values = dict(k00=self.values["kinetics.k00_cm3_s"],
+                      t_pa_ms=self.values["pulse.t_pa_ms"], dt_ms=None,
+                      cross_weight=self.values["kinetics.cross_weight"],
+                      n_shells=self.values["kinetics.n_shells"])
+        values.update(given)
+        if "counts" not in given:
+            values["counts"] = self.mixture_counts()
+        return values
+
+
+def _mixture_args(*, omega_bar, rho0, intensity, counts, k00, t_pa_ms, dt_ms,
+                  cross_weight, n_shells) -> dict:
+    initial = MixtureState(counts=counts, omega_bar=omega_bar)
+    pulse = PulseParams(t_pa=t_pa_ms * MS, rho0=rho0, n0=max(sum(counts), 1.0),
+                        intensity=intensity)
+    dt = pulse.t_pa / 1000.0 if dt_ms is None else dt_ms * MS
+    check_mixture_args(k00, pulse, dt, cross_weight, n_shells)
+    return dict(initial=initial, k00=k00, pulse=pulse, dt=dt,
+                cross_weight=cross_weight, n_shells=n_shells)

@@ -45,6 +45,10 @@ _CHUNK_CELLS = 1 << 18  # rows x scan points per chunk: a few MB per temporary
 # <= 12 E_r, and far below the scale (~1e12) where rounding flattens the band
 # and alone decides q*
 DRESSING_LIMIT_ER = 1e6
+# the coarse scan runs in float32 while step^2 >= this times the row scale
+# max(1, |omega|, |delta|, |eps_q|): float32 rounding (~6e-8 x scale) then sits
+# far below the energy change across one grid step (~step^2)
+_F32_SCAN_MARGIN = 1e-5
 
 
 @dataclass(frozen=True)
@@ -185,11 +189,14 @@ def _lowest_eigenvalue(q, omega, delta, epsilon_q):
     (2p)^2 = 4x^2/3 + 4h^2 + 8w^2/3 and -det/(2p^3) = 8h (h^2 + w^2 - x^2)/(2p)^3.
     The lowest root is mean - 2p cos(arccos(-det/(2p^3))/3). Only x mixes q
     with the other arguments, so on a (rows x grid) scan block each pass is
-    one in-place ufunc on one of two buffers.
+    one in-place ufunc on one of two buffers. It computes in the dtype of its
+    arguments: float32 when every array among them is float32 (the coarse
+    scan of _minima_chunk), float64 when one is float64 or all are numbers.
     """
     h = (4.0 + epsilon_q) / 3.0
     w2 = 0.25 * omega * omega
-    t = np.empty(np.broadcast_shapes(*map(np.shape, (q, omega, delta, epsilon_q))))
+    t = np.empty(np.broadcast_shapes(*map(np.shape, (q, omega, delta, epsilon_q))),
+                 dtype=np.result_type(q, omega, delta, epsilon_q, 1.0))
     np.subtract(4.0 * q, delta, out=t)
     t *= t  # x^2
     cos_arg = np.subtract(h * h + w2, t, out=np.empty_like(t))
@@ -248,13 +255,23 @@ def _slope(q, omega, delta, epsilon_q):
 def _minima_chunk(qs, om, de, ep, scan_step):
     """band_minima on one chunk of 1-D rows over the scan grid qs.
 
+    The coarse scan only proposes grid wells, so it runs in float32 (arccos
+    and cos are 5-10x cheaper) wherever float32 resolves the grid: its
+    rounding, about 2^-24 x max(1, |omega|, |delta|, |eps_q|) over the chunk,
+    must sit far below the energy change across one step, about step^2.
+    Otherwise, as for every step <= 1e-3 k_r, the scan runs in float64. The
+    Newton refinement, the winner and the state are always float64.
+
     The state at q* needs no eigensolver. The closed-form root lam is good to
     rounding there, so the unit eigenvector is the longest cross product of
     two rows of the tridiagonal H - lam I (Kopp 2008, Int. J. Mod. Phys. C
     19:523), and the energy is its Rayleigh quotient, exact on decoupled rows.
     """
     q_lo, q_hi = qs[0], qs[-1]
-    energy = _lowest_eigenvalue(qs, om[:, None], de[:, None], ep[:, None])
+    scale = max(1.0, *(float(np.max(np.abs(v))) for v in (om, de, ep)))
+    dt = np.float32 if scan_step * scan_step >= _F32_SCAN_MARGIN * scale else np.float64
+    energy = _lowest_eigenvalue(*(v.astype(dt, copy=False) for v in (
+        qs, om[:, None], de[:, None], ep[:, None])))
     is_min = np.ones(energy.shape, dtype=bool)
     is_min[:, 1:] = energy[:, 1:] <= energy[:, :-1]
     is_min[:, :-1] &= energy[:, :-1] <= energy[:, 1:]
@@ -282,11 +299,14 @@ def _minima_chunk(qs, om, de, ep, scan_step):
     g_hi, _ = _slope(hi[edge], om_c[edge], de_c[edge], ep_c[edge])
     x[edge] = np.where(g_hi < 0.0, hi[edge], np.where(g_lo > 0.0, lo[edge], x[edge]))
 
-    # winner per row: energy (1e-12 bins), then |q| (1e-9 bins), then q >= 0
+    # winner per row: energy (1e-12 bins), then |q| (1e-9 bins), then q >= 0;
+    # with one well per row it is that well
     lam = _lowest_eigenvalue(x, om_c, de_c, ep_c)
-    order = np.lexsort((x < 0.0, np.round(np.abs(x) * 1e9), np.round(lam * 1e12), rows))
-    win = order[np.flatnonzero(np.diff(rows, prepend=-1))]
-    q_star, lam = x[win], lam[win]
+    q_star = x
+    if rows.size > om.size:
+        order = np.lexsort((x < 0.0, np.round(np.abs(x) * 1e9), np.round(lam * 1e12), rows))
+        win = order[np.flatnonzero(np.diff(rows, prepend=-1))]
+        q_star, lam = x[win], lam[win]
 
     a, b, c = _diagonal(q_star, de, ep)
     w = 0.5 * om
@@ -310,10 +330,13 @@ def band_minima(omega, delta, epsilon_q=EPSILON_Q_ER, scan_step=1e-3, q_window=Q
     Vectorized core of find_band_minimum: a shared grid scan of the
     trace-free closed-form root (_lowest_eigenvalue) locates every discrete
     local minimum of every row; all of them are refined, as one flat batch, by
-    safeguarded Newton iteration on the characteristic-polynomial slope
-    (bisection whenever a step would leave the bracket), and the lowest
-    refined energy wins. Exactly degenerate minima resolve to smallest |q|,
-    preferring q >= 0. The state at q* comes without an eigensolver: the
+    float64 safeguarded Newton iteration on the characteristic-polynomial
+    slope (bisection whenever a step would leave the bracket), and the lowest
+    refined energy wins. The scan runs in float32 on a chunk whose grid
+    float32 resolves (step^2 >= 1e-5 x max(1, |omega|, |delta|, |eps_q|):
+    coarse Monte Carlo steps such as 0.1 k_r at magnitudes up to 1000 E_r),
+    and in float64 otherwise. Exactly degenerate minima resolve to smallest
+    |q|, preferring q >= 0. The state at q* comes without an eigensolver: the
     closed-form eigenvector (longest cross product of two rows of H - E I)
     and its Rayleigh-quotient energy. Rows are solved in chunks of about 2^18
     grid cells, so the scan temporaries stay bounded for any row count and

@@ -39,6 +39,7 @@ __all__ = [
     "lorentzian_eta",
     "thomas_fermi_peak_density",
     "DEFAULT_CROSS_WEIGHT",
+    "check_mixture_args",
     "simulate_mixture",
     "write_mixture_csv",
 ]
@@ -51,6 +52,7 @@ _SERIES_POWERS = np.arange(_SERIES_TERMS + 1.0)
 _SERIES_COEFFS = np.cumprod([1.0] + [-(n + 2.0) / (n + 3.5) for n in range(_SERIES_TERMS)])
 # time rows x shells per block of the closed-form mixture evaluation
 _BLOCK_CELLS = 2**14
+_MAX_SHELLS = 100_000  # n_shells cap: a few MB of shell arrays
 
 
 @dataclass(frozen=True)
@@ -74,6 +76,9 @@ class PulseParams:
             raise ValueError("n0 must be > 0")
         if self.intensity < 0:
             raise ValueError("intensity must be >= 0")
+        # keeps k_pa = eta / (rho0 t_pa) and eta = k_pa rho0 t_pa finite
+        if not 1e-100 <= self.rho0 * self.t_pa <= 1e100:
+            raise ValueError("rho0 * t_pa must be between 1e-100 and 1e100 cm^-3 s")
 
 
 @dataclass(frozen=True)
@@ -106,9 +111,9 @@ class MixtureState:
     omega_bar: float = TRAP_OMEGA_BAR
 
     def __post_init__(self):
-        if len(self.counts) != 3 or not all(math.isfinite(c) and c >= 0
-                                                for c in self.counts):
-            raise ValueError("counts must be three finite numbers >= 0")
+        # the bound keeps sums, and the plotted axes, of the counts finite
+        if len(self.counts) != 3 or not all(0 <= c <= 1e300 for c in self.counts):
+            raise ValueError("counts must be three finite numbers from 0 to 1e300")
         if self.n_total is None:
             object.__setattr__(self, "n_total", float(sum(self.counts)))
         if self.n_total <= 0:
@@ -242,6 +247,24 @@ def thomas_fermi_peak_density(n_atoms: float, omega_bar: float,
     return (15.0 * n_atoms / (8.0 * math.pi)) / rbar**3 * M3_TO_CM3
 
 
+def check_mixture_args(k00: float, pulse: PulseParams, dt: float,
+                       cross_weight: float, n_shells: int) -> None:
+    """Raise ValueError unless simulate_mixture accepts these scalar arguments."""
+    if not math.isfinite(dt) or dt <= 0:
+        raise ValueError("dt must be finite and > 0")
+    if not pulse.t_pa / 1e6 <= dt <= pulse.t_pa / 100.0:
+        raise ValueError("dt must be between t_pa/10^6 and t_pa/100")
+    if not math.isfinite(k00) or k00 < 0:
+        raise ValueError("k00 must be finite and >= 0")
+    if not math.isfinite(cross_weight) or cross_weight < 0:
+        raise ValueError("cross_weight must be finite and >= 0")
+    # finite peak loss rates keep the t = 0 sample free of inf * 0
+    if not (math.isfinite(k00 * pulse.rho0) and math.isfinite(cross_weight * k00 * pulse.rho0)):
+        raise ValueError("k00 * rho0 and cross_weight * k00 * rho0 must be finite")
+    if not 1 <= n_shells <= _MAX_SHELLS:
+        raise ValueError(f"n_shells must be between 1 and {_MAX_SHELLS}")
+
+
 def simulate_mixture(initial: MixtureState, k00: float, pulse: PulseParams,
                      dt: float, cross_weight: float = DEFAULT_CROSS_WEIGHT,
                      n_shells: int = 400) -> MixtureSeries:
@@ -272,16 +295,7 @@ def simulate_mixture(initial: MixtureState, k00: float, pulse: PulseParams,
     lo(t) = lo / (1 + hi g) with g = expm1(k_pm D t) / D (k_pm t when D = 0,
     k_pm = cross_weight k00). Event counts follow from atom conservation.
     """
-    if not math.isfinite(dt) or dt <= 0:
-        raise ValueError("dt must be finite and > 0")
-    if not pulse.t_pa / 1e6 <= dt <= pulse.t_pa / 100.0:
-        raise ValueError("dt must be between t_pa/10^6 and t_pa/100")
-    if not math.isfinite(k00) or k00 < 0:
-        raise ValueError("k00 must be finite and >= 0")
-    if not math.isfinite(cross_weight) or cross_weight < 0:
-        raise ValueError("cross_weight must be finite and >= 0")
-    if n_shells < 1:
-        raise ValueError("n_shells must be >= 1")
+    check_mixture_args(k00, pulse, dt, cross_weight, n_shells)
 
     counts0 = np.asarray(initial.counts, dtype=float)
     n_tot = float(counts0.sum())

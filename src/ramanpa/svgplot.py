@@ -64,8 +64,8 @@ def _data_range(values, fallback=(0.0, 1.0)):
     if merged.size == 0:
         return fallback
     lo, hi = float(np.min(merged)), float(np.max(merged))
-    if lo == hi:
-        pad = 1.0 if lo == 0 else abs(lo) * 0.1
+    if hi - lo < 1e-300:  # one value, or values closer than any tick step
+        pad = 1.0 if abs(lo) < 1e-300 else abs(lo) * 0.1
         return lo - pad, hi + pad
     pad = (hi - lo) * 0.05
     return lo - pad, hi + pad

@@ -220,7 +220,7 @@ def test_unknown_config_key_is_data_error(tmp_path):
 
 @pytest.mark.parametrize("line", ["atoms.n_total = -1", "trap.frequency_hz = 0",
                                   "pulse.t_pa_ms = 0", "line.gamma_khz = 0",
-                                  "kinetics.k00_cm3_s = -1e-12"])
+                                  "kinetics.k00_cm3_s = -1e-12", "uncertainty.seed = -1"])
 def test_out_of_range_config_value_is_data_error(tmp_path, line):
     cfg = tmp_path / "range.cfg"
     cfg.write_text(line + "\n", encoding="ascii")
@@ -254,6 +254,109 @@ def test_flags_replace_bad_configured_sampling_plan(tmp_path, line):
     # without the flags the configured value is checked: a data error
     res = run_cli(base + ["--out-dir", str(tmp_path / "p")])
     assert res.returncode == 2 and "Traceback" not in res.stderr
+
+
+def _main_in_process(argv, monkeypatch, capsys):
+    monkeypatch.delenv("RAMANPA_CONFIG", raising=False)
+    code = cli.main(argv)
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["bands", "coeffs", "simulate", "ratio-sweep"])
+@pytest.mark.parametrize("line", ["raman.omega_r = 1e200", "raman.omega_r = -1",
+                                  "raman.delta = -2e6", "raman.epsilon_q = -1"])
+def test_out_of_range_raman_config_is_data_error(tmp_path, monkeypatch, capsys, verb, line):
+    cfg = tmp_path / "raman.cfg"
+    cfg.write_text(line + "\n", encoding="ascii")
+    out = tmp_path / "o"
+    code, err = _main_in_process([verb, "--config", str(cfg), "--out-dir", str(out)],
+                                 monkeypatch, capsys)
+    assert code == 2, err
+    assert "invalid configured value" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["bands", "coeffs", "simulate"])
+def test_flags_replace_bad_raman_config(tmp_path, monkeypatch, capsys, verb):
+    cfg = tmp_path / "raman.cfg"
+    cfg.write_text("raman.omega_r = -1\nraman.delta = 1e200\n", encoding="ascii")
+    base = [verb, "--config", str(cfg), "--format", "json"]
+    code, err = _main_in_process(base + ["--omega", "5.4", "--delta", "0.5",
+                                         "--out-dir", str(tmp_path / "o")], monkeypatch, capsys)
+    assert code == 0, err
+    # a bad flag value is still a usage error, over a good configuration too
+    code, err = _main_in_process([verb, "--omega", "-1", "--out-dir", str(tmp_path / "p")],
+                                 monkeypatch, capsys)
+    assert code == 1 and "invalid configured value" not in err
+    assert not (tmp_path / "p").exists()
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["mixture-sim"], "pulse.t_pa_ms = 0"),
+    (["mixture-sim"], "kinetics.n_shells = 0"),
+    (["mixture-sim"], "kinetics.cross_weight = -1"),
+    (["mixture-sim"], "mixture.counts = -5,7000,1100"),
+    (["simulate", "--mode", "mixture"], "kinetics.n_shells = 0"),
+    (["simulate", "--mode", "mixture"], "kinetics.k00_cm3_s = -1e-12"),
+    (["simulate", "--mode", "mixture"], "pulse.intensity_w_cm2 = -1"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_out_of_range_mixture_config_is_data_error(tmp_path, monkeypatch, capsys, argv, line):
+    cfg = tmp_path / "mix.cfg"
+    cfg.write_text(line + "\n", encoding="ascii")
+    out = tmp_path / "o"
+    code, err = _main_in_process(argv + ["--config", str(cfg), "--out-dir", str(out)],
+                                 monkeypatch, capsys)
+    assert code == 2, err
+    assert "invalid configured value" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line, flags", [
+    ("pulse.t_pa_ms = 0", ["--t-pa", "2"]),
+    ("kinetics.n_shells = 0", ["--n-shells", "50"]),
+    ("mixture.counts = 1,2", ["--counts", "100,7000,1100"]),
+])
+def test_mixture_flags_replace_bad_config(tmp_path, monkeypatch, capsys, line, flags):
+    cfg = tmp_path / "mix.cfg"
+    cfg.write_text(line + "\n", encoding="ascii")
+    base = ["mixture-sim", "--config", str(cfg), "--format", "json"]
+    code, err = _main_in_process(base + flags + ["--out-dir", str(tmp_path / "o")],
+                                 monkeypatch, capsys)
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("args", [
+    ["bands", "--q-max=1e300"], ["bands", "--q-min=-1001", "--q-max=0"],
+    ["simulate", "--seed=-1"], ["fit", "{spec}", "--rho0=1e-160", "--t-pa=1e-160"],
+    ["ratio-sweep", "--points=2", "--samples=100", "--stop=inf"],
+    ["mixture-sim", "--counts=1.75e308,0,0"], ["simulate", "--noise=1.75e308"],
+    ["mixture-sim", "--k00=1e300"], ["mixture-sim", "--cross-weight=1e300", "--k00=1e-3"],
+    ["mixture-sim", "--n-shells=100001"],
+], ids=lambda v: " ".join(v))
+def test_flag_past_a_numeric_bound_is_usage_error(tmp_path, monkeypatch, capsys, args):
+    """Values that overflowed the band grid, the sweep axis, the plotted
+    counts, the spectrum noise or the mixture loss rates, a negative seed, an
+    exposure that made k_pa infinite and the shell cap: each exits 1 before
+    any output."""
+    spec = tmp_path / "spec.csv"
+    write_spectrum_csv(spec, synthesize_spectrum(
+        LorentzianLine(eta_res=1.0, nu0=0.0, gamma=20.0),
+        PulseParams(t_pa=5e-3, rho0=1e14, n0=9000.0), np.linspace(-30, 30, 9), 0.0, 0))
+    out = tmp_path / "o"
+    code, err = _main_in_process([a.format(spec=spec) for a in args] + ["--out-dir", str(out)],
+                                 monkeypatch, capsys)
+    assert code == 1 and err.startswith("error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [["--delta=5e-324"], ["--delta-list", "0,5e-324"]],
+                         ids=" ".join)
+def test_subnormal_detuning_plots_finite_axes(tmp_path, monkeypatch, capsys, args):
+    out = tmp_path / "o"
+    code, err = _main_in_process(["coeffs", *args, "--out-dir", str(out), "--format", "svg"],
+                                 monkeypatch, capsys)
+    assert code == 0, err
+    assert not re.search(rb"\b(nan|inf)\b", (out / "coeffs.svg").read_bytes(), re.I)
 
 
 def test_bad_sampling_flag_is_usage_error(tmp_path):
@@ -327,7 +430,8 @@ def test_sample_cap_in_config_is_data_error(tmp_path):
 
 @pytest.mark.parametrize("verb, text", [("ratio-sweep", "1 to 100000"),
                                         ("ratio-sweep", "100 to 1000000"),
-                                        ("mixture-sim", "t_pa/10^6")])
+                                        ("mixture-sim", "t_pa/10^6"),
+                                        ("mixture-sim", "1 to 100000")])
 def test_size_caps_are_documented(verb, text):
     res = run_cli([verb, "--help"])
     assert text in " ".join(res.stdout.split())

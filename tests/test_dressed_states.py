@@ -495,3 +495,93 @@ def test_band_minima_refines_every_grid_well(monkeypatch):
     grid_min = np.linalg.eigvalsh(_hamiltonians(
         dense[None, :], omega[:, None], delta[:, None], eps[:, None]))[..., 0].min(axis=1)
     assert np.all(e <= grid_min + 1e-12)
+
+
+# ------------------------------------------------------- float32 coarse scan
+
+def _structured_rows(bound):
+    """The delta = 0 line, omega in [0, 1], an omega grid through critical
+    coupling, and |delta| just below the float32 scan bound (all |v| < bound)."""
+    rng = np.random.default_rng(31)
+    top = min(15.0, 0.99 * bound)
+    line = (np.linspace(0.0, top, 400), np.zeros(400))
+    weak = (rng.uniform(0.0, 1.0, 400), rng.uniform(-min(4.0, top), min(4.0, top), 400))
+    om, de = np.meshgrid(np.linspace(0.0, min(8.0, top), 41), np.linspace(-0.5, 0.5, 11))
+    edge = (rng.uniform(0.0, top, 200), 0.99 * bound * rng.choice([-1.0, 1.0], 200))
+    omega, delta = (np.concatenate(v) for v in zip(line, weak, (om.ravel(), de.ravel()), edge))
+    return omega, delta, rng.uniform(0.0, 2.0, omega.size)
+
+
+def _scan_dtypes(monkeypatch):
+    """Record the dtype of every (rows x grid) scan block."""
+    true_root = ds._lowest_eigenvalue
+    seen = []
+
+    def spy(q, omega, delta, epsilon_q):
+        out = true_root(q, omega, delta, epsilon_q)
+        if out.ndim == 2:
+            seen.append(out.dtype)
+        return out
+
+    monkeypatch.setattr(ds, "_lowest_eigenvalue", spy)
+    return seen
+
+
+@pytest.mark.parametrize("step", [_MC_SCAN_STEP, 0.01])
+def test_float32_scan_matches_dense_oracle(step, monkeypatch):
+    """A float32 scan proposes the wells that float64 refines to the dense minima."""
+    bound = step * step / ds._F32_SCAN_MARGIN
+    omega, delta, eps = _structured_rows(bound)
+    q_ref, e_ref, c_ref = band_minima(omega, delta, eps, scan_step=1e-3)
+    seen = _scan_dtypes(monkeypatch)
+    q, e, c = band_minima(omega, delta, eps, scan_step=step)
+    assert set(seen) == {np.dtype(np.float32)}
+    assert q.dtype == e.dtype == c.dtype == np.float64
+    assert np.max(np.abs(q - q_ref)) < 1e-10
+    assert np.max(np.abs(e - e_ref)) < 1e-10
+    assert np.max(np.abs(c - c_ref)) < 1e-10
+
+
+@pytest.mark.parametrize("step, scale, dtype", [
+    (_MC_SCAN_STEP, 0.99, np.float32), (_MC_SCAN_STEP, 1.01, np.float64),
+    (0.01, 0.99, np.float32), (0.01, 1.01, np.float64), (1e-3, 0.0, np.float64),
+])
+def test_scan_dtype_follows_the_guard(step, scale, dtype, monkeypatch):
+    """Past step^2 / margin the chunk scans in float64, and still finds the minima."""
+    bound = step * step / ds._F32_SCAN_MARGIN
+    rng = np.random.default_rng(8)
+    omega = rng.uniform(0.0, 5.0, 300)
+    delta = rng.uniform(-4.0, 4.0, 300)
+    delta[::3] = scale * bound * rng.choice([-1.0, 1.0], 100)
+    q_ref, _, _ = band_minima(omega, delta, 0.65, scan_step=1e-3)
+    seen = _scan_dtypes(monkeypatch)
+    q, _, _ = band_minima(omega, delta, 0.65, scan_step=step)
+    assert set(seen) == {np.dtype(dtype)}
+    assert np.max(np.abs(q - q_ref)) < 1e-10
+
+
+def test_chunk_with_a_dressing_limit_row_scans_in_float64(monkeypatch):
+    """One row at DRESSING_LIMIT_ER sends its whole chunk to the float64 scan."""
+    omega, delta, eps = _kernel_rows(500)
+    omega[123] = DRESSING_LIMIT_ER
+    q, e, c = band_minima(omega, delta, eps, scan_step=_MC_SCAN_STEP)
+    q_ref, _, _ = band_minima(omega, delta, eps, scan_step=1e-3)
+    assert np.max(np.abs(q - q_ref)) < 1e-10
+    monkeypatch.setattr(ds, "_F32_SCAN_MARGIN", math.inf)  # float64 scan everywhere
+    q64, e64, c64 = band_minima(omega, delta, eps, scan_step=_MC_SCAN_STEP)
+    assert np.array_equal(q, q64) and np.array_equal(e, e64) and np.array_equal(c, c64)
+
+
+def test_lowest_eigenvalue_follows_input_dtype():
+    rng = np.random.default_rng(3)
+    q = rng.uniform(-3.0, 3.0, 200)
+    omega, delta, eps = rng.uniform(0.0, 15.0, 200), rng.uniform(-4.0, 4.0, 200), 0.65
+    ref = _lowest_eigenvalue(q, omega, delta, eps)
+    assert ref.dtype == np.float64
+    lapack = np.linalg.eigvalsh(_hamiltonians(q, omega, delta, eps))[:, 0]
+    assert np.all(np.abs(ref - lapack) <= 1e-12 * np.maximum(1.0, np.abs(lapack)))
+    scalar = _lowest_eigenvalue(0.0, 12.0, 0.0, 0.65)
+    assert scalar.dtype == np.float64 and scalar == pytest.approx(LOW_12, abs=1e-12)
+    single = _lowest_eigenvalue(*(np.asarray(v, dtype=np.float32) for v in (q, omega, delta, eps)))
+    assert single.dtype == np.float32
+    assert np.all(np.abs(single - ref) <= 1e-5 * np.maximum(1.0, np.abs(ref)))

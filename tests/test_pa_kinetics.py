@@ -186,6 +186,11 @@ def test_pulse_validation():
         for value in (math.nan, math.inf):
             with pytest.raises(ValueError, match="finite"):
                 PulseParams(**{"t_pa": 1e-3, "rho0": 1e14, "n0": 1e4, field: value})
+    # the exposure rho0 * t_pa bounds k_pa = eta / (rho0 t_pa) and its inverse
+    PulseParams(t_pa=1e-45, rho0=1e-50, n0=1e4)
+    for t_pa, rho0 in ((1e-160, 1e-160), (1e-3, 1e-98), (1e200, 1e14)):
+        with pytest.raises(ValueError, match="rho0 \\* t_pa"):
+            PulseParams(t_pa=t_pa, rho0=rho0, n0=1e4)
 
 
 # --------------------------------------------------------------- lineshape
@@ -291,8 +296,9 @@ def test_mixture_cross_channel_closed_form():
     """Shellwise conserved-difference solution of the edge-pair channel.
 
     With D = rho_+ - rho_- constant per shell, the exact solution is
-    rho_-(t) = D rho_-(0) / (rho_+(0) e^{c k D t} - rho_-(0)); the integrator
-    must match it shell-summed to 1e-6.
+    rho_-(t) = D rho_-(0) / (rho_+(0) e^{c k D t} - rho_-(0)); the solver's
+    closed form, written as lo / (1 + hi expm1(c k D t) / D), must match it
+    shell-summed to 1e-6.
     """
     counts = (1500.0, 5000.0, 800.0)
     k00, t_pa, rho0, cross, n_shells = 2.0e-12, 0.01, 1.0e14, 2.0, 400
@@ -339,10 +345,10 @@ def test_mixture_event_bookkeeping():
 def test_mixture_statistical_contrast_regression():
     """Edge losses on the zero-offset path, m0 channel calibrated to 79% loss.
 
-    Frozen integrator output for the observed composition with the bare
+    Frozen solver output for the observed composition with the bare
     cross weight 2, i.e. a (+1,-1) pair on the PA resonance: the cross channel
-    then drives both edges past half. Pins the RK4 integrator, not the
-    default (detuned) cross weight.
+    then drives both edges past half. Pins the per-shell closed-form kinetics,
+    not the default (detuned) cross weight.
     """
     counts = (1200.0, 7000.0, 1100.0)
     rho0, t_pa = 1.0e14, 0.01
