@@ -15,7 +15,6 @@ from .dressed_states import (
     band_minima,
     build_hamiltonian,
     coefficients_vs_delta,
-    eigensystem,
     find_band_minimum,
     write_band_csv,
 )
@@ -66,7 +65,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BandCurve", "DressedState", "RamanParams", "band_curve", "band_minima",
-    "build_hamiltonian", "coefficients_vs_delta", "eigensystem",
+    "build_hamiltonian", "coefficients_vs_delta",
     "find_band_minimum", "write_band_csv",
     "bare_pair_singlet_weight", "rate_ratio", "rate_ratio_no_interference",
     "singlet_amplitude", "write_ratio_sweep_csv",

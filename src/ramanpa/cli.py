@@ -35,7 +35,6 @@ from .interference import (
 from .pa_kinetics import (
     _MAX_SHELLS,
     LorentzianLine,
-    PulseParams,
     lorentzian_eta,
     remaining_fraction,
     simulate_mixture,
@@ -96,33 +95,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _formats_arg(raw: str):
-    parts = tuple(p.strip() for p in raw.split(",") if p.strip())
-    bad = [p for p in parts if p not in ("csv", "json", "svg")]
-    if bad or not parts:
-        raise argparse.ArgumentTypeError(
-            f"--format accepts csv|json|svg (comma separated), got {raw!r}")
-    return parts
-
-
-def _counts_arg(raw: str):
-    parts = raw.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("--counts needs three comma-separated numbers")
-    try:
-        counts = tuple(float(p) for p in parts)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"non-numeric count in {raw!r}") from None
-    return counts
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ramanpa",
                      description="Dressed-spin photoassociation toolkit")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help=f"config file (default: ${ENV_CONFIG})")
     common.add_argument("--out-dir", help="output directory (default: config output.dir)")
-    common.add_argument("--format", type=_formats_arg, dest="formats",
+    common.add_argument("--format", dest="formats",
                         help="comma list of csv,json,svg")
     common.add_argument("--seed", type=int, help="random seed override")
 
@@ -183,7 +162,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("mixture-sim", parents=[common],
                        help="two-channel spin-mixture loss kinetics")
-    p.add_argument("--counts", type=_counts_arg, help="N_-1,N_0,N_+1")
+    p.add_argument("--counts", help="N_-1,N_0,N_+1")
     p.add_argument("--k00", type=float, help="bare-state rate, cm^3/s")
     p.add_argument("--t-pa", type=float, help="pulse duration, ms")
     p.add_argument("--dt", type=float,
@@ -202,8 +181,7 @@ def _build_parser() -> _Parser:
 def _prepare(args, config: RunConfig):
     out_dir = args.out_dir or config.get("output.dir")
     os.makedirs(out_dir, exist_ok=True)
-    formats = args.formats or _formats_arg(config.get("output.formats"))
-    return out_dir, formats
+    return out_dir, args.formats
 
 
 def _path(out_dir, name):
@@ -223,18 +201,6 @@ def _dump_json(path, payload):
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2, default=_json_default)
         fh.write("\n")
-
-
-def _seed(args, config: RunConfig) -> int:
-    """--seed, else uncertainty.seed; a negative one is a usage or config error."""
-    if args.seed is None:
-        seed = config.get("uncertainty.seed")
-        if seed < 0:
-            raise ConfigError("invalid configured value: uncertainty.seed must be >= 0")
-        return seed
-    if args.seed < 0:
-        raise _UsageError("--seed must be >= 0")
-    return args.seed
 
 
 # commands -------------------------------------------------------------------
@@ -392,13 +358,9 @@ def cmd_ratio_sweep(args, config: RunConfig) -> int:
 
 def cmd_fit(args, config: RunConfig) -> int:
     data = read_spectrum_csv(args.spectrum)
-    rho0 = args.rho0 if args.rho0 is not None else config.peak_density()
     with _flag_values():
-        t_pa = (args.t_pa * MS) if args.t_pa is not None \
-            else config.get("pulse.t_pa_ms") * MS
-        data.pulse = PulseParams(t_pa=t_pa, rho0=rho0,
-                                 n0=max(float(np.max(data.atoms_total)), 1.0),
-                                 intensity=config.get("pulse.intensity_w_cm2"))
+        data.pulse = config.pulse_params(n0=max(float(np.max(data.atoms_total)), 1.0),
+                                         t_pa_ms=args.t_pa, rho0=args.rho0)
     out_dir, formats = _prepare(args, config)
 
     try:
@@ -454,12 +416,6 @@ def cmd_fit(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _spectrum_detunings(config: RunConfig):
-    nu0 = config.get("line.nu0_khz")
-    gamma = config.get("line.gamma_khz")
-    return np.linspace(nu0 - 3.0 * gamma, nu0 + 3.0 * gamma, 31)
-
-
 def cmd_simulate(args, config: RunConfig) -> int:
     with _flag_values():
         params = config.raman_params(args.omega, args.delta)
@@ -474,15 +430,17 @@ def cmd_simulate(args, config: RunConfig) -> int:
     state = find_band_minimum(params)
     ratio = (rate_ratio_no_interference(state.coeffs) if args.no_interference
              else rate_ratio(state.coeffs))
-    # config-built objects raise ConfigError (exit 2) before any output exists
-    pulse = config.pulse_params()
+    # a bad configured value exits 2, a bad --seed 1, before any output exists
+    with _flag_values():
+        pulse = config.pulse_params()
+        eta00 = config.eta00(pulse)
+        line = config.lorentzian(eta_res=ratio * eta00)
+        seed = config.seed(args.seed)
     k00 = config.get("kinetics.k00_cm3_s")
-    eta00 = config.eta00(pulse)
-    line = config.lorentzian(eta_res=ratio * eta00)
-    seed = _seed(args, config)
     out_dir, formats = _prepare(args, config)
+    detunings = np.linspace(line.nu0 - 3.0 * line.gamma, line.nu0 + 3.0 * line.gamma, 31)
     spectrum = synthesize_spectrum(
-        line, pulse, _spectrum_detunings(config), args.noise, seed,
+        line, pulse, detunings, args.noise, seed,
         component_weights=state.weights, include_stderr=args.noise > 0,
         dressing=params, label="superposition")
 
@@ -560,6 +518,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = RunConfig.from_environment(args.config)
+        with _flag_values():
+            args.formats = config.formats(args.formats)
         return args.func(args, config)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

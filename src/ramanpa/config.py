@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .constants import (
     ATOMIC_MASS_KG,
@@ -88,14 +88,6 @@ def _parse_value(key: str, raw: str, line_no: int):
     return value
 
 
-def _configured(make, **values):
-    """make(**values) on configured values; a ValueError it raises is a ConfigError."""
-    try:
-        return make(**values)
-    except ValueError as exc:
-        raise ConfigError(f"invalid configured value: {exc}") from None
-
-
 @dataclass
 class RunConfig:
     """Immutable-by-convention bag of run settings with typed accessors."""
@@ -137,116 +129,142 @@ class RunConfig:
     def get(self, key: str):
         return self.values[key]
 
-    # typed views -----------------------------------------------------------
+    def _build(self, view, flags=None):
+        """view(values) with each given flag in place of its configured value.
+
+        flags maps config keys to flag values, None meaning not given. If the
+        build fails, the configured values are checked alone, DEFAULTS standing
+        in for each given flag (None for a flag with no config key): a failure
+        there raises ConfigError (exit 2), else the flags' ValueError stands
+        (exit 1). A successful build reads only the values it uses, so a verb
+        never rejects a configured value that a flag replaces.
+        """
+        given = {k: v for k, v in (flags or {}).items() if v is not None}
+        try:
+            return view({**self.values, **given})
+        except ValueError:
+            try:
+                view({**self.values, **{k: DEFAULTS.get(k) for k in given}})
+            except ValueError as exc:
+                raise ConfigError(f"invalid configured value: {exc}") from None
+            raise
+
+    # typed views: each raises ConfigError for a bad configured value and a
+    # plain ValueError for a bad argument that replaces one
 
     @property
     def omega_bar(self) -> float:
-        return 2.0 * math.pi * self.values["trap.frequency_hz"]
-
-    @property
-    def mass_kg(self) -> float:
-        return self.values["atoms.mass_amu"] * ATOMIC_MASS_KG
-
-    @property
-    def scattering_length_m(self) -> float:
-        return self.values["atoms.scattering_length_a0"] * BOHR_RADIUS_M
-
-    # the views below raise ConfigError (exit 2) for out-of-range config values;
-    # where an argument replaces a configured value, a bad argument raises a
-    # plain ValueError
+        return _omega_bar(self.values)
 
     def raman_params(self, omega_r=None, delta=None) -> RamanParams:
-        """Configured dressing; an omega_r or delta given replaces its value."""
-        overrides = {k: float(v) for k, v in (("omega_r", omega_r), ("delta", delta))
-                     if v is not None}
-        # 0 stands in for a replaced value while the configured ones are checked
-        params = _configured(RamanParams, **{
-            key: 0.0 if key in overrides else self.values[f"raman.{key}"]
-            for key in ("omega_r", "delta", "epsilon_q", "recoil_energy_hz")})
-        return replace(params, **overrides)
+        return self._build(_raman, {"raman.omega_r": omega_r, "raman.delta": delta})
 
     def peak_density(self) -> float:
         """Configured peak density, or the Thomas-Fermi value when unset."""
-        explicit = self.values["pulse.rho0_cm3"]
-        if explicit > 0:
-            return explicit
-        return _configured(
-            thomas_fermi_peak_density, n_atoms=self.values["atoms.n_total"],
-            omega_bar=self.omega_bar, scattering_length=self.scattering_length_m,
-            mass=self.mass_kg)
+        return self._build(_peak_density)
 
-    def pulse_params(self, n0=None) -> PulseParams:
-        return _configured(
-            PulseParams,
-            t_pa=self.values["pulse.t_pa_ms"] * MS,
-            rho0=self.peak_density(),
-            n0=self.values["atoms.n_total"] if n0 is None else float(n0),
-            intensity=self.values["pulse.intensity_w_cm2"],
-        )
+    def pulse_params(self, n0=None, t_pa_ms=None, rho0=None) -> PulseParams:
+        """Configured pulse; n0 replaces atoms.n_total in it (not in the density)."""
+        pulse = self._build(lambda v: _pulse(v, n0),
+                            {"pulse.t_pa_ms": t_pa_ms, "pulse.rho0_cm3": rho0})
+        # a configured rho0 <= 0 means: derive from the trap; a given one is bad
+        if rho0 is not None and not rho0 > 0:
+            raise ValueError("rho0 must be > 0")
+        return pulse
 
     def lorentzian(self, eta_res: float) -> LorentzianLine:
-        return _configured(LorentzianLine, eta_res=eta_res,
-                           nu0=self.values["line.nu0_khz"],
-                           gamma=self.values["line.gamma_khz"])
+        return self._build(lambda v: LorentzianLine(
+            eta_res=eta_res, nu0=v["line.nu0_khz"], gamma=v["line.gamma_khz"]))
 
     def eta00(self, pulse: PulseParams) -> float:
         """eta of the configured (0,0) rate kinetics.k00_cm3_s over pulse."""
-        return _configured(eta_from_rate, k_pa=self.values["kinetics.k00_cm3_s"], pulse=pulse)
+        return self._build(lambda v: eta_from_rate(v["kinetics.k00_cm3_s"], pulse))
 
     def uncertainty_spec(self, seed=None, n_samples=None) -> UncertaintySpec:
-        """Configured sampling plan; a seed or n_samples given replaces its value."""
-        overrides = {k: int(v) for k, v in (("seed", seed), ("n_samples", n_samples))
-                     if v is not None}
-        spec = _configured(UncertaintySpec, **{
-            key: self.values[f"uncertainty.{key}"] for key in (
-                "omega_rel_sigma", "delta_sigma", "epsilon_q_sigma", "n_samples", "seed")
-            if key not in overrides})
-        return replace(spec, **overrides)
+        return self._build(_uncertainty, {"uncertainty.seed": seed,
+                                          "uncertainty.n_samples": n_samples})
 
-    def mixture_counts(self) -> tuple[float, float, float]:
-        raw = str(self.values["mixture.counts"]).split(",")
-        if len(raw) != 3:
-            raise ConfigError("mixture.counts must hold three comma-separated numbers")
-        try:
-            counts = tuple(float(v) for v in raw)
-        except ValueError:
-            raise ConfigError(f"mixture.counts has non-numeric entry: {raw!r}") from None
-        if not all(map(math.isfinite, counts)):
-            raise ConfigError(f"mixture.counts has non-finite entry: {raw!r}")
-        return counts
+    def seed(self, seed=None) -> int:
+        return self._build(_seed, {"uncertainty.seed": seed})
 
-    def mixture_args(self, **given) -> dict:
+    def formats(self, formats=None) -> tuple[str, ...]:
+        """Output formats from a comma list such as "csv,svg"."""
+        return self._build(_formats, {"output.formats": formats})
+
+    def mixture_args(self, counts=None, k00=None, t_pa_ms=None, dt_ms=None,
+                     cross_weight=None, n_shells=None) -> dict:
         """simulate_mixture's keyword arguments from the configured kinetics.
 
-        given may hold counts, k00, t_pa_ms, dt_ms, cross_weight and n_shells;
-        each one that is not None replaces its configured value. dt_ms defaults
-        to t_pa_ms / 1000.
+        counts is a comma list like mixture.counts; dt_ms, which has no config
+        key, defaults to t_pa_ms / 1000.
         """
-        given = {k: v for k, v in given.items() if v is not None}
-        fixed = dict(omega_bar=self.omega_bar, rho0=self.peak_density(),
-                     intensity=self.values["pulse.intensity_w_cm2"])
-        # defaults stand in for the given values while the configured ones are checked
-        defaults = RunConfig()._kinetics()
-        _configured(_mixture_args, **fixed, **self._kinetics(**{k: defaults[k] for k in given}))
-        return _mixture_args(**fixed, **self._kinetics(**given))
-
-    def _kinetics(self, **given) -> dict:
-        values = dict(k00=self.values["kinetics.k00_cm3_s"],
-                      t_pa_ms=self.values["pulse.t_pa_ms"], dt_ms=None,
-                      cross_weight=self.values["kinetics.cross_weight"],
-                      n_shells=self.values["kinetics.n_shells"])
-        values.update(given)
-        if "counts" not in given:
-            values["counts"] = self.mixture_counts()
-        return values
+        return self._build(_mixture, {
+            "mixture.counts": counts, "kinetics.k00_cm3_s": k00,
+            "pulse.t_pa_ms": t_pa_ms, "dt_ms": dt_ms,
+            "kinetics.cross_weight": cross_weight, "kinetics.n_shells": n_shells})
 
 
-def _mixture_args(*, omega_bar, rho0, intensity, counts, k00, t_pa_ms, dt_ms,
-                  cross_weight, n_shells) -> dict:
-    initial = MixtureState(counts=counts, omega_bar=omega_bar)
-    pulse = PulseParams(t_pa=t_pa_ms * MS, rho0=rho0, n0=max(sum(counts), 1.0),
-                        intensity=intensity)
-    dt = pulse.t_pa / 1000.0 if dt_ms is None else dt_ms * MS
+# views: plain functions of the merged values, raising ValueError ----------
+
+def _omega_bar(v) -> float:
+    return 2.0 * math.pi * v["trap.frequency_hz"]
+
+
+def _raman(v) -> RamanParams:
+    return RamanParams(omega_r=float(v["raman.omega_r"]), delta=float(v["raman.delta"]),
+                       epsilon_q=v["raman.epsilon_q"],
+                       recoil_energy_hz=v["raman.recoil_energy_hz"])
+
+
+def _peak_density(v) -> float:
+    explicit = v["pulse.rho0_cm3"]
+    if explicit > 0:
+        return explicit
+    return thomas_fermi_peak_density(
+        n_atoms=v["atoms.n_total"], omega_bar=_omega_bar(v),
+        scattering_length=v["atoms.scattering_length_a0"] * BOHR_RADIUS_M,
+        mass=v["atoms.mass_amu"] * ATOMIC_MASS_KG)
+
+
+def _pulse(v, n0=None) -> PulseParams:
+    return PulseParams(t_pa=v["pulse.t_pa_ms"] * MS, rho0=_peak_density(v),
+                       n0=v["atoms.n_total"] if n0 is None else float(n0),
+                       intensity=v["pulse.intensity_w_cm2"])
+
+
+def _uncertainty(v) -> UncertaintySpec:
+    return UncertaintySpec(
+        omega_rel_sigma=v["uncertainty.omega_rel_sigma"],
+        delta_sigma=v["uncertainty.delta_sigma"],
+        epsilon_q_sigma=v["uncertainty.epsilon_q_sigma"],
+        n_samples=int(v["uncertainty.n_samples"]), seed=int(v["uncertainty.seed"]))
+
+
+def _seed(v) -> int:
+    if v["uncertainty.seed"] < 0:
+        raise ValueError("seed must be >= 0")
+    return v["uncertainty.seed"]
+
+
+def _formats(v) -> tuple[str, ...]:
+    raw = v["output.formats"]
+    parts = tuple(p.strip() for p in raw.split(",") if p.strip())
+    if not parts or not set(parts) <= {"csv", "json", "svg"}:
+        raise ValueError(f"formats must be a comma list of csv, json and svg, got {raw!r}")
+    return parts
+
+
+def _mixture(v) -> dict:
+    raw = v["mixture.counts"]
+    try:
+        counts = tuple(float(p) for p in raw.split(","))
+    except ValueError:
+        raise ValueError(f"non-numeric count in {raw!r}") from None
+    initial = MixtureState(counts=counts, omega_bar=_omega_bar(v))  # checks all three
+    pulse = _pulse(v, n0=max(sum(counts), 1.0))
+    dt = pulse.t_pa / 1000.0 if v.get("dt_ms") is None else v["dt_ms"] * MS
+    k00, cross_weight = v["kinetics.k00_cm3_s"], v["kinetics.cross_weight"]
+    n_shells = v["kinetics.n_shells"]
     check_mixture_args(k00, pulse, dt, cross_weight, n_shells)
     return dict(initial=initial, k00=k00, pulse=pulse, dt=dt,
                 cross_weight=cross_weight, n_shells=n_shells)

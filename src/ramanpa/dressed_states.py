@@ -28,7 +28,6 @@ __all__ = [
     "DressedState",
     "BandCurve",
     "build_hamiltonian",
-    "eigensystem",
     "band_curve",
     "find_band_minimum",
     "coefficients_vs_delta",
@@ -129,43 +128,6 @@ def _hamiltonians(q, omega, delta, epsilon_q) -> np.ndarray:
 def build_hamiltonian(q: float, params: RamanParams) -> np.ndarray:
     """Return the 3x3 Hamiltonian at quasimomentum q (k_r), in E_r units."""
     return _hamiltonians(q, params.omega_r, params.delta, params.epsilon_q)
-
-
-def _fix_vector_sign(vec: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Flip the global sign so the first component with |x| > tol is positive."""
-    for x in vec:
-        if abs(x) > tol:
-            return vec if x > 0 else -vec
-    return vec
-
-
-def eigensystem(h) -> list[tuple[float, np.ndarray]]:
-    """Diagonalize a real symmetric 3x3 matrix.
-
-    Returns three (eigenvalue, unit eigenvector) pairs sorted by ascending
-    eigenvalue. Eigenvectors are sign-fixed (first non-negligible component
-    positive); degenerate pairs are ordered deterministically by descending
-    lexicographic comparison of the sign-fixed vectors.
-    """
-    h = np.asarray(h, dtype=float)
-    if h.shape != (3, 3):
-        raise ValueError("expected a 3x3 matrix")
-    scale = max(1.0, float(np.max(np.abs(h))))
-    if np.max(np.abs(h - h.T)) > 1e-12 * scale:
-        raise ValueError("matrix is not symmetric within 1e-12")
-    vals, vecs = np.linalg.eigh(h)
-    pairs = [(float(vals[k]), _fix_vector_sign(vecs[:, k].copy())) for k in range(3)]
-    # deterministic order inside degenerate groups
-    out: list[tuple[float, np.ndarray]] = []
-    k = 0
-    while k < 3:
-        j = k + 1
-        while j < 3 and abs(pairs[j][0] - pairs[k][0]) <= 1e-12 * scale:
-            j += 1
-        group = sorted(pairs[k:j], key=lambda p: tuple(np.round(p[1], 10)), reverse=True)
-        out.extend(group)
-        k = j
-    return out
 
 
 def band_curve(params: RamanParams, q_min: float, q_max: float, n_points: int) -> BandCurve:

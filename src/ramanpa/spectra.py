@@ -387,6 +387,10 @@ def read_spectrum_csv(path) -> Spectrum:
         if any(v < 0 for v in vals[1:n_cols - (1 if has_stderr else 0)]):
             raise SpectrumFormatError(
                 f"line {k}: negative atom count", line_no=k)
+        # the mixture counts' bound: sums over the counts stay finite
+        if any(v > 1e300 for v in vals[1:]):
+            raise SpectrumFormatError(
+                f"line {k}: counts and stderr must be at most 1e300", line_no=k)
         det.append(vals[0])
         total.append(vals[1])
         if has_components:

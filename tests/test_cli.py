@@ -629,3 +629,61 @@ def test_format_filter_limits_outputs(tmp_path):
     assert res.returncode == 0, res.stderr
     names = set(os.listdir(out))
     assert names == {"bands.csv"}
+
+
+# ------------------------------------------------ config rule, every verb
+
+@pytest.mark.parametrize("argv", [
+    ["bands"], ["coeffs"], ["ratio-sweep", "--points=2", "--samples=100"],
+    ["fit", "{spec}"], ["simulate"], ["simulate", "--mode", "mixture"], ["mixture-sim"],
+], ids=" ".join)
+def test_bad_configured_formats_is_data_error(tmp_path, monkeypatch, capsys, argv):
+    spec = tmp_path / "spec.csv"
+    write_spectrum_csv(spec, synthesize_spectrum(
+        LorentzianLine(eta_res=1.0, nu0=0.0, gamma=20.0),
+        PulseParams(t_pa=5e-3, rho0=1e14, n0=9000.0), np.linspace(-30, 30, 9), 0.0, 0))
+    cfg = tmp_path / "fmt.cfg"
+    cfg.write_text("output.formats = xml\n", encoding="ascii")
+    out = tmp_path / "o"
+    code, err = _main_in_process([a.format(spec=spec) for a in argv]
+                                 + ["--config", str(cfg), "--out-dir", str(out)],
+                                 monkeypatch, capsys)
+    assert code == 2, err
+    assert "invalid configured value" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line", ["pulse.t_pa_ms = 0", "pulse.intensity_w_cm2 = -1"])
+def test_fit_configured_pulse_is_data_error(tmp_path, monkeypatch, capsys, line):
+    spec = tmp_path / "spec.csv"
+    write_spectrum_csv(spec, synthesize_spectrum(
+        LorentzianLine(eta_res=1.0, nu0=0.0, gamma=20.0),
+        PulseParams(t_pa=5e-3, rho0=1e14, n0=9000.0), np.linspace(-30, 30, 9), 0.0, 0))
+    cfg = tmp_path / "pulse.cfg"
+    cfg.write_text(line + "\n", encoding="ascii")
+    out = tmp_path / "o"
+    code, err = _main_in_process(["fit", str(spec), "--config", str(cfg), "--out-dir", str(out)],
+                                 monkeypatch, capsys)
+    assert code == 2, err
+    assert "invalid configured value" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("column", ["atoms_total", "stderr"])
+def test_huge_spectrum_counts_are_data_error(tmp_path, column):
+    """30 finite rows near 1.9e304 overflowed the fit's covariance: now exit 2."""
+    det = np.linspace(-60.0, 60.0, 30)
+    counts = 1.9e304 * (1.0 - 0.5 / (1.0 + (det / 10.0) ** 2))
+    errs = 0.03 * counts if column == "stderr" else np.full(30, 100.0)
+    if column == "stderr":
+        counts = counts / 1e10
+    rows = [f"{d:.12g},{c:.12g},{e:.12g}" for d, c, e in zip(det, counts, errs)]
+    bad = tmp_path / "huge.csv"
+    bad.write_text("detuning_khz,atoms_total,stderr\n" + "\n".join(rows) + "\n",
+                   encoding="ascii")
+    out = tmp_path / "o"
+    res = run_cli(["fit", str(bad), "--out-dir", str(out), "--format", "csv,json,svg"])
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("error: line 2:") and "1e300" in res.stderr
+    assert "Traceback" not in res.stderr and "Warning" not in res.stderr
+    assert not out.exists()

@@ -19,7 +19,6 @@ from ramanpa.dressed_states import (
     band_minima,
     build_hamiltonian,
     coefficients_vs_delta,
-    eigensystem,
     find_band_minimum,
 )
 from ramanpa.uncertainty import _MC_SCAN_STEP
@@ -78,54 +77,6 @@ def test_raman_params_reject_unresolvable_scale(field):
     if field == "delta":
         with pytest.raises(ValueError, match="<= 1e\\+06"):
             RamanParams(omega_r=5.0, delta=-1e200)
-
-
-# ---------------------------------------------------------------- eigensystem
-
-def test_eigensystem_diagonal():
-    pairs = eigensystem(np.diag([4.0, -0.65, 4.0]))
-    assert [p[0] for p in pairs] == [-0.65, 4.0, 4.0]
-    for value, vector in pairs:
-        assert abs(np.linalg.norm(vector) - 1.0) < 1e-12
-
-
-def test_eigensystem_block_reduction_case():
-    """Full 3x3 result equals the by-hand 2x2 block reduction."""
-    h = np.array([[4.0, 6.0, 0.0], [6.0, -0.65, 6.0], [0.0, 6.0, 4.0]])
-    pairs = eigensystem(h)
-    assert pairs[0][0] == pytest.approx(LOW_12, abs=1e-12)
-    assert pairs[0][0] == pytest.approx(-7.123046658207719, abs=1e-12)
-    # ground vector (sign-fixed: first component positive)
-    v = pairs[0][1]
-    assert v[0] == pytest.approx(0.42887550520754025, abs=1e-9)
-    assert v[1] == pytest.approx(-0.7950670424976463, abs=1e-9)
-    assert v[2] == pytest.approx(v[0], abs=1e-12)
-    # antisymmetric combination stays decoupled at eigenvalue 4
-    assert pairs[1][0] == pytest.approx(4.0, abs=1e-12)
-
-
-def test_eigensystem_identity():
-    pairs = eigensystem(np.eye(3))
-    assert all(p[0] == pytest.approx(1.0, abs=1e-14) for p in pairs)
-    basis = np.stack([p[1] for p in pairs])
-    assert np.allclose(basis @ basis.T, np.eye(3), atol=1e-12)
-
-
-def test_eigensystem_rejects_asymmetric():
-    h = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    with pytest.raises(ValueError):
-        eigensystem(h)
-
-
-def test_eigensystem_rejects_wrong_shape():
-    with pytest.raises(ValueError):
-        eigensystem(np.eye(4))
-
-
-def test_eigensystem_residual_is_small():
-    h = build_hamiltonian(0.7, params(5.4, 2.5))
-    for value, vector in eigensystem(h):
-        assert np.max(np.abs(h @ vector - value * vector)) < 1e-9
 
 
 # ----------------------------------------------------------------- band curve
@@ -296,14 +247,6 @@ quasim = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 
 @settings(max_examples=75, deadline=None)
 @given(q=quasim, omega=coupling, delta=finite)
-def test_eigensystem_matches_numpy(q, omega, delta):
-    h = build_hamiltonian(q, params(omega, delta))
-    values = np.array([p[0] for p in eigensystem(h)])
-    assert np.max(np.abs(values - np.linalg.eigvalsh(h))) < 1e-10
-
-
-@settings(max_examples=75, deadline=None)
-@given(q=quasim, omega=coupling, delta=finite)
 def test_spectrum_mirror_symmetry(q, omega, delta):
     """E(q; delta) = E(-q; -delta) band by band."""
     a = np.linalg.eigvalsh(build_hamiltonian(q, params(omega, delta)))
@@ -319,14 +262,6 @@ def test_minimum_really_is_a_minimum(omega, delta):
     for dq in (-2e-4, 2e-4):
         probe = np.linalg.eigvalsh(build_hamiltonian(state.q + dq, p))[0]
         assert probe >= state.energy - 1e-10
-
-
-@settings(max_examples=50, deadline=None)
-@given(q=quasim, omega=coupling, delta=finite)
-def test_eigenvectors_orthonormal(q, omega, delta):
-    pairs = eigensystem(build_hamiltonian(q, params(omega, delta)))
-    basis = np.stack([p[1] for p in pairs])
-    assert np.max(np.abs(basis @ basis.T - np.eye(3))) < 1e-9
 
 
 # ------------------------------------------------------ dense-grid oracle
