@@ -6,7 +6,7 @@ loss kinetics over Thomas-Fermi profiles, spectrum synthesis and fitting, and
 Monte Carlo uncertainty bands. The `ramanpa` CLI exposes the same pipeline.
 """
 
-from .constants import EPSILON_Q_ER, RECOIL_ENERGY_HZ, er_to_khz, khz_to_er
+from .constants import EPSILON_Q_ER, RECOIL_ENERGY_HZ, er_to_khz
 from .dressed_states import (
     BandCurve,
     DressedState,
@@ -57,7 +57,6 @@ from .uncertainty import (
     UncertaintySpec,
     ratio_band_vs_delta,
     ratio_band_vs_omega,
-    sample_parameters,
     write_ratio_band_csv,
 )
 
@@ -77,7 +76,7 @@ __all__ = [
     "extract_kpa", "fit_spectrum", "normalize_spectrum", "read_spectrum_csv",
     "synthesize_spectrum", "write_spectrum_csv",
     "RatioBand", "UncertaintySpec", "ratio_band_vs_delta",
-    "ratio_band_vs_omega", "sample_parameters", "write_ratio_band_csv",
-    "EPSILON_Q_ER", "RECOIL_ENERGY_HZ", "er_to_khz", "khz_to_er",
+    "ratio_band_vs_omega", "write_ratio_band_csv",
+    "EPSILON_Q_ER", "RECOIL_ENERGY_HZ", "er_to_khz",
     "__version__",
 ]

@@ -441,8 +441,7 @@ def cmd_simulate(args, config: RunConfig) -> int:
     detunings = np.linspace(line.nu0 - 3.0 * line.gamma, line.nu0 + 3.0 * line.gamma, 31)
     spectrum = synthesize_spectrum(
         line, pulse, detunings, args.noise, seed,
-        component_weights=state.weights, include_stderr=args.noise > 0,
-        dressing=params, label="superposition")
+        component_weights=state.weights, include_stderr=args.noise > 0)
 
     if "csv" in formats:
         write_spectrum_csv(_path(out_dir, "spectrum_superposition.csv"), spectrum)

@@ -7,8 +7,10 @@ The RAMANPA_CONFIG environment variable supplies a default file path.
 
 from __future__ import annotations
 
+import io
 import math
 import os
+import re
 from dataclasses import dataclass, field
 
 from .constants import (
@@ -102,12 +104,17 @@ class RunConfig:
     @classmethod
     def from_file(cls, path) -> "RunConfig":
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                lines = fh.readlines()
+            with open(path, "rb") as fh:
+                data = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from None
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            no = len(re.findall(rb"\r\n?|\n", data[:exc.start])) + 1
+            raise ConfigError(f"line {no}: config file is not UTF-8 text") from None
         values = {}
-        for no, line in enumerate(lines, start=1):
+        for no, line in enumerate(io.StringIO(text, newline=None), start=1):
             body = line.split("#", 1)[0].strip()
             if not body:
                 continue
@@ -151,10 +158,6 @@ class RunConfig:
 
     # typed views: each raises ConfigError for a bad configured value and a
     # plain ValueError for a bad argument that replaces one
-
-    @property
-    def omega_bar(self) -> float:
-        return _omega_bar(self.values)
 
     def raman_params(self, omega_r=None, delta=None) -> RamanParams:
         return self._build(_raman, {"raman.omega_r": omega_r, "raman.delta": delta})
@@ -206,10 +209,6 @@ class RunConfig:
 
 # views: plain functions of the merged values, raising ValueError ----------
 
-def _omega_bar(v) -> float:
-    return 2.0 * math.pi * v["trap.frequency_hz"]
-
-
 def _raman(v) -> RamanParams:
     return RamanParams(omega_r=float(v["raman.omega_r"]), delta=float(v["raman.delta"]),
                        epsilon_q=v["raman.epsilon_q"],
@@ -221,7 +220,7 @@ def _peak_density(v) -> float:
     if explicit > 0:
         return explicit
     return thomas_fermi_peak_density(
-        n_atoms=v["atoms.n_total"], omega_bar=_omega_bar(v),
+        n_atoms=v["atoms.n_total"], omega_bar=2.0 * math.pi * v["trap.frequency_hz"],
         scattering_length=v["atoms.scattering_length_a0"] * BOHR_RADIUS_M,
         mass=v["atoms.mass_amu"] * ATOMIC_MASS_KG)
 
@@ -260,7 +259,7 @@ def _mixture(v) -> dict:
         counts = tuple(float(p) for p in raw.split(","))
     except ValueError:
         raise ValueError(f"non-numeric count in {raw!r}") from None
-    initial = MixtureState(counts=counts, omega_bar=_omega_bar(v))  # checks all three
+    initial = MixtureState(counts=counts)  # checks all three
     pulse = _pulse(v, n0=max(sum(counts), 1.0))
     dt = pulse.t_pa / 1000.0 if v.get("dt_ms") is None else v["dt_ms"] * MS
     k00, cross_weight = v["kinetics.k00_cm3_s"], v["kinetics.cross_weight"]

@@ -30,8 +30,3 @@ M3_TO_CM3 = 1e-6                       # density m^-3 -> cm^-3
 def er_to_khz(energy_er, recoil_energy_hz=RECOIL_ENERGY_HZ):
     """Convert an energy in E_r to a frequency in kHz."""
     return energy_er * recoil_energy_hz / 1e3
-
-
-def khz_to_er(freq_khz, recoil_energy_hz=RECOIL_ENERGY_HZ):
-    """Convert a frequency in kHz to an energy in E_r."""
-    return freq_khz * 1e3 / recoil_energy_hz

@@ -328,15 +328,13 @@ def band_minima(omega, delta, epsilon_q=EPSILON_Q_ER, scan_step=1e-3, q_window=Q
     return q_star, energy, coeffs
 
 
-def find_band_minimum(params: RamanParams, scan_step: float = 1e-3) -> DressedState:
+def find_band_minimum(params: RamanParams) -> DressedState:
     """Global minimum of the lowest band over q in [-3, 3] k_r.
 
-    Dense grid scan (step <= 0.001 k_r) plus safeguarded Newton refinement
+    Dense grid scan (step 0.001 k_r) plus safeguarded Newton refinement
     brings |dE/dq| below 1e-8 E_r/k_r at the returned point.
     """
-    if scan_step > 1e-3:
-        raise ValueError("scan_step must be <= 1e-3 k_r")
-    q, e, c = band_minima(params.omega_r, params.delta, params.epsilon_q, scan_step)
+    q, e, c = band_minima(params.omega_r, params.delta, params.epsilon_q)
     return _state(q[0], e[0], c[0])
 
 

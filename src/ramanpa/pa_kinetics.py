@@ -20,7 +20,6 @@ from .constants import (
     HBAR,
     M3_TO_CM3,
     PA_LINE_FWHM_KHZ,
-    TRAP_OMEGA_BAR,
     er_to_khz,
 )
 from .interference import bare_pair_singlet_weight
@@ -100,23 +99,15 @@ class LorentzianLine:
 
 @dataclass(frozen=True)
 class MixtureState:
-    """Spin-component atom numbers (N_-1, N_0, N_+1) sharing one trap.
-
-    n_total fixes the frozen Thomas-Fermi shape (defaults to sum of counts);
-    omega_bar is the geometric-mean trap frequency in rad/s.
-    """
+    """Spin-component atom numbers (N_-1, N_0, N_+1) sharing one trap."""
 
     counts: tuple[float, float, float]
-    n_total: float | None = None
-    omega_bar: float = TRAP_OMEGA_BAR
 
     def __post_init__(self):
         # the bound keeps sums, and the plotted axes, of the counts finite
         if len(self.counts) != 3 or not all(0 <= c <= 1e300 for c in self.counts):
             raise ValueError("counts must be three finite numbers from 0 to 1e300")
-        if self.n_total is None:
-            object.__setattr__(self, "n_total", float(sum(self.counts)))
-        if self.n_total <= 0:
+        if sum(self.counts) <= 0:
             raise ValueError("n_total must be > 0")
 
 
@@ -299,8 +290,6 @@ def simulate_mixture(initial: MixtureState, k00: float, pulse: PulseParams,
 
     counts0 = np.asarray(initial.counts, dtype=float)
     n_tot = float(counts0.sum())
-    if n_tot <= 0:
-        raise ValueError("mixture must contain atoms")
     fractions = counts0 / n_tot
 
     x = (np.arange(n_shells) + 0.5) / n_shells

@@ -9,12 +9,13 @@ and reports a finite-difference covariance estimate.
 from __future__ import annotations
 
 import csv
+import io
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dressed_states import RamanParams
 from .pa_kinetics import (
     LorentzianLine,
     PulseParams,
@@ -63,8 +64,6 @@ class Spectrum:
     atoms_components: np.ndarray | None = None
     stderr: np.ndarray | None = None
     pulse: PulseParams | None = None
-    dressing: RamanParams | None = None
-    label: str = ""
 
     def __post_init__(self):
         self.detunings_khz = np.asarray(self.detunings_khz, dtype=float)
@@ -119,9 +118,7 @@ class FitResult:
 
 def synthesize_spectrum(line: LorentzianLine, pulse: PulseParams, detunings,
                         noise_rel: float, seed: int, *,
-                        component_weights=None, include_stderr: bool = False,
-                        dressing: RamanParams | None = None,
-                        label: str = "") -> Spectrum:
+                        component_weights=None, include_stderr: bool = False) -> Spectrum:
     """Forward-model a spectrum with multiplicative Gaussian noise.
 
     atoms(detuning) = n0 * remaining_fraction(lorentzian_eta(detuning, line)),
@@ -153,8 +150,7 @@ def synthesize_spectrum(line: LorentzianLine, pulse: PulseParams, detunings,
     if include_stderr and noise_rel > 0:
         stderr = noise_rel * clean
     return Spectrum(detunings_khz=det, atoms_total=total,
-                    atoms_components=components, stderr=stderr,
-                    pulse=pulse, dressing=dressing, label=label)
+                    atoms_components=components, stderr=stderr, pulse=pulse)
 
 
 def component_spectrum(data: Spectrum, m_f: int) -> Spectrum:
@@ -165,8 +161,7 @@ def component_spectrum(data: Spectrum, m_f: int) -> Spectrum:
         raise ValueError("m_f must be -1, 0, or +1")
     return Spectrum(detunings_khz=data.detunings_khz.copy(),
                     atoms_total=data.atoms_components[:, m_f + 1].copy(),
-                    pulse=data.pulse, dressing=data.dressing,
-                    label=f"{data.label} m_f={m_f:+d}".strip())
+                    pulse=data.pulse)
 
 
 def _forward(det, theta):
@@ -277,6 +272,8 @@ def _covariance(objective, theta, fmin, n_points, weighted, jac_diag):
     The Hessian is taken in the O(1) search coordinates and mapped to
     (n0, eta_res, nu0, gamma) with the diagonal scale/log Jacobian. For
     uniform weights the residual variance is estimated from the fit itself.
+    Raises FloatingPointError when the mapped covariance is not finite, as
+    for counts so large that the n0 variance overflows.
     """
     # absolute steps: the search coordinates are O(1) by construction, and a
     # relative step collapses whenever one of them sits near zero (log eta
@@ -296,12 +293,11 @@ def _covariance(objective, theta, fmin, n_points, weighted, jac_diag):
             hess[i, j] = hess[j, i] = (f_pp - f_pm - f_mp + f_mm) / (4 * steps[i] * steps[j])
     dof = max(n_points - 4, 1)
     s2 = 1.0 if weighted else fmin / dof
-    try:
-        cov_int = 2.0 * s2 * np.linalg.pinv(hess)
-    except np.linalg.LinAlgError:
-        return np.full((4, 4), np.nan)
-    jac = np.diag(jac_diag)
-    cov = jac @ cov_int @ jac.T
+    cov_int = 2.0 * s2 * np.linalg.pinv(hess)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = jac_diag[:, None] * cov_int * jac_diag
+    if not np.all(np.isfinite(cov)):
+        raise FloatingPointError("fit covariance is not finite")
     return 0.5 * (cov + cov.T)
 
 
@@ -325,7 +321,7 @@ def normalize_spectrum(data: Spectrum, fit: FitResult) -> Spectrum:
         atoms_components=None if data.atoms_components is None
         else data.atoms_components * scale,
         stderr=None if data.stderr is None else data.stderr * scale,
-        pulse=data.pulse, dressing=data.dressing, label=data.label,
+        pulse=data.pulse,
     )
 
 
@@ -346,10 +342,21 @@ def read_spectrum_csv(path) -> Spectrum:
     """Parse a spectrum CSV, enforcing the format invariants.
 
     Violations raise SpectrumFormatError naming the offending line (1-based,
-    header included).
+    header included); the file must be ASCII.
     """
-    with open(path, "r", encoding="ascii", newline="") as fh:
-        rows = list(csv.reader(fh))
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        k = len(re.findall(rb"\r\n?|\n", data[:exc.start])) + 1
+        raise SpectrumFormatError(f"line {k}: non-ASCII byte", line_no=k) from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise SpectrumFormatError(f"line {reader.line_num}: {exc}",
+                                  line_no=reader.line_num) from None
     if not rows:
         raise SpectrumFormatError("empty spectrum file", line_no=1)
     header = [h.strip() for h in rows[0]]

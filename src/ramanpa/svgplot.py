@@ -25,7 +25,6 @@ class Series:
     y: np.ndarray
     color: str = "#3a6fb0"
     label: str = ""
-    width: float = 1.6
     dashed: bool = False
 
 
@@ -36,7 +35,6 @@ class BandArea:
     upper: np.ndarray
     color: str = "#3a6fb0"
     label: str = ""
-    opacity: float = 0.25
 
 
 @dataclass
@@ -89,7 +87,7 @@ def _ticks(lo, hi, target=6):
 
 
 def render_plot(title: str, x_label: str, y_label: str, series=(), bands=(),
-                markers=(), x_range=None, y_range=None) -> str:
+                markers=(), y_range=None) -> str:
     """Render everything into one fixed-size SVG document string."""
     series = list(series)
     bands = list(bands)
@@ -97,7 +95,7 @@ def render_plot(title: str, x_label: str, y_label: str, series=(), bands=(),
     xs = [s.x for s in series] + [b.x for b in bands] + [m.x for m in markers]
     ys = [s.y for s in series] + [b.lower for b in bands] + [b.upper for b in bands] \
         + [m.y for m in markers]
-    x_lo, x_hi = x_range if x_range is not None else _data_range(xs)
+    x_lo, x_hi = _data_range(xs)
     y_lo, y_hi = y_range if y_range is not None else _data_range(ys)
 
     def px(v):
@@ -141,11 +139,11 @@ def render_plot(title: str, x_label: str, y_label: str, series=(), bands=(),
     for b in bands:
         ring = pts(b.x, b.upper) + " " + pts(b.x[::-1], np.asarray(b.lower)[::-1])
         out.append(f'<polygon points="{ring}" fill="{b.color}" '
-                   f'fill-opacity="{b.opacity:g}" stroke="none"/>')
+                   'fill-opacity="0.25" stroke="none"/>')
     for s in series:
         dash = ' stroke-dasharray="6 4"' if s.dashed else ""
         out.append(f'<polyline points="{pts(s.x, s.y)}" fill="none" '
-                   f'stroke="{s.color}" stroke-width="{s.width:g}"{dash}/>')
+                   f'stroke="{s.color}" stroke-width="1.6"{dash}/>')
     for m in markers:
         if m.yerr is not None:
             for xv, yv, ev in zip(m.x, m.y, m.yerr):

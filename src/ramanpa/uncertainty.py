@@ -14,14 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import EPSILON_Q_ER
-from .dressed_states import RamanParams, band_minima
+from .dressed_states import band_minima
 from .interference import _batch_ratios
 from .tables import write_csv
 
 __all__ = [
     "UncertaintySpec",
     "RatioBand",
-    "sample_parameters",
     "ratio_band_vs_omega",
     "ratio_band_vs_delta",
     "write_ratio_band_csv",
@@ -76,7 +75,6 @@ class RatioBand:
     upper: np.ndarray
     variant: str
     std: np.ndarray
-    n_samples: int
 
 
 def _draw_positive(rng, nominal: float, sigma: float, n: int) -> np.ndarray:
@@ -101,16 +99,6 @@ def _draw_samples(rng, omega_nom, delta_nom, epsilon_nom, spec: UncertaintySpec)
     return omegas, deltas, epsilons
 
 
-def sample_parameters(nominal: RamanParams, spec: UncertaintySpec) -> list[RamanParams]:
-    """Draw n_samples parameter sets around the nominal values."""
-    rng = np.random.default_rng(spec.seed)
-    omegas, deltas, epsilons = _draw_samples(
-        rng, nominal.omega_r, nominal.delta, nominal.epsilon_q, spec)
-    return [RamanParams(omega_r=float(o), delta=float(d), epsilon_q=float(e),
-                        recoil_energy_hz=nominal.recoil_energy_hz)
-            for o, d, e in zip(omegas, deltas, epsilons)]
-
-
 def _band(axis_values, omegas, deltas, spec: UncertaintySpec,
           epsilon_q: float) -> tuple[RatioBand, RatioBand]:
     """Sweep both variants over nominal omegas/deltas broadcast against the axis.
@@ -133,7 +121,6 @@ def _band(axis_values, omegas, deltas, spec: UncertaintySpec,
         # zero-width band: one solve per point on the fine production grid
         _, _, coeffs = band_minima(om_nom, de_nom, epsilon_q, scan_step=_EXACT_SCAN_STEP)
         means[:] = _batch_ratios(coeffs)
-        n_eff = 1
     else:
         for i in range(axis.size):
             # one independent substream per sweep point: mirrored or reordered
@@ -144,11 +131,10 @@ def _band(axis_values, omegas, deltas, spec: UncertaintySpec,
             ratios = np.stack(_batch_ratios(coeffs))
             means[:, i] = np.mean(ratios, axis=1)
             stds[:, i] = np.std(ratios, axis=1, ddof=1)
-        n_eff = spec.n_samples
     lower = np.clip(means - stds, 0.0, 1.05)
     upper = np.clip(means + stds, 0.0, 1.05)
     return tuple(RatioBand(sweep_axis=axis, mean=means[k], lower=lower[k], upper=upper[k],
-                           variant=variant, std=stds[k], n_samples=n_eff)
+                           variant=variant, std=stds[k])
                  for k, variant in enumerate((VARIANT_WITH, VARIANT_WITHOUT)))
 
 
@@ -169,9 +155,7 @@ def ratio_band_vs_delta(delta_list, omega_nominal: float, spec: UncertaintySpec,
 
 
 def write_ratio_band_csv(path, bands) -> None:
-    """Write one or more bands as CSV rows tagged by variant."""
-    if isinstance(bands, RatioBand):
-        bands = [bands]
+    """Write a list of bands as CSV rows tagged by variant."""
     fields = ("sweep_axis", "mean", "lower", "upper")
     write_csv(path, ("axis_value_Er", "mean", "lower", "upper", "variant"),
               [[v for b in bands for v in getattr(b, f)] for f in fields]

@@ -131,7 +131,7 @@ def test_mixture_sim_matches_library(tmp_path):
     pulse = PulseParams(t_pa=0.010, rho0=config.peak_density(), n0=9300.0,
                         intensity=config.get("pulse.intensity_w_cm2"))
     series = simulate_mixture(
-        MixtureState(counts=(1200.0, 7000.0, 1100.0), omega_bar=config.omega_bar),
+        MixtureState(counts=(1200.0, 7000.0, 1100.0)),
         8e-12, pulse, 0.01e-3,
         cross_weight=config.get("kinetics.cross_weight"),
         n_shells=config.get("kinetics.n_shells"))
@@ -686,4 +686,35 @@ def test_huge_spectrum_counts_are_data_error(tmp_path, column):
     assert res.returncode == 2, res.stderr
     assert res.stderr.startswith("error: line 2:") and "1e300" in res.stderr
     assert "Traceback" not in res.stderr and "Warning" not in res.stderr
+    assert not out.exists()
+
+
+def test_fit_covariance_overflow_is_numeric_error(tmp_path):
+    """30 rows scaled to 1e160 counts overflow the fit's covariance: exit 3, no file."""
+    det = np.linspace(-60.0, 60.0, 30)
+    spec = tmp_path / "big.csv"
+    write_spectrum_csv(spec, synthesize_spectrum(
+        LorentzianLine(eta_res=1.0, nu0=0.0, gamma=20.0),
+        PulseParams(t_pa=5e-3, rho0=1e14, n0=1e160), det, 0.03, 0))
+    out = tmp_path / "o"
+    res = run_cli(["fit", str(spec), "--out-dir", str(out), "--format", "csv,json,svg"])
+    assert res.returncode == 3, res.stderr
+    assert "covariance is not finite" in res.stderr
+    assert "Traceback" not in res.stderr and "Warning" not in res.stderr
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("argv, raw, line", [
+    (["fit", "{path}"], b"\xef\xbb\xbfdetuning_khz,atoms_total\n0,1\n", 1),
+    (["fit", "{path}"], b"detuning_khz,atoms_total\n0,1\n1,\xc3\xa9\n", 3),
+    (["bands", "--config", "{path}"], b"raman.omega_r = 8\nraman.delta = \xff\n", 2),
+], ids=["spectrum-bom", "spectrum-utf8", "config-latin1"])
+def test_undecodable_input_file_is_data_error(tmp_path, monkeypatch, capsys, argv, raw, line):
+    path = tmp_path / "input"
+    path.write_bytes(raw)
+    out = tmp_path / "o"
+    code, err = _main_in_process([a.format(path=path) for a in argv] + ["--out-dir", str(out)],
+                                 monkeypatch, capsys)
+    assert code == 2, err
+    assert err.startswith(f"error: line {line}: ")
     assert not out.exists()

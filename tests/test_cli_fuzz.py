@@ -1,18 +1,22 @@
-"""Fuzzed flag values for all six verbs: a documented exit code, never a traceback.
+"""Fuzzed flag values and input files: a documented exit code, never a traceback.
 
 Each example calls `main(argv)` in process with flag values drawn from zero,
 negative, finite, huge, nan and inf values, and checks that it returns 0, 1,
 2 or 3, raises nothing, and writes no nan or inf into any output file. Size
 flags draw only invalid values or small valid ones, so no example is a valid
-but huge run.
+but huge run. The file examples write a valid file with up to four edits (a
+BOM, CRLF, NUL, high or arbitrary bytes, a drawn number in place of a numeric
+field) as the spectrum CSV of `fit` and the config file of `bands`: those must
+exit 0, 2 or 3 with no exception or warning.
 """
 import os
 import re
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import ramanpa.cli as cli
 from ramanpa.pa_kinetics import LorentzianLine, PulseParams
@@ -101,3 +105,66 @@ def test_fuzzed_flags_exit_cleanly(verb, spectrum_csv, data):
             for name in names:
                 with open(os.path.join(base, name), "rb") as fh:
                     assert not NON_FINITE.search(fh.read()), (argv, name)
+
+
+# ---------------------------------------------------------------- input files
+
+TOKENS = [b"\xef\xbb\xbf", b"\r\n", b"\r", b"\n", b"\x00", b"\xff", b"\x80", b"\xc3\xa9",
+          b",", b"-", b".", b"e", b"=", b"#", b" ", b"0", b"9", b"nan", b"inf", b"1e300"]
+SPECTRUM = (b"detuning_khz,atoms_total,stderr\n"
+            + b"".join(b"%g,%g,%g\n" % (d, 9000.0 - 4000.0 / (1.0 + (d / 10.0) ** 2), 90.0)
+                       for d in np.linspace(-30.0, 30.0, 7)))
+CONFIG = b"raman.omega_r = 8\nraman.delta = 0.5  # E_r\nuncertainty.seed = 3\n"
+
+
+def edited(base):
+    """base with up to four edits: a number-like field replaced by a drawn
+    flag number, or a token or arbitrary bytes inserted at a drawn offset."""
+    fields = [m.span() for m in re.finditer(rb"-?\d[\d.e+-]*", base)]
+    replace = st.tuples(st.sampled_from(fields), NUMBERS.map(str.encode))
+    insert = st.tuples(st.integers(0, len(base)).map(lambda i: (i, i)),
+                       st.one_of(st.sampled_from(TOKENS), st.binary(min_size=1, max_size=8)))
+
+    def apply(edits):
+        out = bytearray(base)
+        for (lo, hi), token in sorted(edits, reverse=True):
+            out[lo:hi] = token
+        return bytes(out)
+
+    return st.lists(st.one_of(replace, insert), max_size=4).map(apply)
+
+
+def run_with_file(raw, argv_of):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input")
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        out = os.path.join(tmp, "o")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(argv_of(path) + ["--out-dir", out, "--format", "csv,json,svg"])
+        assert code in (0, 2, 3), raw
+        for base, _, names in os.walk(out):
+            for name in names:
+                with open(os.path.join(base, name), "rb") as fh:
+                    assert not NON_FINITE.search(fh.read()), (raw, name)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@example(raw=b"\xef\xbb\xbf" + SPECTRUM)
+@example(raw=SPECTRUM.replace(b"\n", b"\r\n"))
+@example(raw=SPECTRUM.replace(b"8600", b"86\x0000", 1))
+@example(raw=SPECTRUM + b"\xff")
+@given(raw=edited(SPECTRUM))
+def test_fuzzed_spectrum_file_exits_cleanly(raw):
+    run_with_file(raw, lambda path: ["fit", path])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@example(raw=b"\xef\xbb\xbf" + CONFIG)
+@example(raw=CONFIG.replace(b"\n", b"\r\n"))
+@example(raw=CONFIG.replace(b"8", b"\x00"))
+@example(raw=CONFIG.replace(b"0.5", b"\xff"))
+@given(raw=edited(CONFIG))
+def test_fuzzed_config_file_exits_cleanly(raw):
+    run_with_file(raw, lambda path: ["bands", "--config", path])

@@ -64,3 +64,25 @@ def test_views_read_only_the_values_they_use():
         RunConfig({"trap.frequency_hz": 0.0}).pulse_params()
     # the seed alone is checked where no sampling plan is used
     assert RunConfig({"uncertainty.n_samples": 5}).seed() == 0
+
+
+@pytest.mark.parametrize("raw, line", [
+    (b"raman.omega_r = 8\nraman.delta = \xff\n", 2),
+    (b"raman.omega_r = 8\r\n# caf\xe9\r\n", 2),
+    (b"\x80raman.omega_r = 8\n", 1),
+    (b"raman.omega_r = 8\rraman.delta = 0\r\xff\r", 3),
+])
+def test_non_utf8_file_names_the_line(tmp_path, raw, line):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(raw)
+    with pytest.raises(ConfigError, match=f"^line {line}: .*not UTF-8"):
+        RunConfig.from_file(path)
+
+
+def test_crlf_and_cr_line_ends_parse(tmp_path):
+    path = tmp_path / "crlf.cfg"
+    path.write_bytes(b"raman.omega_r = 5\r\nraman.delta = 1  # E_r\rbogus\n")
+    with pytest.raises(ConfigError, match="^line 3: "):
+        RunConfig.from_file(path)
+    path.write_bytes(b"raman.omega_r = 5\r\nraman.delta = 1  # E_r\r")
+    assert RunConfig.from_file(path).raman_params() == RamanParams(omega_r=5.0, delta=1.0)

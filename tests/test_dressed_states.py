@@ -154,11 +154,6 @@ def test_minimum_coeffs_normalized_and_sign_fixed():
         assert state.coeffs[1] >= 0.0
 
 
-def test_minimum_scan_step_precondition():
-    with pytest.raises(ValueError):
-        find_band_minimum(params(5.4, 0.0), scan_step=0.1)
-
-
 @pytest.mark.parametrize("omega, delta, eps", [
     (math.nan, 0.0, 0.65), (5.4, math.inf, 0.65), (5.4, 0.0, -math.inf),
     ([5.4, math.nan], 0.0, 0.65),

@@ -493,5 +493,5 @@ def test_mixture_state_validation():
     for value in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             MixtureState(counts=(1.0, value, 3.0))
-    state = MixtureState(counts=(1.0, 2.0, 3.0))
-    assert state.n_total == 6.0
+    with pytest.raises(ValueError, match="n_total must be > 0"):
+        MixtureState(counts=(0.0, 0.0, 0.0))

@@ -190,6 +190,13 @@ def test_fit_covariance_reports_sane_uncertainty():
     assert 0.01 < sigma_eta / fit.eta_res < 0.15
 
 
+def test_fit_covariance_overflow_raises():
+    # the n0 variance grows as n0^2 and overflows near 1e160 counts
+    pulse = PulseParams(t_pa=5e-3, rho0=1.0e14, n0=1e160)
+    with pytest.raises(FloatingPointError, match="covariance is not finite"):
+        fit_spectrum(synthesize_spectrum(LINE, pulse, GRID_30, 0.03, 5))
+
+
 def test_fit_objective_trace_never_increases():
     fit = fit_of(0.03, 2)
     trace = np.asarray(fit.objective_trace)
@@ -337,6 +344,19 @@ def test_csv_errors_name_the_line(tmp_path, rows, bad_line, needle):
         read_spectrum_csv(path)
     assert err.value.line_no == bad_line
     assert needle in str(err.value)
+
+
+@pytest.mark.parametrize("raw, bad_line", [
+    (b"\xef\xbb\xbfdetuning_khz,atoms_total\n0.0,100.0\n", 1),
+    (b"detuning_khz,atoms_total\r\n0.0,100.0\r\n1.0,9\xff0.0\r\n", 3),
+    (b"detuning_khz,atoms_total\r0.0,100.0\r1.0,9\xff0.0\r", 3),
+])
+def test_csv_non_ascii_byte_names_the_line(tmp_path, raw, bad_line):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(raw)
+    with pytest.raises(SpectrumFormatError, match="non-ASCII") as err:
+        read_spectrum_csv(path)
+    assert err.value.line_no == bad_line
 
 
 def test_csv_empty_and_headers_only(tmp_path):
