@@ -31,7 +31,7 @@ def main():
     write_spectrum_csv(os.path.join(OUT, "demo_spectrum.csv"), data)
     fit = fit_spectrum(data)
 
-    sig = np.sqrt(np.maximum(np.diag(fit.covariance), 0.0))
+    sig = np.sqrt(np.diag(fit.covariance))
     print("parameter    truth      fitted       1-sigma")
     rows = (("n0", pulse.n0, fit.n0, sig[0]),
             ("eta_res", truth.eta_res, fit.eta_res, sig[1]),
@@ -46,7 +46,7 @@ def main():
     pulls = []
     for seed in range(40):
         f = fit_spectrum(synthesize_spectrum(truth, pulse, GRID, 0.03, seed))
-        pulls.append((f.eta_res - 1.0) / math.sqrt(max(f.covariance[1, 1], 1e-30)))
+        pulls.append((f.eta_res - 1.0) / math.sqrt(f.covariance[1, 1]))
     print(f"\n40-seed pull distribution for eta_res: mean {np.mean(pulls):+.2f}, "
           f"std {np.std(pulls):.2f} (should be ~0 and ~1)")
 

@@ -188,18 +188,9 @@ def _path(out_dir, name):
     return os.path.join(out_dir, name)
 
 
-def _json_default(obj):
-    # numpy scalars and arrays leak into payloads from fit results
-    if isinstance(obj, np.generic):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
 def _dump_json(path, payload):
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2, default=_json_default)
+        json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 

@@ -3,7 +3,7 @@
 A spectrum is the remaining atom number versus PA detuning. The forward model
 is n0 * remaining_fraction(lorentzian_eta(detuning)); the fitter inverts it
 for (n0, eta_res, nu0, gamma) by derivative-free simplex search with restarts
-and reports a finite-difference covariance estimate.
+and reports the Gauss-Newton covariance from the residual Jacobian.
 """
 
 from __future__ import annotations
@@ -99,10 +99,13 @@ class Spectrum:
 class FitResult:
     """Fitted line parameters.
 
-    covariance is the 4x4 estimate over (n0, eta_res, nu0, gamma); k_pa is
+    covariance is the 4x4 Gauss-Newton estimate s^2 (J^T J)^+ over
+    (n0, eta_res, nu0, gamma), so its diagonal is never negative; k_pa is
     eta_res/(rho0*t_pa) when pulse metadata was available, else nan;
-    objective_trace is [objective at the winning start, objective at the
-    optimum] (empty for a flat spectrum).
+    converged is False when the simplex search failed or the fitted gamma is
+    narrower than the smallest detuning spacing (a line that captured a
+    single point); objective_trace is [objective at the winning start,
+    objective at the optimum] (empty for a flat spectrum).
     """
 
     n0: float
@@ -244,61 +247,46 @@ def fit_spectrum(data: Spectrum) -> FitResult:
                                 "maxiter": 2000, "maxfev": 4000})
         if best is None or res.fun < best.fun:
             best, best_start = res, start
-    converged = bool(best.success) and np.isfinite(best.fun)
 
     theta = to_internal(best.x)
     n0 = float(theta[0])
     eta_res = math.exp(theta[1])
     nu0 = float(theta[2])
     gamma = math.exp(theta[3])
+    # a line narrower than every detuning spacing has captured a single point
+    converged = (bool(best.success) and math.isfinite(best.fun)
+                 and gamma >= float(np.min(np.diff(x))))
 
     model = _forward(x, theta)
     safe = np.where(np.abs(model) > 0, model, 1.0)
     residual_rms = float(np.sqrt(np.mean(((y - model) / safe) ** 2)))
 
-    covariance = _covariance(objective, best.x, best.fun, n,
-                             data.stderr is not None,
-                             np.array([n0_ref, eta_res, x_scale, gamma]))
+    # Gauss-Newton covariance s^2 (J^T J)^+ = s^2 J^+ (J^+)^T, with J the
+    # Jacobian of the weighted residuals in the O(1) search coordinates by
+    # central differences. The step is absolute: a relative step collapses
+    # whenever a coordinate sits near zero (log eta crosses 0 at unit pulse
+    # strength). The diagonal scale/log Jacobian maps it to
+    # (n0, eta_res, nu0, gamma); counts so large that the n0 variance
+    # overflows raise FloatingPointError.
+    step = 1e-6
+    with np.errstate(over="ignore", invalid="ignore"):
+        jac = np.empty((n, 4))
+        for i, e in enumerate(step * np.eye(4)):
+            hi = _forward(x, to_internal(best.x + e))
+            lo = _forward(x, to_internal(best.x - e))
+            if hi is None or lo is None:
+                raise FloatingPointError("fit covariance is not finite")
+            jac[:, i] = (hi - lo) * sqrt_w / (2.0 * step)
+        s2 = 1.0 if data.stderr is not None else float(best.fun) / max(n - 4, 1)
+        p = np.array([n0_ref, eta_res, x_scale, gamma])[:, None] * np.linalg.pinv(jac)
+        covariance = s2 * (p @ p.T)
+    if not np.all(np.isfinite(covariance)):
+        raise FloatingPointError("fit covariance is not finite")
 
     return FitResult(n0=n0, eta_res=eta_res, nu0=nu0, gamma=gamma,
                      k_pa=k_pa_of(eta_res), residual_rms=residual_rms,
                      converged=converged, covariance=covariance,
                      objective_trace=[objective(best_start), float(best.fun)])
-
-
-def _covariance(objective, theta, fmin, n_points, weighted, jac_diag):
-    """Finite-difference quadratic model of the objective at the optimum.
-
-    The Hessian is taken in the O(1) search coordinates and mapped to
-    (n0, eta_res, nu0, gamma) with the diagonal scale/log Jacobian. For
-    uniform weights the residual variance is estimated from the fit itself.
-    Raises FloatingPointError when the mapped covariance is not finite, as
-    for counts so large that the n0 variance overflows.
-    """
-    # absolute steps: the search coordinates are O(1) by construction, and a
-    # relative step collapses whenever one of them sits near zero (log eta
-    # crosses 0 at unit pulse strength)
-    steps = np.full(theta.shape, 1e-3)
-    hess = np.zeros((4, 4))
-    for i in range(4):
-        for j in range(i, 4):
-            ei = np.zeros(4)
-            ej = np.zeros(4)
-            ei[i] = steps[i]
-            ej[j] = steps[j]
-            f_pp = objective(theta + ei + ej)
-            f_pm = objective(theta + ei - ej)
-            f_mp = objective(theta - ei + ej)
-            f_mm = objective(theta - ei - ej)
-            hess[i, j] = hess[j, i] = (f_pp - f_pm - f_mp + f_mm) / (4 * steps[i] * steps[j])
-    dof = max(n_points - 4, 1)
-    s2 = 1.0 if weighted else fmin / dof
-    cov_int = 2.0 * s2 * np.linalg.pinv(hess)
-    with np.errstate(over="ignore", invalid="ignore"):
-        cov = jac_diag[:, None] * cov_int * jac_diag
-    if not np.all(np.isfinite(cov)):
-        raise FloatingPointError("fit covariance is not finite")
-    return 0.5 * (cov + cov.T)
 
 
 def extract_kpa(fit: FitResult, pulse: PulseParams) -> float:

@@ -569,6 +569,22 @@ def test_non_converged_fit_still_reports(tmp_path, monkeypatch, capsys):
     assert not (out / "spectrum_normalized.csv").exists()
 
 
+def test_edge_spike_fit_is_not_converged(tmp_path, monkeypatch, capsys):
+    # a zero count at the grid edge captures a line far narrower than the
+    # 10 kHz spacing, away from the real dip at 0 kHz
+    spec = tmp_path / "s.csv"
+    rows = zip(range(-30, 31, 10), (8600, 8200, 7000, 5000, 7000, 8200, 0))
+    spec.write_text("detuning_khz,atoms_total,stderr\n"
+                    + "".join(f"{d},{a},90\n" for d, a in rows), encoding="ascii")
+    monkeypatch.delenv("RAMANPA_CONFIG", raising=False)
+    out = tmp_path / "o"
+    code = cli.main(["fit", str(spec), "--out-dir", str(out), "--format", "csv,json"])
+    assert code == 0
+    assert "did not converge" in capsys.readouterr().err
+    assert json.loads((out / "fit_result.json").read_text())["converged"] is False
+    assert not (out / "spectrum_normalized.csv").exists()
+
+
 @pytest.mark.parametrize("field, value", [("nu0", "nan"), ("eta_res", "nan"), ("gamma", "inf")])
 def test_fit_svg_with_non_finite_line_is_flat(tmp_path, monkeypatch, capsys, field, value):
     def broken(data):
