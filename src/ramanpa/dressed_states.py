@@ -35,11 +35,18 @@ __all__ = [
     "write_band_csv",
 ]
 
-Q_WINDOW = (-3.0, 3.0)  # search window in k_r; all physical minima sit inside |q| <= 2
-# Newton iterations per candidate: from one scan step (<= 0.1 k_r) away they
-# reach the 1e-13 k_r level of the dense reference
+# search window in k_r. For q1 < q2 <= -2 every diagonal entry of H falls from
+# q1 to q2 while w does not depend on q, so H(q2) - H(q1) is negative definite
+# and (Weyl) the lowest band falls strictly up to q = -2; mirrored, it rises
+# strictly beyond +2. The global minimum over any wider window lies in [-2, 2].
+Q_WINDOW = (-2.0, 2.0)
+# cap on Newton iterations per candidate: from one scan step (<= 0.1 k_r) away
+# they reach the 1e-13 k_r level of the dense reference
 _NEWTON_STEPS = 6
-_CHUNK_CELLS = 1 << 18  # rows x scan points per chunk: a few MB per temporary
+# a row stops iterating after an accepted Newton step this small (in k_r):
+# quadratic convergence leaves it about 1e-18 k_r from the root
+_NEWTON_DONE = 1e-9
+_CHUNK_CELLS = 1 << 17  # rows x scan points per chunk: a few MB per temporary
 # bound on |omega_r|, |delta| and |epsilon_q| in E_r: far above the paper's
 # <= 12 E_r, and far below the scale (~1e12) where rounding flattens the band
 # and alone decides q*
@@ -238,21 +245,34 @@ def _minima_chunk(qs, om, de, ep, scan_step):
     is_min[:, 1:] = energy[:, 1:] <= energy[:, :-1]
     is_min[:, :-1] &= energy[:, :-1] <= energy[:, 1:]
     # rows come out sorted, and each finite row has a well: its grid argmin
-    rows, cols = np.nonzero(is_min)
+    rows, cols = np.divmod(np.flatnonzero(is_min), qs.size)
     qc = qs[cols]
     om_c, de_c, ep_c = om[rows], de[rows], ep[rows]
     lo = np.clip(qc - scan_step, q_lo, q_hi)
     hi = np.clip(qc + scan_step, q_lo, q_hi)
-    blo, bhi, x = lo, hi, qc
+    # safeguarded Newton on the live rows only; a row whose accepted Newton
+    # step is at most _NEWTON_DONE leaves the set with its final x
+    x = np.empty_like(qc)
+    live = np.arange(qc.size)
+    xl, blo, bhi, om_l, de_l, ep_l = qc, lo, hi, om_c, de_c, ep_c
     for _ in range(_NEWTON_STEPS):
-        g, dg = _slope(x, om_c, de_c, ep_c)
-        bhi = np.where(g >= 0.0, x, bhi)
-        blo = np.where(g <= 0.0, x, blo)
+        g, dg = _slope(xl, om_l, de_l, ep_l)
+        bhi = np.where(g >= 0.0, xl, bhi)
+        blo = np.where(g <= 0.0, xl, blo)
         with np.errstate(divide="ignore", invalid="ignore"):
-            newton = x - g / dg
+            newton = xl - g / dg
         # inclusive test: a converged row sits on a bracket end and must stay put
         ok = (dg > 0.0) & (blo <= newton) & (newton <= bhi)
-        x = np.where(ok, newton, 0.5 * (blo + bhi))
+        done = ok & (np.abs(newton - xl) <= _NEWTON_DONE)
+        xl = np.where(ok, newton, 0.5 * (blo + bhi))
+        if done.any():
+            x[live[done]] = xl[done]
+            keep = ~done
+            live, xl, blo, bhi, om_l, de_l, ep_l = (
+                v[keep] for v in (live, xl, blo, bhi, om_l, de_l, ep_l))
+            if not live.size:
+                break
+    x[live] = xl
     # only a well in the first or last grid column can be unbracketed: rising
     # at the left edge or falling at the right edge of the window means the
     # extremum is the edge itself
@@ -290,17 +310,20 @@ def band_minima(omega, delta, epsilon_q=EPSILON_Q_ER, scan_step=1e-3, q_window=Q
     """Global lowest-band minima over broadcast (omega, delta, epsilon_q) arrays.
 
     Vectorized core of find_band_minimum: a shared grid scan of the
-    trace-free closed-form root (_lowest_eigenvalue) locates every discrete
-    local minimum of every row; all of them are refined, as one flat batch, by
-    float64 safeguarded Newton iteration on the characteristic-polynomial
-    slope (bisection whenever a step would leave the bracket), and the lowest
-    refined energy wins. The scan runs in float32 on a chunk whose grid
+    trace-free closed-form root (_lowest_eigenvalue) over q_window (default
+    [-2, 2] k_r, which holds the global minimum of any wider window: see
+    Q_WINDOW) locates every discrete local minimum of every row. Each grid
+    well is refined, in one flat batch, by float64 safeguarded Newton
+    iteration on the characteristic-polynomial slope (bisection whenever a
+    step would leave the bracket); a well stops iterating once an accepted
+    Newton step is at most 1e-9 k_r, and the lowest refined energy of the
+    row wins. The scan runs in float32 on a chunk whose grid
     float32 resolves (step^2 >= 1e-5 x max(1, |omega|, |delta|, |eps_q|):
     coarse Monte Carlo steps such as 0.1 k_r at magnitudes up to 1000 E_r),
     and in float64 otherwise. Exactly degenerate minima resolve to smallest
     |q|, preferring q >= 0. The state at q* comes without an eigensolver: the
     closed-form eigenvector (longest cross product of two rows of H - E I)
-    and its Rayleigh-quotient energy. Rows are solved in chunks of about 2^18
+    and its Rayleigh-quotient energy. Rows are solved in chunks of about 2^17
     grid cells, so the scan temporaries stay bounded for any row count and
     step; a step of 0.1 k_r still finds every well (they are ~1 k_r wide).
 
@@ -329,10 +352,10 @@ def band_minima(omega, delta, epsilon_q=EPSILON_Q_ER, scan_step=1e-3, q_window=Q
 
 
 def find_band_minimum(params: RamanParams) -> DressedState:
-    """Global minimum of the lowest band over q in [-3, 3] k_r.
+    """Global minimum of the lowest band over all q (searched in [-2, 2] k_r).
 
-    Dense grid scan (step 0.001 k_r) plus safeguarded Newton refinement
-    brings |dE/dq| below 1e-8 E_r/k_r at the returned point.
+    Dense grid scan (step 0.001 k_r) plus safeguarded Newton refinement of
+    every grid well brings |dE/dq| below 1e-8 E_r/k_r at the returned point.
     """
     q, e, c = band_minima(params.omega_r, params.delta, params.epsilon_q)
     return _state(q[0], e[0], c[0])

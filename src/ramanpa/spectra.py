@@ -104,7 +104,8 @@ class FitResult:
     eta_res/(rho0*t_pa) when pulse metadata was available, else nan;
     converged is False when the simplex search failed or the fitted gamma is
     narrower than the smallest detuning spacing (a line that captured a
-    single point); objective_trace is [objective at the winning start,
+    single point) or wider than the detuning span (its half-maximum points
+    lie off the grid); objective_trace is [objective at the winning start,
     objective at the optimum] (empty for a flat spectrum).
     """
 
@@ -253,9 +254,10 @@ def fit_spectrum(data: Spectrum) -> FitResult:
     eta_res = math.exp(theta[1])
     nu0 = float(theta[2])
     gamma = math.exp(theta[3])
-    # a line narrower than every detuning spacing has captured a single point
+    # a line narrower than every detuning spacing has captured a single point;
+    # one wider than the span has its half-maximum points off the grid
     converged = (bool(best.success) and math.isfinite(best.fun)
-                 and gamma >= float(np.min(np.diff(x))))
+                 and float(np.min(np.diff(x))) <= gamma <= span)
 
     model = _forward(x, theta)
     safe = np.where(np.abs(model) > 0, model, 1.0)

@@ -21,7 +21,7 @@ from ramanpa.dressed_states import (
     coefficients_vs_delta,
     find_band_minimum,
 )
-from ramanpa.uncertainty import _MC_SCAN_STEP
+from ramanpa.uncertainty import _MC_SCAN_STEP, UncertaintySpec, ratio_band_vs_delta
 
 # lowest eigenvalue of [[4,6,0],[6,-0.65,6],[0,6,4]] from the symmetric/
 # antisymmetric 2x2 block reduction: 1.675 - sqrt(2.325^2 + 72)
@@ -287,7 +287,58 @@ def test_band_minima_memory_is_bounded(n_rows, step):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 64e6
+    assert peak < 8e6
+
+
+def test_band_minima_work_per_sample(monkeypatch):
+    """A seeded Monte Carlo batch scans 41 cells per row and passes at most
+    four rows per sample to the Newton slope: converged rows stop iterating."""
+    true_root, true_slope = ds._lowest_eigenvalue, ds._slope
+    count = {"rows": 0, "cells": 0, "slope": 0}
+
+    def root(q, omega, delta, epsilon_q):
+        out = true_root(q, omega, delta, epsilon_q)
+        if out.ndim == 2:  # the (rows x grid) scan block
+            count["rows"] += out.shape[0]
+            count["cells"] += out.size
+        return out
+
+    def slope(q, omega, delta, epsilon_q):
+        count["slope"] += np.size(q)
+        return true_slope(q, omega, delta, epsilon_q)
+
+    monkeypatch.setattr(ds, "_lowest_eigenvalue", root)
+    monkeypatch.setattr(ds, "_slope", slope)
+    n = 20000
+    ratio_band_vs_delta([0.0], 5.4, UncertaintySpec(n_samples=n, seed=7))
+    assert count["rows"] == n
+    assert count["cells"] == 41 * n
+    assert count["slope"] <= 4.0 * n
+
+
+def test_band_is_monotone_outside_the_search_window():
+    """The lowest eigenvalue falls strictly over [-3, -2] and rises strictly over
+    [2, 3], so the default window loses no minimum of the wider one."""
+    rng = np.random.default_rng(515)
+    n = 400
+    omega = rng.uniform(0.0, 15.0, n)
+    omega[:60] = 0.0
+    delta = rng.uniform(-4.0, 4.0, n)
+    eps = rng.uniform(0.0, 2.0, n)
+
+    def lowest(qs):
+        return np.linalg.eigvalsh(_hamiltonians(
+            qs[None, :], omega[:, None], delta[:, None], eps[:, None]))[..., 0]
+
+    assert np.all(np.diff(lowest(np.linspace(-3.0, -2.0, 101)), axis=1) < 0.0)
+    assert np.all(np.diff(lowest(np.linspace(2.0, 3.0, 101)), axis=1) > 0.0)
+    assert Q_WINDOW == (-2.0, 2.0)
+    for step in (_MC_SCAN_STEP, 1e-3):
+        q, e, c = band_minima(omega, delta, eps, scan_step=step)
+        q_w, e_w, c_w = band_minima(omega, delta, eps, scan_step=step, q_window=(-3.0, 3.0))
+        assert np.max(np.abs(q - q_w)) < 1e-12
+        assert np.max(np.abs(e - e_w)) < 1e-12
+        assert np.max(np.abs(c - c_w)) < 1e-12
 
 
 def test_closed_form_eigenvalue_matches_eigvalsh():

@@ -239,6 +239,16 @@ def test_fit_line_narrower_than_grid_is_not_converged():
         extract_kpa(fit, PULSE)
 
 
+def test_fit_line_wider_than_span_is_not_converged():
+    # a weak line flattens across the grid: gamma ~ 2085 kHz on a 120 kHz
+    # span, with eta_res and n0 trading off against it
+    fit = fit_of(0.1, 4, line=LorentzianLine(eta_res=0.05, nu0=0.0, gamma=20.0))
+    assert fit.gamma > GRID_30[-1] - GRID_30[0]
+    assert fit.converged is False
+    with pytest.raises(ValueError, match="did not converge"):
+        extract_kpa(fit, PULSE)
+
+
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(log_eta=st.floats(-2.0, 1.5), gamma=st.floats(5.0, 40.0),
        nu0=st.floats(-10.0, 10.0), noise=st.floats(0.0, 0.1),
@@ -261,7 +271,7 @@ def test_fit_drawn_spectra_give_valid_covariance(log_eta, gamma, nu0, noise,
     assert np.all(np.isfinite(cov))
     assert np.all(np.diag(cov) >= 0)
     if fit.converged:
-        assert fit.gamma >= np.min(np.diff(detunings))
+        assert np.min(np.diff(detunings)) <= fit.gamma <= detunings[-1] - detunings[0]
 
 
 def test_fit_needs_five_points():
