@@ -3,8 +3,9 @@
 Verbs: bands, coeffs, ratio-sweep, fit, simulate, mixture-sim. Every command
 reads an optional config file (--config or the RAMANPA_CONFIG variable),
 writes CSV/JSON/SVG artifacts into --out-dir, and is deterministic for a given
-config and seed. Exit codes: 0 success, 1 usage error, 2 data error,
-3 numeric non-convergence.
+config and seed. A verb checks its flags and solves; `main` alone writes the
+outputs --format asks for and prints, so a failed run creates no out dir.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric non-convergence.
 """
 
 from __future__ import annotations
@@ -65,21 +66,26 @@ _SPIN_LABELS = ("m_f=-1", "m_f=0", "m_f=+1")
 _MAX_BAND_POINTS = 100_000  # bands --n-points cap: band_curve holds n x 3 x 3 arrays
 _MAX_SWEEP_POINTS = 100_000  # ratio-sweep --points cap, checked before linspace
 _MAX_BAND_Q = math.sqrt(DRESSING_LIMIT_ER)  # bands --q-min/--q-max bound: q^2 <= 1e6 E_r
+_SWEEP_DEFAULTS = {"omega": (0.0, 12.0, 25), "delta": (-2.5, 2.5, 21)}  # start, stop, points
 
 
-class _UsageError(ValueError):
-    """Bad flag values; maps to exit code 1."""
+class _Failure(Exception):
+    """A run that exits with `code`; main prints `error: <message>`."""
+
+    def __init__(self, message: str, code: int):
+        super().__init__(message)
+        self.code = code
 
 
 @contextlib.contextmanager
 def _flag_values():
-    """Turn a ValueError from flag values into _UsageError; a ConfigError passes."""
+    """Turn a ValueError from flag values into a usage failure; a ConfigError passes."""
     try:
         yield
     except ConfigError:
         raise
     except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+        raise _Failure(str(exc), EXIT_USAGE) from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -103,7 +109,9 @@ def _build_parser() -> _Parser:
     common.add_argument("--out-dir", help="output directory (default: config output.dir)")
     common.add_argument("--format", dest="formats",
                         help="comma list of csv,json,svg")
-    common.add_argument("--seed", type=int, help="random seed override")
+    # only the verbs that draw random numbers take a seed
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int, help="random seed override")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -128,7 +136,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--delta-list", help="comma list of detunings in E_r")
     p.set_defaults(func=cmd_coeffs)
 
-    p = sub.add_parser("ratio-sweep", parents=[common],
+    p = sub.add_parser("ratio-sweep", parents=[seeded],
                        help="PA rate-ratio bands over omega or delta")
     p.add_argument("--axis", choices=("omega", "delta"), default="omega")
     p.add_argument("--start", type=float)
@@ -149,7 +157,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--t-pa", type=float, help="pulse duration override, ms")
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("simulate", parents=[common],
+    p = sub.add_parser("simulate", parents=[seeded],
                        help="synthesize spectra or mixture losses")
     p.add_argument("--mode", choices=("superposition", "mixture"),
                    default="superposition")
@@ -178,62 +186,58 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _prepare(args, config: RunConfig):
-    out_dir = args.out_dir or config.get("output.dir")
-    os.makedirs(out_dir, exist_ok=True)
-    return out_dir, args.formats
-
-
-def _path(out_dir, name):
-    return os.path.join(out_dir, name)
-
-
-def _dump_json(path, payload):
+def _write_ascii(path, text):
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text)
+
+
+def _json(payload):
+    """Writer of `payload` as sorted, indented ASCII JSON."""
+    return lambda path: _write_ascii(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+def _svg(title, x_label, y_label, **layers):
+    """Writer that renders one plot of `layers` (render_plot's keywords) as SVG."""
+    return lambda path: write_svg(path, render_plot(title, x_label, y_label, **layers))
 
 
 # commands -------------------------------------------------------------------
+# Each returns (outputs, summary): outputs are (file name, format, writer) in
+# writing order, format None for a file written whatever --format says. The
+# writers look up render_plot, write_svg and the CSV writers only when called.
 
-def cmd_bands(args, config: RunConfig) -> int:
+def cmd_bands(args, config: RunConfig):
     with _flag_values():
         params = config.raman_params(args.omega, args.delta)
         if not (2 <= args.n_points <= _MAX_BAND_POINTS
                 and -_MAX_BAND_Q <= args.q_min < args.q_max <= _MAX_BAND_Q):
             raise ValueError(f"need q_min < q_max within +-{_MAX_BAND_Q:g} k_r and "
                              f"2 <= n_points <= {_MAX_BAND_POINTS}")
-    out_dir, formats = _prepare(args, config)
 
     curve = band_curve(params, args.q_min, args.q_max, args.n_points)
     state = find_band_minimum(params)
 
-    if "csv" in formats:
-        write_band_csv(_path(out_dir, "bands.csv"), curve)
-    if "json" in formats:
-        _dump_json(_path(out_dir, "bands.json"), {
+    series = [Series(x=curve.q_grid, y=curve.energies[:, b],
+                     color=_BAND_COLORS[b], label=f"band {b + 1}")
+              for b in range(3)]
+    marker = Markers(x=np.array([state.q]), y=np.array([state.energy]),
+                     color=_COLOR_WITH, label="band minimum", radius=4.0)
+    return [
+        ("bands.csv", "csv", lambda path: write_band_csv(path, curve)),
+        ("bands.json", "json", _json({
             "omega_r_Er": params.omega_r, "delta_Er": params.delta,
             "epsilon_q_Er": params.epsilon_q,
             "q_star_kr": state.q, "energy_Er": state.energy,
             "coeffs": list(state.coeffs), "weights": list(state.weights),
-        })
-    if "svg" in formats:
-        series = [Series(x=curve.q_grid, y=curve.energies[:, b],
-                         color=_BAND_COLORS[b], label=f"band {b + 1}")
-                  for b in range(3)]
-        marker = Markers(x=np.array([state.q]), y=np.array([state.energy]),
-                         color=_COLOR_WITH, label="band minimum", radius=4.0)
-        svg = render_plot(
+        })),
+        ("bands.svg", "svg", _svg(
             f"Dressed bands, omega_R={params.omega_r:g} E_r, delta={params.delta:g} E_r",
-            "q (k_r)", "E (E_r)", series=series, markers=[marker])
-        write_svg(_path(out_dir, "bands.svg"), svg)
-
-    print(f"band minimum: q* = {state.q:.6g} k_r, E = {state.energy:.6g} E_r, "
-          f"coeffs = ({state.coeffs[0]:.4f}, {state.coeffs[1]:.4f}, {state.coeffs[2]:.4f})")
-    return EXIT_OK
+            "q (k_r)", "E (E_r)", series=series, markers=[marker])),
+    ], (f"band minimum: q* = {state.q:.6g} k_r, E = {state.energy:.6g} E_r, "
+        f"coeffs = ({state.coeffs[0]:.4f}, {state.coeffs[1]:.4f}, {state.coeffs[2]:.4f})")
 
 
-def cmd_coeffs(args, config: RunConfig) -> int:
+def cmd_coeffs(args, config: RunConfig):
     with _flag_values():
         params = config.raman_params(args.omega, args.delta)
         if args.delta_list:
@@ -243,83 +247,78 @@ def cmd_coeffs(args, config: RunConfig) -> int:
                                  f"+-{DRESSING_LIMIT_ER:g} E_r")
         else:
             deltas = [params.delta]
-    out_dir, formats = _prepare(args, config)
 
     states = coefficients_vs_delta(params, deltas)
     ratios = [rate_ratio(s.coeffs) for s in states]
     ratios_ni = [rate_ratio_no_interference(s.coeffs) for s in states]
+    rows = [(d, s.q, s.energy, *s.coeffs, r, rn)
+            for d, s, r, rn in zip(deltas, states, ratios, ratios_ni)]
 
-    if "csv" in formats:
-        rows = [(d, s.q, s.energy, *s.coeffs, r, rn)
-                for d, s, r, rn in zip(deltas, states, ratios, ratios_ni)]
-        write_csv(_path(out_dir, "coeffs.csv"),
-                  ("delta_Er", "q_star_kr", "energy_Er", "C_m-1", "C_m0", "C_m+1",
-                   "ratio", "ratio_no_interference"), list(zip(*rows)))
-    if "json" in formats:
-        _dump_json(_path(out_dir, "coeffs.json"), [
+    dv = np.array(deltas)
+    weights = np.array([s.weights for s in states])
+    # a curve needs two detunings; a single one is drawn as markers
+    layer, key = (Series, "series") if len(deltas) > 1 else (Markers, "markers")
+    layers = [layer(x=dv, y=weights[:, m], color=_BAND_COLORS[m],
+                    label=_SPIN_LABELS[m]) for m in range(3)]
+    return [
+        ("coeffs.csv", "csv", lambda path: write_csv(
+            path, ("delta_Er", "q_star_kr", "energy_Er", "C_m-1", "C_m0", "C_m+1",
+                   "ratio", "ratio_no_interference"), list(zip(*rows)))),
+        ("coeffs.json", "json", _json([
             {"delta_Er": d, "q_star_kr": s.q, "energy_Er": s.energy,
              "coeffs": list(s.coeffs), "weights": list(s.weights),
              "ratio": r, "ratio_no_interference": rn}
-            for d, s, r, rn in zip(deltas, states, ratios, ratios_ni)])
-    if "svg" in formats:
-        dv = np.array(deltas)
-        weights = np.array([s.weights for s in states])
-        # a curve needs two detunings; a single one is drawn as markers
-        layer, key = (Series, "series") if len(deltas) > 1 else (Markers, "markers")
-        layers = [layer(x=dv, y=weights[:, m], color=_BAND_COLORS[m],
-                        label=_SPIN_LABELS[m]) for m in range(3)]
-        svg = render_plot(f"Band-minimum spin weights, omega_R={params.omega_r:g} E_r",
-                          "delta (E_r)", "|C|^2", y_range=(0.0, 1.05), **{key: layers})
-        write_svg(_path(out_dir, "coeffs.svg"), svg)
-
-    for d, s, r in zip(deltas, states, ratios):
-        print(f"delta = {d:+.3g} E_r: q* = {s.q:+.4f} k_r, "
-              f"coeffs = ({s.coeffs[0]:+.4f}, {s.coeffs[1]:+.4f}, {s.coeffs[2]:+.4f}), "
-              f"ratio = {r:.4f}")
-    return EXIT_OK
+            for d, s, r, rn in zip(deltas, states, ratios, ratios_ni)])),
+        ("coeffs.svg", "svg", _svg(
+            f"Band-minimum spin weights, omega_R={params.omega_r:g} E_r",
+            "delta (E_r)", "|C|^2", y_range=(0.0, 1.05), **{key: layers})),
+    ], "\n".join(
+        f"delta = {d:+.3g} E_r: q* = {s.q:+.4f} k_r, "
+        f"coeffs = ({s.coeffs[0]:+.4f}, {s.coeffs[1]:+.4f}, {s.coeffs[2]:+.4f}), "
+        f"ratio = {r:.4f}"
+        for d, s, r in zip(deltas, states, ratios))
 
 
-def cmd_ratio_sweep(args, config: RunConfig) -> int:
+def cmd_ratio_sweep(args, config: RunConfig):
     with _flag_values():
-        if args.axis == "omega":
-            start = 0.0 if args.start is None else args.start
-            stop = 12.0 if args.stop is None else args.stop
-            points = 25 if args.points is None else args.points
-        else:
-            start = -2.5 if args.start is None else args.start
-            stop = 2.5 if args.stop is None else args.stop
-            points = 21 if args.points is None else args.points
+        start, stop, points = (default if value is None else value for value, default
+                               in zip((args.start, args.stop, args.points),
+                                      _SWEEP_DEFAULTS[args.axis]))
         if not (1 <= points <= _MAX_SWEEP_POINTS and -math.inf < start <= stop < math.inf):
             raise ValueError(f"need finite start <= stop and 1 <= points <= "
                              f"{_MAX_SWEEP_POINTS}")
         nominal = config.raman_params(args.omega, args.delta)
         mc_spec = config.uncertainty_spec(seed=args.seed, n_samples=args.samples)
-    epsilon_q = nominal.epsilon_q
 
-    axis = np.linspace(start, stop, points)
-    zero_spec = UncertaintySpec(omega_rel_sigma=0.0, delta_sigma=0.0,
-                                epsilon_q_sigma=0.0, n_samples=100,
-                                seed=mc_spec.seed)
-    if args.axis == "omega":
-        omega_col, delta_col = axis, np.full(points, nominal.delta)
-        x_label = "omega_R (E_r)"
-    else:
-        omega_col, delta_col = np.full(points, nominal.omega_r), axis
-        x_label = "delta (E_r)"
-    with _flag_values():
-        mc_with, mc_without = _band(axis, omega_col, delta_col, mc_spec, epsilon_q)
+        axis = np.linspace(start, stop, points)
+        zero_spec = UncertaintySpec(omega_rel_sigma=0.0, delta_sigma=0.0,
+                                    epsilon_q_sigma=0.0, n_samples=100,
+                                    seed=mc_spec.seed)
+        if args.axis == "omega":
+            omega_col, delta_col = axis, np.full(points, nominal.delta)
+            x_label = "omega_R (E_r)"
+        else:
+            omega_col, delta_col = np.full(points, nominal.omega_r), axis
+            x_label = "delta (E_r)"
+        mc_with, mc_without = _band(axis, omega_col, delta_col, mc_spec, nominal.epsilon_q)
         nominal_with, nominal_without = _band(axis, omega_col, delta_col, zero_spec,
-                                              epsilon_q)
+                                              nominal.epsilon_q)
     bands = [mc_without] if args.no_interference else [mc_with, mc_without]
-    out_dir, formats = _prepare(args, config)
 
-    if "csv" in formats:
-        write_ratio_band_csv(_path(out_dir, "ratio_band.csv"), bands)
-        write_ratio_sweep_csv(_path(out_dir, "ratio_nominal.csv"),
-                              omega_col, delta_col,
-                              nominal_with.mean, nominal_without.mean)
-    if "json" in formats:
-        _dump_json(_path(out_dir, "ratio_sweep.json"), {
+    areas = [BandArea(x=b.sweep_axis, lower=b.lower, upper=b.upper,
+                      color=_COLOR_WITH if b.variant.startswith("with-")
+                      else _COLOR_WITHOUT,
+                      label=b.variant)
+             for b in bands]
+    lines = [Series(x=axis, y=nominal_without.mean, color=_COLOR_WITHOUT,
+                    label="nominal, no cross term", dashed=True),
+             Series(x=axis, y=nominal_with.mean, color=_COLOR_WITH,
+                    label="nominal")]
+    return [
+        ("ratio_band.csv", "csv", lambda path: write_ratio_band_csv(path, bands)),
+        ("ratio_nominal.csv", "csv", lambda path: write_ratio_sweep_csv(
+            path, omega_col, delta_col, nominal_with.mean, nominal_without.mean)),
+        ("ratio_sweep.json", "json", _json({
             "axis": args.axis, "values": axis.tolist(),
             "bands": [{"variant": b.variant, "mean": b.mean.tolist(),
                        "lower": b.lower.tolist(), "upper": b.upper.tolist()}
@@ -327,65 +326,49 @@ def cmd_ratio_sweep(args, config: RunConfig) -> int:
             "nominal_ratio": nominal_with.mean.tolist(),
             "nominal_ratio_no_interference": nominal_without.mean.tolist(),
             "n_samples": mc_spec.n_samples, "seed": mc_spec.seed,
-        })
-    if "svg" in formats:
-        areas = [BandArea(x=b.sweep_axis, lower=b.lower, upper=b.upper,
-                          color=_COLOR_WITH if b.variant.startswith("with-")
-                          else _COLOR_WITHOUT,
-                          label=b.variant)
-                 for b in bands]
-        lines = [Series(x=axis, y=nominal_without.mean, color=_COLOR_WITHOUT,
-                        label="nominal, no cross term", dashed=True),
-                 Series(x=axis, y=nominal_with.mean, color=_COLOR_WITH,
-                        label="nominal")]
-        svg = render_plot("Normalized PA rate", x_label, "k_sup / k_00",
-                          series=lines, bands=areas, y_range=(0.0, 1.05))
-        write_svg(_path(out_dir, "ratio_sweep.svg"), svg)
-
-    print(f"ratio sweep over {args.axis}: {points} points, "
-          f"{mc_spec.n_samples} samples/point, seed {mc_spec.seed}")
-    return EXIT_OK
+        })),
+        ("ratio_sweep.svg", "svg", _svg("Normalized PA rate", x_label, "k_sup / k_00",
+                                        series=lines, bands=areas, y_range=(0.0, 1.05))),
+    ], (f"ratio sweep over {args.axis}: {points} points, "
+        f"{mc_spec.n_samples} samples/point, seed {mc_spec.seed}")
 
 
-def cmd_fit(args, config: RunConfig) -> int:
+def cmd_fit(args, config: RunConfig):
     data = read_spectrum_csv(args.spectrum)
     with _flag_values():
         data.pulse = config.pulse_params(n0=max(float(np.max(data.atoms_total)), 1.0),
                                          t_pa_ms=args.t_pa, rho0=args.rho0)
-    out_dir, formats = _prepare(args, config)
 
+    # LinAlgError is a ValueError, so the numeric failures are caught first
     try:
         fit = fit_spectrum(data)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except (ArithmeticError, np.linalg.LinAlgError) as exc:
-        print(f"error: fit failed numerically: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        raise _Failure(f"fit failed numerically: {exc}", EXIT_NUMERIC) from None
+    except ValueError as exc:
+        raise _Failure(str(exc), EXIT_DATA) from None
 
     record = {
         "n0": fit.n0, "eta_res": fit.eta_res, "nu0_khz": fit.nu0,
         "gamma_khz": fit.gamma, "k_pa_cm3_s": fit.k_pa,
         "residual_rms": fit.residual_rms, "converged": fit.converged,
     }
-    with open(_path(out_dir, "fit_result.txt"), "w", encoding="ascii",
-              newline="\n") as fh:
-        for key, value in record.items():
-            fh.write(f"{key} = {value}\n")
-    if "json" in formats:
-        payload = dict(record)
-        payload["covariance"] = fit.covariance.tolist()
-        _dump_json(_path(out_dir, "fit_result.json"), payload)
+    text = "".join(f"{key} = {value}\n" for key, value in record.items())
+    normalized = normalize_spectrum(data, fit) if fit.converged and fit.n0 > 0 else None
 
-    if fit.converged and fit.n0 > 0:
-        normalized = normalize_spectrum(data, fit)
-        if "csv" in formats:
-            write_spectrum_csv(_path(out_dir, "spectrum_normalized.csv"), normalized)
-    else:
-        print("warning: fit did not converge; best-effort parameters written",
-              file=sys.stderr)
+    def write_record(path):
+        _write_ascii(path, text)
+        if normalized is None:  # warn only once the parameters are on disk
+            print("warning: fit did not converge; best-effort parameters written",
+                  file=sys.stderr)
 
-    if "svg" in formats:
+    outputs = [("fit_result.txt", None, write_record),
+               ("fit_result.json", "json",
+                _json({**record, "covariance": fit.covariance.tolist()}))]
+    if normalized is not None:
+        outputs.append(("spectrum_normalized.csv", "csv",
+                        lambda path: write_spectrum_csv(path, normalized)))
+
+    def plot_fit(path):
         dense = np.linspace(data.detunings_khz[0], data.detunings_khz[-1], 400)
         if 0 < fit.eta_res < math.inf and 0 < fit.gamma < math.inf and math.isfinite(fit.nu0):
             line = LorentzianLine(eta_res=fit.eta_res, nu0=fit.nu0, gamma=fit.gamma)
@@ -395,19 +378,22 @@ def cmd_fit(args, config: RunConfig) -> int:
         layers = [Series(x=dense, y=model, color=_COLOR_WITH, label="fit")]
         points = [Markers(x=data.detunings_khz, y=data.atoms_total,
                           color="#222222", label="data", yerr=data.stderr)]
-        svg = render_plot("PA spectrum fit", "detuning (kHz)", "atoms",
-                          series=layers, markers=points)
-        write_svg(_path(out_dir, "fit.svg"), svg)
+        _svg("PA spectrum fit", "detuning (kHz)", "atoms",
+             series=layers, markers=points)(path)
 
+    outputs.append(("fit.svg", "svg", plot_fit))
     loss = 1.0 - remaining_fraction(fit.eta_res)
-    print(f"fit: n0 = {fit.n0:.6g}, eta_res = {fit.eta_res:.6g}, "
-          f"nu0 = {fit.nu0:.6g} kHz, gamma = {fit.gamma:.6g} kHz, "
-          f"k_pa = {fit.k_pa:.6g} cm^3/s, resonant loss = {loss:.2%}, "
-          f"converged = {fit.converged}")
-    return EXIT_OK
+    return outputs, (f"fit: n0 = {fit.n0:.6g}, eta_res = {fit.eta_res:.6g}, "
+                     f"nu0 = {fit.nu0:.6g} kHz, gamma = {fit.gamma:.6g} kHz, "
+                     f"k_pa = {fit.k_pa:.6g} cm^3/s, resonant loss = {loss:.2%}, "
+                     f"converged = {fit.converged}")
 
 
-def cmd_simulate(args, config: RunConfig) -> int:
+def cmd_simulate(args, config: RunConfig):
+    # the mixture mode reads none of the flags and configured values below
+    if args.mode == "mixture":
+        return _run_mixture(config.mixture_args())
+
     with _flag_values():
         params = config.raman_params(args.omega, args.delta)
         # (1 + sigma g) noise past sigma = 1 clips most points to 0, and huge
@@ -415,29 +401,27 @@ def cmd_simulate(args, config: RunConfig) -> int:
         if not 0 <= args.noise <= 1:
             raise ValueError("--noise must be between 0 and 1")
 
-    if args.mode == "mixture":
-        return _run_mixture(args, config, config.mixture_args())
-
     state = find_band_minimum(params)
     ratio = (rate_ratio_no_interference(state.coeffs) if args.no_interference
              else rate_ratio(state.coeffs))
-    # a bad configured value exits 2, a bad --seed 1, before any output exists
+    # a bad configured value exits 2, a bad --seed 1
     with _flag_values():
         pulse = config.pulse_params()
         eta00 = config.eta00(pulse)
         line = config.lorentzian(eta_res=ratio * eta00)
         seed = config.seed(args.seed)
     k00 = config.get("kinetics.k00_cm3_s")
-    out_dir, formats = _prepare(args, config)
     detunings = np.linspace(line.nu0 - 3.0 * line.gamma, line.nu0 + 3.0 * line.gamma, 31)
     spectrum = synthesize_spectrum(
         line, pulse, detunings, args.noise, seed,
         component_weights=state.weights, include_stderr=args.noise > 0)
 
-    if "csv" in formats:
-        write_spectrum_csv(_path(out_dir, "spectrum_superposition.csv"), spectrum)
-    if "json" in formats:
-        _dump_json(_path(out_dir, "simulate_superposition.json"), {
+    points = [Markers(x=spectrum.detunings_khz, y=spectrum.atoms_total,
+                      color="#222222", label="total", yerr=spectrum.stderr)]
+    return [
+        ("spectrum_superposition.csv", "csv",
+         lambda path: write_spectrum_csv(path, spectrum)),
+        ("simulate_superposition.json", "json", _json({
             "omega_r_Er": params.omega_r, "delta_Er": params.delta,
             "q_star_kr": state.q, "coeffs": list(state.coeffs),
             "rate_ratio": ratio, "eta00_res": eta00,
@@ -445,40 +429,40 @@ def cmd_simulate(args, config: RunConfig) -> int:
             "k_scaled_cm3_s": ratio * k00, "noise_rel": args.noise,
             "seed": seed, "variant": "without-interference"
             if args.no_interference else "with-interference",
-        })
-    if "svg" in formats:
-        points = [Markers(x=spectrum.detunings_khz, y=spectrum.atoms_total,
-                          color="#222222", label="total", yerr=spectrum.stderr)]
-        svg = render_plot("Synthetic superposition-state spectrum",
-                          "detuning (kHz)", "atoms", markers=points)
-        write_svg(_path(out_dir, "spectrum_superposition.svg"), svg)
-
-    print(f"superposition spectrum: ratio = {ratio:.4f}, eta_res = {ratio * eta00:.4f}, "
-          f"resonant loss = {1.0 - remaining_fraction(ratio * eta00):.2%}")
-    return EXIT_OK
+        })),
+        ("spectrum_superposition.svg", "svg", _svg(
+            "Synthetic superposition-state spectrum", "detuning (kHz)", "atoms",
+            markers=points)),
+    ], (f"superposition spectrum: ratio = {ratio:.4f}, eta_res = {ratio * eta00:.4f}, "
+        f"resonant loss = {1.0 - remaining_fraction(ratio * eta00):.2%}")
 
 
-def cmd_mixture_sim(args, config: RunConfig) -> int:
+def cmd_mixture_sim(args, config: RunConfig):
     with _flag_values():
         mixture = config.mixture_args(
             counts=args.counts, k00=args.k00, t_pa_ms=args.t_pa, dt_ms=args.dt,
             cross_weight=args.cross_weight, n_shells=args.n_shells)
-    return _run_mixture(args, config, mixture)
+    return _run_mixture(mixture)
 
 
-def _run_mixture(args, config: RunConfig, mixture: dict) -> int:
-    """Solve the mixture kinetics for checked simulate_mixture arguments, then write outputs."""
+def _run_mixture(mixture: dict):
+    """Solve the mixture kinetics for checked simulate_mixture arguments."""
     series = simulate_mixture(**mixture)
     k00, t_pa, cross_weight = mixture["k00"], mixture["pulse"].t_pa, mixture["cross_weight"]
-    out_dir, formats = _prepare(args, config)
     start = series.counts[0]
     end = series.counts[-1]
     losses = [(s - e) / s if s > 0 else 0.0 for s, e in zip(start, end)]
+    per_spin = ", ".join(f"{lab} {lo:.1%}" for lab, lo in zip(_SPIN_LABELS, losses))
 
-    if "csv" in formats:
-        write_mixture_csv(_path(out_dir, "mixture_timeseries.csv"), series)
-    if "json" in formats:
-        _dump_json(_path(out_dir, "mixture_summary.json"), {
+    t_ms = series.times / MS
+    layers = [Series(x=t_ms, y=series.counts[:, m],
+                     color=_BAND_COLORS[m], label=_SPIN_LABELS[m])
+              for m in range(3)]
+    layers.append(Series(x=t_ms, y=series.molecules_cumulative,
+                         color=_COLOR_WITH, label="molecules", dashed=True))
+    return [
+        ("mixture_timeseries.csv", "csv", lambda path: write_mixture_csv(path, series)),
+        ("mixture_summary.json", "json", _json({
             "counts_initial": list(start), "counts_final": list(end),
             "fractional_loss": losses,
             "molecules_total": float(series.molecules_cumulative[-1]),
@@ -486,40 +470,30 @@ def _run_mixture(args, config: RunConfig, mixture: dict) -> int:
             "events_pm": float(series.events_pm[-1]),
             "k00_cm3_s": k00, "t_pa_s": t_pa, "cross_weight": cross_weight,
             "clamped": series.clamped,
-        })
-    if "svg" in formats:
-        layers = [Series(x=series.times / MS, y=series.counts[:, m],
-                         color=_BAND_COLORS[m], label=_SPIN_LABELS[m])
-                  for m in range(3)]
-        layers.append(Series(x=series.times / MS, y=series.molecules_cumulative,
-                             color=_COLOR_WITH, label="molecules", dashed=True))
-        svg = render_plot("Spin-mixture PA losses", "t (ms)", "atoms / molecules",
-                          series=layers)
-        write_svg(_path(out_dir, "mixture_timeseries.svg"), svg)
-
-    summary = ", ".join(f"{lab} {lo:.1%}" for lab, lo in zip(_SPIN_LABELS, losses))
-    print(f"mixture losses after {t_pa / MS:g} ms: {summary}; "
-          f"molecules = {series.molecules_cumulative[-1]:.1f}")
-    return EXIT_OK
+        })),
+        ("mixture_timeseries.svg", "svg", _svg(
+            "Spin-mixture PA losses", "t (ms)", "atoms / molecules", series=layers)),
+    ], (f"mixture losses after {t_pa / MS:g} ms: {per_spin}; "
+        f"molecules = {series.molecules_cumulative[-1]:.1f}")
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         config = RunConfig.from_environment(args.config)
         with _flag_values():
-            args.formats = config.formats(args.formats)
-        return args.func(args, config)
-    except _UsageError as exc:
+            formats = config.formats(args.formats)
+        outputs, summary = args.func(args, config)
+        out_dir = args.out_dir or config.get("output.dir")
+        os.makedirs(out_dir, exist_ok=True)
+        for name, fmt, write in outputs:
+            if fmt is None or fmt in formats:
+                write(os.path.join(out_dir, name))
+    except (_Failure, ConfigError, SpectrumFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ConfigError, SpectrumFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return exc.code if isinstance(exc, _Failure) else EXIT_DATA
+    print(summary)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

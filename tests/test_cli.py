@@ -1,4 +1,5 @@
 """Command line interface: outputs, determinism, exit codes."""
+import ast
 import filecmp
 import json
 import os
@@ -315,6 +316,8 @@ def test_out_of_range_mixture_config_is_data_error(tmp_path, monkeypatch, capsys
     ("pulse.t_pa_ms = 0", ["--t-pa", "2"]),
     ("kinetics.n_shells = 0", ["--n-shells", "50"]),
     ("mixture.counts = 1,2", ["--counts", "100,7000,1100"]),
+    # a value neither mixture verb reads needs no flag
+    ("raman.omega_r = -1", []),
 ])
 def test_mixture_flags_replace_bad_config(tmp_path, monkeypatch, capsys, line, flags):
     cfg = tmp_path / "mix.cfg"
@@ -323,6 +326,11 @@ def test_mixture_flags_replace_bad_config(tmp_path, monkeypatch, capsys, line, f
     code, err = _main_in_process(base + flags + ["--out-dir", str(tmp_path / "o")],
                                  monkeypatch, capsys)
     assert code == 0, err
+    if not flags:
+        code, err = _main_in_process(["simulate", "--mode", "mixture", *base[1:],
+                                      "--out-dir", str(tmp_path / "s")], monkeypatch, capsys)
+        assert code == 0, err
+        assert tree_bytes(tmp_path / "s") == tree_bytes(tmp_path / "o")
 
 
 @pytest.mark.parametrize("args", [
@@ -371,8 +379,14 @@ def test_unknown_command_is_usage_error():
     assert run_cli(["frobnicate"]).returncode == 1
 
 
-def test_unknown_flag_is_usage_error():
+def test_unknown_flag_is_usage_error(capsys):
     assert run_cli(["bands", "--omega", "5", "--frequency", "2"]).returncode == 1
+    # only ratio-sweep and simulate draw random numbers, so only they take --seed
+    for argv in (["bands"], ["coeffs"], ["fit", "s.csv"], ["mixture-sim"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--seed", "-5"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --seed -5" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n_points", [cli._MAX_BAND_POINTS + 1, 10**12])
@@ -532,9 +546,12 @@ def test_non_finite_spectrum_is_data_error(tmp_path, count):
     assert "Traceback" not in res.stderr
 
 
-def test_numeric_failure_exit_code(tmp_path, monkeypatch):
+@pytest.mark.parametrize("error, code", [
+    (ArithmeticError, 3), (np.linalg.LinAlgError, 3), (ValueError, 2),
+], ids=["ArithmeticError", "LinAlgError", "ValueError"])
+def test_numeric_failure_exit_code(tmp_path, monkeypatch, capsys, error, code):
     def boom(data):
-        raise ArithmeticError("synthetic blow-up")
+        raise error("synthetic blow-up")
 
     monkeypatch.setattr(cli, "fit_spectrum", boom)
     spec = tmp_path / "s.csv"
@@ -543,9 +560,10 @@ def test_numeric_failure_exit_code(tmp_path, monkeypatch):
         PulseParams(t_pa=5e-3, rho0=1e14, n0=9000.0),
         np.linspace(-30, 30, 9), 0.0, 0))
     monkeypatch.delenv("RAMANPA_CONFIG", raising=False)
-    code = cli.main(["fit", str(spec), "--out-dir", str(tmp_path / "o"),
-                     "--format", "json"])
-    assert code == 3
+    out = tmp_path / "o"
+    assert cli.main(["fit", str(spec), "--out-dir", str(out), "--format", "json"]) == code
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_non_converged_fit_still_reports(tmp_path, monkeypatch, capsys):
@@ -638,13 +656,75 @@ def test_dressing_limit_is_documented():
     assert "0 to 1e+06" in text and "|delta| <= 1e+06" in text
 
 
-def test_format_filter_limits_outputs(tmp_path):
+# {spec} is a spectrum CSV whose fit converges
+VERB_ARGV = {
+    "bands": ["bands", "--omega", "8"],
+    "coeffs": ["coeffs", "--omega", "5.4", "--delta-list=-1,0,1"],
+    "ratio-sweep": ["ratio-sweep", "--points=2", "--samples=100"],
+    "fit": ["fit", "{spec}"],
+    "simulate": ["simulate", "--noise", "0.03", "--seed", "7"],
+    "mixture-sim": ["mixture-sim", "--counts=1200,7000,1100", "--t-pa", "10", "--dt", "0.05"],
+}
+# the files each verb writes per format; fit_result.txt is written under every
+# format, spectrum_normalized.csv only for a converged fit
+OUTPUTS = {
+    "bands": {"csv": {"bands.csv"}, "json": {"bands.json"}, "svg": {"bands.svg"}},
+    "coeffs": {"csv": {"coeffs.csv"}, "json": {"coeffs.json"}, "svg": {"coeffs.svg"}},
+    "ratio-sweep": {"csv": {"ratio_band.csv", "ratio_nominal.csv"},
+                    "json": {"ratio_sweep.json"}, "svg": {"ratio_sweep.svg"}},
+    "fit": {"csv": {"fit_result.txt", "spectrum_normalized.csv"},
+            "json": {"fit_result.txt", "fit_result.json"},
+            "svg": {"fit_result.txt", "fit.svg"}},
+    "simulate": {"csv": {"spectrum_superposition.csv"},
+                 "json": {"simulate_superposition.json"},
+                 "svg": {"spectrum_superposition.svg"}},
+    "mixture-sim": {"csv": {"mixture_timeseries.csv"}, "json": {"mixture_summary.json"},
+                    "svg": {"mixture_timeseries.svg"}},
+}
+
+
+def _verb_argv(verb, tmp_path):
+    spec = tmp_path / "spec.csv"
+    write_spectrum_csv(spec, synthesize_spectrum(
+        LorentzianLine(eta_res=0.8, nu0=1.5, gamma=20.0),
+        PulseParams(t_pa=5e-3, rho0=1e14, n0=9000.0), np.linspace(-60, 60, 30), 0.0, 0))
+    return [a.format(spec=spec) for a in VERB_ARGV[verb]]
+
+
+def _benchmark_expected():
+    """EXPECTED of benchmarks/workloads.py, read as a literal: tests import no benchmark code."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks", "workloads.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    (value,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets] == ["EXPECTED"]]
+    return ast.literal_eval(value)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
+@pytest.mark.parametrize("verb", list(OUTPUTS))
+def test_format_filter_limits_outputs(tmp_path, monkeypatch, capsys, verb, fmt):
+    assert set().union(*OUTPUTS[verb].values()) == set(_benchmark_expected()[verb])
     out = tmp_path / "o"
-    res = run_cli(["bands", "--omega", "8", "--out-dir", str(out),
-                   "--format", "csv"])
-    assert res.returncode == 0, res.stderr
-    names = set(os.listdir(out))
-    assert names == {"bands.csv"}
+    code, err = _main_in_process(_verb_argv(verb, tmp_path) + ["--out-dir", str(out),
+                                                               "--format", fmt],
+                                 monkeypatch, capsys)
+    assert code == 0, err
+    assert set(os.listdir(out)) == OUTPUTS[verb][fmt]
+
+
+@pytest.mark.parametrize("verb", list(OUTPUTS))
+def test_no_plot_is_rendered_without_svg(tmp_path, monkeypatch, capsys, verb):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("render_plot called without svg in --format")
+
+    monkeypatch.setattr(cli, "render_plot", must_not_run)
+    out = tmp_path / "o"
+    code, err = _main_in_process(_verb_argv(verb, tmp_path) + ["--out-dir", str(out),
+                                                               "--format", "csv,json"],
+                                 monkeypatch, capsys)
+    assert code == 0, err
+    assert not any(name.endswith(".svg") for name in os.listdir(out))
 
 
 # ------------------------------------------------ config rule, every verb
@@ -717,7 +797,7 @@ def test_fit_covariance_overflow_is_numeric_error(tmp_path):
     assert res.returncode == 3, res.stderr
     assert "covariance is not finite" in res.stderr
     assert "Traceback" not in res.stderr and "Warning" not in res.stderr
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, raw, line", [
