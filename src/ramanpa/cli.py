@@ -24,11 +24,13 @@ from .config import ENV_CONFIG, ConfigError, RunConfig
 from .dressed_states import (
     DRESSING_LIMIT_ER,
     band_curve,
+    band_minima,
     coefficients_vs_delta,
     find_band_minimum,
     write_band_csv,
 )
 from .interference import (
+    _batch_ratios,
     rate_ratio,
     rate_ratio_no_interference,
     write_ratio_sweep_csv,
@@ -51,7 +53,7 @@ from .spectra import (
 )
 from .svgplot import BandArea, Markers, Series, render_plot, write_svg
 from .tables import write_csv
-from .uncertainty import _MAX_SAMPLES, UncertaintySpec, _band, write_ratio_band_csv
+from .uncertainty import _MAX_SAMPLES, _band, write_ratio_band_csv
 from .constants import MS
 
 EXIT_OK = 0
@@ -127,14 +129,14 @@ def _build_parser() -> _Parser:
                    help=f"grid end in k_r, |q| <= {_MAX_BAND_Q:g} (default 3)")
     p.add_argument("--n-points", type=int, default=601,
                    help=f"q grid points, 2 to {_MAX_BAND_POINTS} (default 601)")
-    p.set_defaults(func=cmd_bands)
+    p.set_defaults(func=cmd_bands, parser=p)
 
     p = sub.add_parser("coeffs", parents=[common],
                        help="band-minimum superposition coefficients")
     p.add_argument("--omega", type=float)
     p.add_argument("--delta", type=float)
     p.add_argument("--delta-list", help="comma list of detunings in E_r")
-    p.set_defaults(func=cmd_coeffs)
+    p.set_defaults(func=cmd_coeffs, parser=p)
 
     p = sub.add_parser("ratio-sweep", parents=[seeded],
                        help="PA rate-ratio bands over omega or delta")
@@ -149,13 +151,13 @@ def _build_parser() -> _Parser:
                    help=f"Monte Carlo samples per point, 100 to {_MAX_SAMPLES}")
     p.add_argument("--no-interference", action="store_true",
                    help="emit only the no-interference variant band")
-    p.set_defaults(func=cmd_ratio_sweep)
+    p.set_defaults(func=cmd_ratio_sweep, parser=p)
 
     p = sub.add_parser("fit", parents=[common], help="fit a spectrum CSV")
     p.add_argument("spectrum", help="input spectrum CSV path")
     p.add_argument("--rho0", type=float, help="peak density override, cm^-3")
     p.add_argument("--t-pa", type=float, help="pulse duration override, ms")
-    p.set_defaults(func=cmd_fit)
+    p.set_defaults(func=cmd_fit, parser=p)
 
     p = sub.add_parser("simulate", parents=[seeded],
                        help="synthesize spectra or mixture losses")
@@ -166,7 +168,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--noise", type=float, default=0.0, help="relative noise sigma, 0 to 1 (default 0)")
     p.add_argument("--no-interference", action="store_true",
                    help="scale by the no-interference ratio instead")
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, parser=p)
 
     p = sub.add_parser("mixture-sim", parents=[common],
                        help="two-channel spin-mixture loss kinetics")
@@ -181,7 +183,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--n-shells", type=int,
                    help=f"Thomas-Fermi density shells, 1 to {_MAX_SHELLS} "
                         "(default: kinetics.n_shells, 400)")
-    p.set_defaults(func=cmd_mixture_sim)
+    p.set_defaults(func=cmd_mixture_sim, parser=p)
 
     return parser
 
@@ -291,9 +293,6 @@ def cmd_ratio_sweep(args, config: RunConfig):
         mc_spec = config.uncertainty_spec(seed=args.seed, n_samples=args.samples)
 
         axis = np.linspace(start, stop, points)
-        zero_spec = UncertaintySpec(omega_rel_sigma=0.0, delta_sigma=0.0,
-                                    epsilon_q_sigma=0.0, n_samples=100,
-                                    seed=mc_spec.seed)
         if args.axis == "omega":
             omega_col, delta_col = axis, np.full(points, nominal.delta)
             x_label = "omega_R (E_r)"
@@ -301,8 +300,8 @@ def cmd_ratio_sweep(args, config: RunConfig):
             omega_col, delta_col = np.full(points, nominal.omega_r), axis
             x_label = "delta (E_r)"
         mc_with, mc_without = _band(axis, omega_col, delta_col, mc_spec, nominal.epsilon_q)
-        nominal_with, nominal_without = _band(axis, omega_col, delta_col, zero_spec,
-                                              nominal.epsilon_q)
+        nominal_with, nominal_without = _batch_ratios(
+            band_minima(omega_col, delta_col, nominal.epsilon_q)[2])
     bands = [mc_without] if args.no_interference else [mc_with, mc_without]
 
     areas = [BandArea(x=b.sweep_axis, lower=b.lower, upper=b.upper,
@@ -310,21 +309,21 @@ def cmd_ratio_sweep(args, config: RunConfig):
                       else _COLOR_WITHOUT,
                       label=b.variant)
              for b in bands]
-    lines = [Series(x=axis, y=nominal_without.mean, color=_COLOR_WITHOUT,
+    lines = [Series(x=axis, y=nominal_without, color=_COLOR_WITHOUT,
                     label="nominal, no cross term", dashed=True),
-             Series(x=axis, y=nominal_with.mean, color=_COLOR_WITH,
+             Series(x=axis, y=nominal_with, color=_COLOR_WITH,
                     label="nominal")]
     return [
         ("ratio_band.csv", "csv", lambda path: write_ratio_band_csv(path, bands)),
         ("ratio_nominal.csv", "csv", lambda path: write_ratio_sweep_csv(
-            path, omega_col, delta_col, nominal_with.mean, nominal_without.mean)),
+            path, omega_col, delta_col, nominal_with, nominal_without)),
         ("ratio_sweep.json", "json", _json({
             "axis": args.axis, "values": axis.tolist(),
             "bands": [{"variant": b.variant, "mean": b.mean.tolist(),
                        "lower": b.lower.tolist(), "upper": b.upper.tolist()}
                       for b in bands],
-            "nominal_ratio": nominal_with.mean.tolist(),
-            "nominal_ratio_no_interference": nominal_without.mean.tolist(),
+            "nominal_ratio": nominal_with.tolist(),
+            "nominal_ratio_no_interference": nominal_without.tolist(),
             "n_samples": mc_spec.n_samples, "seed": mc_spec.seed,
         })),
         ("ratio_sweep.svg", "svg", _svg("Normalized PA rate", x_label, "k_sup / k_00",
@@ -478,7 +477,9 @@ def _run_mixture(mixture: dict):
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args, extra = _build_parser().parse_known_args(argv)
+    if extra:  # name the verb's flags, not the root usage
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         config = RunConfig.from_environment(args.config)
         with _flag_values():

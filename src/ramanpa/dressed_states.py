@@ -40,6 +40,9 @@ __all__ = [
 # and (Weyl) the lowest band falls strictly up to q = -2; mirrored, it rises
 # strictly beyond +2. The global minimum over any wider window lies in [-2, 2].
 Q_WINDOW = (-2.0, 2.0)
+# scan step in k_r for every caller: wells are about 1 k_r wide and Newton
+# refines every grid well afterwards (a 0.2 step already misses the odd well)
+SCAN_STEP = 0.1
 # cap on Newton iterations per candidate: from one scan step (<= 0.1 k_r) away
 # they reach the 1e-13 k_r level of the dense reference
 _NEWTON_STEPS = 6
@@ -64,7 +67,8 @@ class RamanParams:
     omega_r : Raman coupling Omega_R in E_r
     delta : two-photon detuning in E_r
     epsilon_q : quadratic Zeeman shift of m_f=0 in E_r
-    recoil_energy_hz : E_r/h in Hz, used only for unit conversions
+    recoil_energy_hz : E_r/h in Hz, metadata that no computation reads
+        (DEFAULT_CROSS_WEIGHT converts E_r to kHz with RECOIL_ENERGY_HZ)
     """
 
     omega_r: float
@@ -228,8 +232,8 @@ def _minima_chunk(qs, om, de, ep, scan_step):
     and cos are 5-10x cheaper) wherever float32 resolves the grid: its
     rounding, about 2^-24 x max(1, |omega|, |delta|, |eps_q|) over the chunk,
     must sit far below the energy change across one step, about step^2.
-    Otherwise, as for every step <= 1e-3 k_r, the scan runs in float64. The
-    Newton refinement, the winner and the state are always float64.
+    Otherwise (SCAN_STEP beyond about 1000 E_r) the scan runs in float64.
+    The Newton refinement, the winner and the state are always float64.
 
     The state at q* needs no eigensolver. The closed-form root lam is good to
     rounding there, so the unit eigenvector is the longest cross product of
@@ -306,26 +310,26 @@ def _minima_chunk(qs, om, de, ep, scan_step):
     return q_star, e, _apply_sign_convention(vec) + 0.0
 
 
-def band_minima(omega, delta, epsilon_q=EPSILON_Q_ER, scan_step=1e-3, q_window=Q_WINDOW):
+def band_minima(omega, delta, epsilon_q=EPSILON_Q_ER, scan_step=SCAN_STEP, q_window=Q_WINDOW):
     """Global lowest-band minima over broadcast (omega, delta, epsilon_q) arrays.
 
-    Vectorized core of find_band_minimum: a shared grid scan of the
-    trace-free closed-form root (_lowest_eigenvalue) over q_window (default
-    [-2, 2] k_r, which holds the global minimum of any wider window: see
-    Q_WINDOW) locates every discrete local minimum of every row. Each grid
+    Vectorized core of every band-minimum caller: a shared grid scan of the
+    trace-free closed-form root (_lowest_eigenvalue) at scan_step (SCAN_STEP
+    finds every well; a finer step is a dense reference) over q_window
+    (holds the global minimum of any wider window: see Q_WINDOW) locates
+    every discrete local minimum of every row. Each grid
     well is refined, in one flat batch, by float64 safeguarded Newton
     iteration on the characteristic-polynomial slope (bisection whenever a
     step would leave the bracket); a well stops iterating once an accepted
     Newton step is at most 1e-9 k_r, and the lowest refined energy of the
-    row wins. The scan runs in float32 on a chunk whose grid
-    float32 resolves (step^2 >= 1e-5 x max(1, |omega|, |delta|, |eps_q|):
-    coarse Monte Carlo steps such as 0.1 k_r at magnitudes up to 1000 E_r),
-    and in float64 otherwise. Exactly degenerate minima resolve to smallest
-    |q|, preferring q >= 0. The state at q* comes without an eigensolver: the
-    closed-form eigenvector (longest cross product of two rows of H - E I)
-    and its Rayleigh-quotient energy. Rows are solved in chunks of about 2^17
-    grid cells, so the scan temporaries stay bounded for any row count and
-    step; a step of 0.1 k_r still finds every well (they are ~1 k_r wide).
+    row wins. The scan runs in float32 on a chunk whose grid float32
+    resolves (step^2 >= 1e-5 x max(1, |omega|, |delta|, |eps_q|): the
+    default step at magnitudes up to 1000 E_r), and in float64 otherwise.
+    Exactly degenerate minima resolve to smallest |q|, preferring q >= 0.
+    The state at q* comes without an eigensolver: the closed-form
+    eigenvector (longest cross product of two rows of H - E I) and its
+    Rayleigh-quotient energy. Rows are solved in chunks of about 2^17 grid
+    cells, so the scan temporaries stay bounded for any row count and step.
 
     Returns (q_star, energy, coeffs) with shapes (n,), (n,), (n, 3).
     Raises ValueError if any omega, delta or epsilon_q is not finite or
@@ -354,7 +358,7 @@ def band_minima(omega, delta, epsilon_q=EPSILON_Q_ER, scan_step=1e-3, q_window=Q
 def find_band_minimum(params: RamanParams) -> DressedState:
     """Global minimum of the lowest band over all q (searched in [-2, 2] k_r).
 
-    Dense grid scan (step 0.001 k_r) plus safeguarded Newton refinement of
+    Grid scan at SCAN_STEP (0.1 k_r) plus safeguarded Newton refinement of
     every grid well brings |dE/dq| below 1e-8 E_r/k_r at the returned point.
     """
     q, e, c = band_minima(params.omega_r, params.delta, params.epsilon_q)

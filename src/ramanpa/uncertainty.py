@@ -26,11 +26,6 @@ __all__ = [
     "write_ratio_band_csv",
 ]
 
-# coarse scan is enough for sampling: wells are ~1 k_r wide, and every local
-# minimum is refined by safeguarded Newton iteration afterwards (a 0.2 step
-# already misses the odd well)
-_MC_SCAN_STEP = 0.1
-_EXACT_SCAN_STEP = 1e-3
 _MAX_SAMPLES = 10**6  # per sweep point; about 136 MiB peak at the cap
 VARIANT_WITH = "with-interference"
 VARIANT_WITHOUT = "without-interference"
@@ -118,8 +113,8 @@ def _band(axis_values, omegas, deltas, spec: UncertaintySpec,
     means = np.empty((2, axis.size))
     stds = np.zeros((2, axis.size))
     if spec.is_zero:
-        # zero-width band: one solve per point on the fine production grid
-        _, _, coeffs = band_minima(om_nom, de_nom, epsilon_q, scan_step=_EXACT_SCAN_STEP)
+        # zero-width band: one solve per point
+        _, _, coeffs = band_minima(om_nom, de_nom, epsilon_q)
         means[:] = _batch_ratios(coeffs)
     else:
         for i in range(axis.size):
@@ -127,7 +122,7 @@ def _band(axis_values, omegas, deltas, spec: UncertaintySpec,
             # sweeps reuse identical draws at equal indices
             rng = np.random.default_rng([spec.seed, i])
             draws = _draw_samples(rng, om_nom[i], de_nom[i], epsilon_q, spec)
-            _, _, coeffs = band_minima(*draws, scan_step=_MC_SCAN_STEP)
+            _, _, coeffs = band_minima(*draws)
             ratios = np.stack(_batch_ratios(coeffs))
             means[:, i] = np.mean(ratios, axis=1)
             stds[:, i] = np.std(ratios, axis=1, ddof=1)

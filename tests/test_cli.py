@@ -379,14 +379,19 @@ def test_unknown_command_is_usage_error():
     assert run_cli(["frobnicate"]).returncode == 1
 
 
-def test_unknown_flag_is_usage_error(capsys):
+def test_unknown_flag_is_usage_error(tmp_path, capsys):
     assert run_cli(["bands", "--omega", "5", "--frequency", "2"]).returncode == 1
     # only ratio-sweep and simulate draw random numbers, so only they take --seed
+    out = tmp_path / "o"
     for argv in (["bands"], ["coeffs"], ["fit", "s.csv"], ["mixture-sim"]):
         with pytest.raises(SystemExit) as exc:
-            cli.main(argv + ["--seed", "-5"])
+            cli.main(argv + ["--out-dir", str(out), "--seed", "-5"])
         assert exc.value.code == 1
-        assert "unrecognized arguments: --seed -5" in capsys.readouterr().err
+        assert not out.exists()
+        err = capsys.readouterr().err
+        # the verb's own usage, which lists the flags it does take
+        assert f"usage: ramanpa {argv[0]} " in err
+        assert f"ramanpa {argv[0]}: error: unrecognized arguments: --seed -5" in err
 
 
 @pytest.mark.parametrize("n_points", [cli._MAX_BAND_POINTS + 1, 10**12])

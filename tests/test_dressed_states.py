@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ramanpa.dressed_states as ds
+from ramanpa.constants import EPSILON_Q_ER
 from ramanpa.dressed_states import (
     DRESSING_LIMIT_ER,
     Q_WINDOW,
+    SCAN_STEP,
     RamanParams,
     _apply_sign_convention,
     _hamiltonians,
@@ -21,7 +23,7 @@ from ramanpa.dressed_states import (
     coefficients_vs_delta,
     find_band_minimum,
 )
-from ramanpa.uncertainty import _MC_SCAN_STEP, UncertaintySpec, ratio_band_vs_delta
+from ramanpa.uncertainty import UncertaintySpec, ratio_band_vs_delta, ratio_band_vs_omega
 
 # lowest eigenvalue of [[4,6,0],[6,-0.65,6],[0,6,4]] from the symmetric/
 # antisymmetric 2x2 block reduction: 1.675 - sqrt(2.325^2 + 72)
@@ -179,7 +181,7 @@ def test_band_minima_at_the_dressing_limit():
     eps = np.array([0.65, 0.65, 0.65, lim])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        q, e, c = band_minima(omega, delta, eps, scan_step=_MC_SCAN_STEP)
+        q, e, c = band_minima(omega, delta, eps, scan_step=SCAN_STEP)
         q_ref, _, _ = band_minima(omega, delta, eps, scan_step=1e-3)
     assert np.max(np.abs(q - q_ref)) < 1e-10
     assert q[0] == pytest.approx(0.0, abs=1e-12) and q[1] == pytest.approx(-2.0, abs=1e-12)
@@ -262,13 +264,18 @@ def test_minimum_really_is_a_minimum(omega, delta):
 # ------------------------------------------------------ dense-grid oracle
 
 def test_band_minima_mc_step_matches_dense_oracle():
-    """Coarse scan plus Newton at the Monte Carlo step finds the dense-grid minima."""
+    """Coarse scan plus Newton at the production step finds the dense-grid minima,
+    on random rows and on the CLI's default nominal rows: the ratio-sweep omega
+    axis (0..12, 25 points, delta 0), its delta axis (-2.5..2.5, 21 points,
+    omega 8) and the coeffs default (omega 8, delta 0)."""
     rng = np.random.default_rng(1807)
     n = 20000
-    omega = rng.uniform(0.0, 15.0, n)
-    delta = rng.uniform(-4.0, 4.0, n)
-    eps = rng.uniform(0.0, 2.0, n)
-    q, _, c = band_minima(omega, delta, eps, scan_step=_MC_SCAN_STEP)
+    cli_omega = np.concatenate([np.linspace(0.0, 12.0, 25), np.full(21, 8.0), [8.0]])
+    cli_delta = np.concatenate([np.zeros(25), np.linspace(-2.5, 2.5, 21), [0.0]])
+    omega = np.concatenate([rng.uniform(0.0, 15.0, n), cli_omega])
+    delta = np.concatenate([rng.uniform(-4.0, 4.0, n), cli_delta])
+    eps = np.concatenate([rng.uniform(0.0, 2.0, n), np.full(cli_omega.size, EPSILON_Q_ER)])
+    q, _, c = band_minima(omega, delta, eps, scan_step=SCAN_STEP)
     q_ref, _, _ = band_minima(omega, delta, eps, scan_step=1e-3)
     assert np.max(np.abs(q - q_ref)) < 1e-10
     # Hellmann-Feynman: dE/dq = sum_m |C_m|^2 dH_mm/dq
@@ -276,7 +283,7 @@ def test_band_minima_mc_step_matches_dense_oracle():
     assert np.max(np.abs(dedq)) < 1e-8
 
 
-@pytest.mark.parametrize("n_rows, step", [(20000, _MC_SCAN_STEP), (2000, 1e-3)])
+@pytest.mark.parametrize("n_rows, step", [(20000, SCAN_STEP), (2000, 1e-3)])
 def test_band_minima_memory_is_bounded(n_rows, step):
     rng = np.random.default_rng(11)
     omega = rng.uniform(0.0, 15.0, n_rows)
@@ -290,11 +297,11 @@ def test_band_minima_memory_is_bounded(n_rows, step):
     assert peak < 8e6
 
 
-def test_band_minima_work_per_sample(monkeypatch):
-    """A seeded Monte Carlo batch scans 41 cells per row and passes at most
-    four rows per sample to the Newton slope: converged rows stop iterating."""
-    true_root, true_slope = ds._lowest_eigenvalue, ds._slope
-    count = {"rows": 0, "cells": 0, "slope": 0}
+def _count_scan_blocks(monkeypatch):
+    """Spy on _lowest_eigenvalue; the returned dict sums the rows and cells
+    of every (rows x grid) scan block."""
+    true_root = ds._lowest_eigenvalue
+    count = {"rows": 0, "cells": 0}
 
     def root(q, omega, delta, epsilon_q):
         out = true_root(q, omega, delta, epsilon_q)
@@ -303,17 +310,47 @@ def test_band_minima_work_per_sample(monkeypatch):
             count["cells"] += out.size
         return out
 
+    monkeypatch.setattr(ds, "_lowest_eigenvalue", root)
+    return count
+
+
+def test_band_minima_work_per_sample(monkeypatch):
+    """A seeded Monte Carlo batch scans 41 cells per row and passes at most
+    four rows per sample to the Newton slope: converged rows stop iterating."""
+    true_slope = ds._slope
+    count = _count_scan_blocks(monkeypatch)
+    count["slope"] = 0
+
     def slope(q, omega, delta, epsilon_q):
         count["slope"] += np.size(q)
         return true_slope(q, omega, delta, epsilon_q)
 
-    monkeypatch.setattr(ds, "_lowest_eigenvalue", root)
     monkeypatch.setattr(ds, "_slope", slope)
     n = 20000
     ratio_band_vs_delta([0.0], 5.4, UncertaintySpec(n_samples=n, seed=7))
     assert count["rows"] == n
     assert count["cells"] == 41 * n
     assert count["slope"] <= 4.0 * n
+
+
+def test_every_caller_scans_at_the_production_step(monkeypatch):
+    """Nominal solves and Monte Carlo samples share one scan: 41 cells per row."""
+    zero = UncertaintySpec(omega_rel_sigma=0.0, delta_sigma=0.0, n_samples=100)
+    callers = {
+        "find_band_minimum": lambda: find_band_minimum(params(8.0, 0.5)),
+        "coefficients_vs_delta": lambda: coefficients_vs_delta(
+            params(8.0), np.linspace(-2.5, 2.5, 21)),
+        "zero-width ratio_band_vs_omega": lambda: ratio_band_vs_omega(
+            np.linspace(0.0, 12.0, 25), 0.0, zero),
+        "Monte Carlo ratio_band_vs_delta": lambda: ratio_band_vs_delta(
+            [-1.0, 1.0], 8.0, UncertaintySpec(n_samples=200, seed=3)),
+    }
+    count = _count_scan_blocks(monkeypatch)
+    for name, call in callers.items():
+        count["rows"] = count["cells"] = 0
+        call()
+        assert count["rows"] > 0, name
+        assert count["cells"] == 41 * count["rows"], name
 
 
 def test_band_is_monotone_outside_the_search_window():
@@ -333,7 +370,7 @@ def test_band_is_monotone_outside_the_search_window():
     assert np.all(np.diff(lowest(np.linspace(-3.0, -2.0, 101)), axis=1) < 0.0)
     assert np.all(np.diff(lowest(np.linspace(2.0, 3.0, 101)), axis=1) > 0.0)
     assert Q_WINDOW == (-2.0, 2.0)
-    for step in (_MC_SCAN_STEP, 1e-3):
+    for step in (SCAN_STEP, 1e-3):
         q, e, c = band_minima(omega, delta, eps, scan_step=step)
         q_w, e_w, c_w = band_minima(omega, delta, eps, scan_step=step, q_window=(-3.0, 3.0))
         assert np.max(np.abs(q - q_w)) < 1e-12
@@ -372,14 +409,14 @@ def test_band_minima_multi_well_rows():
     omega = rng.uniform(0.0, 2.0, n)
     delta = rng.uniform(-0.7, 0.7, n)
     eps = rng.uniform(0.0, 2.0, n)
-    coarse = np.linspace(*Q_WINDOW, int(round((Q_WINDOW[1] - Q_WINDOW[0]) / _MC_SCAN_STEP)) + 1)
+    coarse = np.linspace(*Q_WINDOW, int(round((Q_WINDOW[1] - Q_WINDOW[0]) / SCAN_STEP)) + 1)
     energy = np.pad(_lowest_eigenvalue(coarse, omega[:, None], delta[:, None], eps[:, None]),
                     ((0, 0), (1, 1)), constant_values=np.inf)
     inner = energy[:, 1:-1]
     wells = ((inner <= energy[:, :-2]) & (inner <= energy[:, 2:])).sum(axis=1)
     assert np.sum(wells >= 2) > n // 4  # the multi-candidate path really runs
 
-    q, e, _ = band_minima(omega, delta, eps, scan_step=_MC_SCAN_STEP)
+    q, e, _ = band_minima(omega, delta, eps, scan_step=SCAN_STEP)
     q_ref, e_ref, _ = band_minima(omega, delta, eps, scan_step=1e-3)
     assert np.max(np.abs(q - q_ref)) < 1e-10
     assert np.max(np.abs(e - e_ref)) < 1e-10
@@ -404,7 +441,7 @@ def _kernel_rows(n=3000):
     return omega, delta, eps
 
 
-@pytest.mark.parametrize("step", [_MC_SCAN_STEP, 1e-3])
+@pytest.mark.parametrize("step", [SCAN_STEP, 1e-3])
 def test_band_minima_state_matches_eigh(step):
     """Closed-form vectors and Rayleigh energies against LAPACK at the returned q*."""
     omega, delta, eps = _kernel_rows()
@@ -424,7 +461,7 @@ def test_band_minima_makes_no_linalg_call(monkeypatch):
         if not isinstance(getattr(np.linalg, name), type):
             monkeypatch.setattr(np.linalg, name, forbidden)
     omega, delta, eps = _kernel_rows(300)
-    q, e, c = band_minima(omega, delta, eps, scan_step=_MC_SCAN_STEP)
+    q, e, c = band_minima(omega, delta, eps, scan_step=SCAN_STEP)
     assert np.all(np.isfinite(e)) and np.all(np.isfinite(c))
     assert find_band_minimum(params(0.0, 0.0)).coeffs == (0.0, 1.0, 0.0)
 
@@ -435,7 +472,7 @@ def test_band_minima_makes_no_linalg_call(monkeypatch):
 ])
 def test_band_minima_window_edges(omega, delta, window):
     """A window that cuts the band returns the lowest point inside it, edges included."""
-    q, e, _ = band_minima(omega, delta, 0.65, scan_step=_MC_SCAN_STEP, q_window=window)
+    q, e, _ = band_minima(omega, delta, 0.65, scan_step=SCAN_STEP, q_window=window)
     dense = np.linspace(*window, 2001)
     vals = np.linalg.eigvalsh(_hamiltonians(dense, omega, delta, 0.65))[:, 0]
     assert e[0] <= vals.min() + 1e-12
@@ -508,7 +545,7 @@ def _scan_dtypes(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("step", [_MC_SCAN_STEP, 0.01])
+@pytest.mark.parametrize("step", [SCAN_STEP, 0.01])
 def test_float32_scan_matches_dense_oracle(step, monkeypatch):
     """A float32 scan proposes the wells that float64 refines to the dense minima."""
     bound = step * step / ds._F32_SCAN_MARGIN
@@ -524,7 +561,7 @@ def test_float32_scan_matches_dense_oracle(step, monkeypatch):
 
 
 @pytest.mark.parametrize("step, scale, dtype", [
-    (_MC_SCAN_STEP, 0.99, np.float32), (_MC_SCAN_STEP, 1.01, np.float64),
+    (SCAN_STEP, 0.99, np.float32), (SCAN_STEP, 1.01, np.float64),
     (0.01, 0.99, np.float32), (0.01, 1.01, np.float64), (1e-3, 0.0, np.float64),
 ])
 def test_scan_dtype_follows_the_guard(step, scale, dtype, monkeypatch):
@@ -545,11 +582,11 @@ def test_chunk_with_a_dressing_limit_row_scans_in_float64(monkeypatch):
     """One row at DRESSING_LIMIT_ER sends its whole chunk to the float64 scan."""
     omega, delta, eps = _kernel_rows(500)
     omega[123] = DRESSING_LIMIT_ER
-    q, e, c = band_minima(omega, delta, eps, scan_step=_MC_SCAN_STEP)
+    q, e, c = band_minima(omega, delta, eps, scan_step=SCAN_STEP)
     q_ref, _, _ = band_minima(omega, delta, eps, scan_step=1e-3)
     assert np.max(np.abs(q - q_ref)) < 1e-10
     monkeypatch.setattr(ds, "_F32_SCAN_MARGIN", math.inf)  # float64 scan everywhere
-    q64, e64, c64 = band_minima(omega, delta, eps, scan_step=_MC_SCAN_STEP)
+    q64, e64, c64 = band_minima(omega, delta, eps, scan_step=SCAN_STEP)
     assert np.array_equal(q, q64) and np.array_equal(e, e64) and np.array_equal(c, c64)
 
 
