@@ -244,13 +244,10 @@ def cmd_coeffs(args, config: RunConfig):
         params = config.raman_params(args.omega, args.delta)
         if args.delta_list:
             deltas = [float(v) for v in args.delta_list.split(",")]
-            if not all(abs(d) <= DRESSING_LIMIT_ER for d in deltas):
-                raise ValueError(f"--delta-list entries must be finite and within "
-                                 f"+-{DRESSING_LIMIT_ER:g} E_r")
         else:
             deltas = [params.delta]
+        states = coefficients_vs_delta(params, deltas)
 
-    states = coefficients_vs_delta(params, deltas)
     ratios = [rate_ratio(s.coeffs) for s in states]
     ratios_ni = [rate_ratio_no_interference(s.coeffs) for s in states]
     rows = [(d, s.q, s.energy, *s.coeffs, r, rn)
@@ -381,7 +378,7 @@ def cmd_fit(args, config: RunConfig):
              series=layers, markers=points)(path)
 
     outputs.append(("fit.svg", "svg", plot_fit))
-    loss = 1.0 - remaining_fraction(fit.eta_res)
+    loss = 1.0 - remaining_fraction(fit.eta_res) if math.isfinite(fit.eta_res) else math.nan
     return outputs, (f"fit: n0 = {fit.n0:.6g}, eta_res = {fit.eta_res:.6g}, "
                      f"nu0 = {fit.nu0:.6g} kHz, gamma = {fit.gamma:.6g} kHz, "
                      f"k_pa = {fit.k_pa:.6g} cm^3/s, resonant loss = {loss:.2%}, "

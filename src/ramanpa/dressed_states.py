@@ -228,12 +228,13 @@ def _slope(q, omega, delta, epsilon_q):
 def _minima_chunk(qs, om, de, ep, scan_step):
     """band_minima on one chunk of 1-D rows over the scan grid qs.
 
-    The coarse scan only proposes grid wells, so it runs in float32 (arccos
-    and cos are 5-10x cheaper) wherever float32 resolves the grid: its
+    qs holds both window ends and one bracketed Newton loop refines every grid
+    well, so a window that cuts the band returns its lowest point, edges
+    included. The coarse scan only proposes grid wells, so it runs in float32
+    (arccos and cos are 5-10x cheaper) wherever float32 resolves the grid: its
     rounding, about 2^-24 x max(1, |omega|, |delta|, |eps_q|) over the chunk,
-    must sit far below the energy change across one step, about step^2.
-    Otherwise (SCAN_STEP beyond about 1000 E_r) the scan runs in float64.
-    The Newton refinement, the winner and the state are always float64.
+    must sit far below the energy change across one step, about step^2, else
+    it runs in float64. Newton, the winner and the state are always float64.
 
     The state at q* needs no eigensolver. The closed-form root lam is good to
     rounding there, so the unit eigenvector is the longest cross product of
@@ -255,7 +256,8 @@ def _minima_chunk(qs, om, de, ep, scan_step):
     lo = np.clip(qc - scan_step, q_lo, q_hi)
     hi = np.clip(qc + scan_step, q_lo, q_hi)
     # safeguarded Newton on the live rows only; a row whose accepted Newton
-    # step is at most _NEWTON_DONE leaves the set with its final x
+    # step is at most _NEWTON_DONE leaves the set with its final x; an edge
+    # well where the band rises inward gets blo = bhi = the edge and stays put
     x = np.empty_like(qc)
     live = np.arange(qc.size)
     xl, blo, bhi, om_l, de_l, ep_l = qc, lo, hi, om_c, de_c, ep_c
@@ -277,13 +279,6 @@ def _minima_chunk(qs, om, de, ep, scan_step):
             if not live.size:
                 break
     x[live] = xl
-    # only a well in the first or last grid column can be unbracketed: rising
-    # at the left edge or falling at the right edge of the window means the
-    # extremum is the edge itself
-    edge = np.flatnonzero((cols == 0) | (cols == qs.size - 1))
-    g_lo, _ = _slope(lo[edge], om_c[edge], de_c[edge], ep_c[edge])
-    g_hi, _ = _slope(hi[edge], om_c[edge], de_c[edge], ep_c[edge])
-    x[edge] = np.where(g_hi < 0.0, hi[edge], np.where(g_lo > 0.0, lo[edge], x[edge]))
 
     # winner per row: energy (1e-12 bins), then |q| (1e-9 bins), then q >= 0;
     # with one well per row it is that well
@@ -313,27 +308,25 @@ def _minima_chunk(qs, om, de, ep, scan_step):
 def band_minima(omega, delta, epsilon_q=EPSILON_Q_ER, scan_step=SCAN_STEP, q_window=Q_WINDOW):
     """Global lowest-band minima over broadcast (omega, delta, epsilon_q) arrays.
 
-    Vectorized core of every band-minimum caller: a shared grid scan of the
-    trace-free closed-form root (_lowest_eigenvalue) at scan_step (SCAN_STEP
-    finds every well; a finer step is a dense reference) over q_window
-    (holds the global minimum of any wider window: see Q_WINDOW) locates
-    every discrete local minimum of every row. Each grid
-    well is refined, in one flat batch, by float64 safeguarded Newton
-    iteration on the characteristic-polynomial slope (bisection whenever a
-    step would leave the bracket); a well stops iterating once an accepted
-    Newton step is at most 1e-9 k_r, and the lowest refined energy of the
-    row wins. The scan runs in float32 on a chunk whose grid float32
-    resolves (step^2 >= 1e-5 x max(1, |omega|, |delta|, |eps_q|): the
-    default step at magnitudes up to 1000 E_r), and in float64 otherwise.
-    Exactly degenerate minima resolve to smallest |q|, preferring q >= 0.
-    The state at q* comes without an eigensolver: the closed-form
-    eigenvector (longest cross product of two rows of H - E I) and its
-    Rayleigh-quotient energy. Rows are solved in chunks of about 2^17 grid
-    cells, so the scan temporaries stay bounded for any row count and step.
+    Vectorized core of every band-minimum caller. A grid scan of the closed-form
+    root (_lowest_eigenvalue) at scan_step from one end of q_window to the other
+    finds every grid well of every row (SCAN_STEP finds every well, a finer step
+    is a dense reference; Q_WINDOW holds the global minimum of any wider window).
+    Safeguarded float64 Newton on the characteristic-polynomial slope refines
+    each well, bisecting whenever a step would leave the bracket, and stops once
+    an accepted step is at most 1e-9 k_r; the lowest refined energy wins, and
+    exactly degenerate minima resolve to smallest |q|, preferring q >= 0. An edge
+    well where the band rises inward stays on its edge, so a window that cuts
+    the band returns its lowest point, edges included. The scan runs in float32
+    where float32 resolves the grid (step^2 >= 1e-5 x max(1, |omega|, |delta|,
+    |eps_q|): the default step up to 1000 E_r). The state at q* needs no
+    eigensolver (see _minima_chunk). Rows are solved in chunks of about 2^17
+    grid cells, so the scan temporaries stay bounded for any row count and step.
 
     Returns (q_star, energy, coeffs) with shapes (n,), (n,), (n, 3).
-    Raises ValueError if any omega, delta or epsilon_q is not finite or
-    exceeds DRESSING_LIMIT_ER in magnitude.
+    Raises ValueError if any omega, delta or epsilon_q is not finite or exceeds
+    DRESSING_LIMIT_ER in magnitude, or unless scan_step is finite and > 0 and
+    q_window is finite, with q_lo < q_hi and at most 2^17 steps wide.
     """
     om = np.atleast_1d(np.asarray(omega, dtype=float))
     de = np.atleast_1d(np.asarray(delta, dtype=float))
@@ -342,8 +335,12 @@ def band_minima(omega, delta, epsilon_q=EPSILON_Q_ER, scan_step=SCAN_STEP, q_win
     if not all(np.all(np.abs(v) <= DRESSING_LIMIT_ER) for v in (om, de, ep)):
         raise ValueError(f"omega, delta and epsilon_q must be finite, with magnitude "
                          f"<= {DRESSING_LIMIT_ER:g} E_r")
-    q_lo, q_hi = float(q_window[0]), float(q_window[1])
-    qs = np.linspace(q_lo, q_hi, int(round((q_hi - q_lo) / scan_step)) + 1)
+    q_lo, q_hi, step = float(q_window[0]), float(q_window[1]), float(scan_step)
+    if not (0.0 < step < math.inf and -math.inf < q_lo < q_hi < math.inf
+            and q_hi - q_lo <= _CHUNK_CELLS * step):
+        raise ValueError(f"need a finite scan_step > 0 and a finite q_window with q_lo < q_hi "
+                         f"spanning at most {_CHUNK_CELLS} steps")
+    qs = np.linspace(q_lo, q_hi, max(1, round((q_hi - q_lo) / step)) + 1)
 
     n = om.shape[0]
     q_star, energy, coeffs = np.empty(n), np.empty(n), np.empty((n, 3))
@@ -351,7 +348,7 @@ def band_minima(omega, delta, epsilon_q=EPSILON_Q_ER, scan_step=SCAN_STEP, q_win
     for start in range(0, n, rows):
         part = slice(start, start + rows)
         q_star[part], energy[part], coeffs[part] = _minima_chunk(
-            qs, om[part], de[part], ep[part], scan_step)
+            qs, om[part], de[part], ep[part], step)
     return q_star, energy, coeffs
 
 

@@ -140,11 +140,12 @@ def remaining_fraction(eta):
     asymptotically (5/2)/eta. Below _SERIES_SWITCH the power series
     sum_n c_n (-eta)^n, c_0 = 1 and c_{n+1}/c_n = (n+2)/(n+3.5), replaces it;
     truncated after _SERIES_TERMS terms it is exact to rounding there.
-    Accepts scalars or arrays.
+    Accepts scalars or arrays; raises ValueError unless every eta is finite and >= 0.
     """
     arr = np.asarray(eta, dtype=float)
-    if (arr < 0).any():
-        raise ValueError("eta must be >= 0")
+    # min and max propagate nan; initial=0 lets an empty array through
+    if not (0.0 <= arr.min(initial=0.0) and arr.max(initial=0.0) < math.inf):
+        raise ValueError("eta must be finite and >= 0")
     big = np.maximum(arr, _SERIES_SWITCH)  # keeps the closed form off eta = 0
     root = np.sqrt(big)
     out = np.asarray(7.5 * big**-2.5 * (root + big * root / 3.0

@@ -469,6 +469,10 @@ def test_band_minima_makes_no_linalg_call(monkeypatch):
 @pytest.mark.parametrize("omega, delta, window", [
     (0.0, 0.0, (0.5, 1.5)), (0.0, 0.0, (-1.5, -0.5)), (5.4, 2.5, (-1.0, 1.0)),
     (5.4, -2.5, (-1.0, 1.0)), (1.0, 0.3, (-2.5, -1.0)), (1.0, 0.3, (-1.9, 2.1)),
+    # a first-column well whose next grid point slopes down again stays on q_lo
+    (0.31, -2.24, (0.5, 0.6)), (3.79, -1.06, (1.0, 1.1)), (0.17, 2.88, (-0.5, 0.0)),
+    # a window narrower than half a step still scans both of its ends
+    (5.4, 0.0, (-0.5, -0.46)),
 ])
 def test_band_minima_window_edges(omega, delta, window):
     """A window that cuts the band returns the lowest point inside it, edges included."""
@@ -477,6 +481,17 @@ def test_band_minima_window_edges(omega, delta, window):
     vals = np.linalg.eigvalsh(_hamiltonians(dense, omega, delta, 0.65))[:, 0]
     assert e[0] <= vals.min() + 1e-12
     assert abs(q[0] - dense[np.argmin(vals)]) < 1e-3
+
+
+@pytest.mark.parametrize("scan_step, window", [
+    (SCAN_STEP, (1.0, -1.0)), (SCAN_STEP, (0.5, 0.5)), (SCAN_STEP, (-math.inf, 2.0)),
+    (SCAN_STEP, (-2.0, math.nan)), (0.0, Q_WINDOW), (-0.1, Q_WINDOW), (math.inf, Q_WINDOW),
+    (math.nan, Q_WINDOW), (1e-9, Q_WINDOW),
+])
+def test_band_minima_rejects_bad_grid(scan_step, window):
+    """The grid check runs before anything is allocated, so 1e-9 k_r never builds 4e9 points."""
+    with pytest.raises(ValueError, match="scan_step"):
+        band_minima(5.4, 0.0, 0.65, scan_step=scan_step, q_window=window)
 
 
 def test_band_minima_refines_every_grid_well(monkeypatch):

@@ -101,11 +101,13 @@ def test_fraction_array_input():
     assert out.shape == etas.shape
     assert out[0] == 1.0
     assert np.all(np.diff(out) < 0)
+    assert remaining_fraction(np.array([])).shape == (0,)
 
 
 def test_fraction_rejects_negative():
-    with pytest.raises(ValueError):
-        remaining_fraction(-0.1)
+    for eta in (-0.1, math.nan, math.inf, [1.0, math.nan]):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            remaining_fraction(eta)
 
 
 @settings(max_examples=100, deadline=None)
