@@ -54,6 +54,8 @@ _CHUNK_CELLS = 1 << 17  # rows x scan points per chunk: a few MB per temporary
 # <= 12 E_r, and far below the scale (~1e12) where rounding flattens the band
 # and alone decides q*
 DRESSING_LIMIT_ER = 1e6
+_MAX_BAND_POINTS = 100_000  # band_curve n_points cap: it holds n x 3 x 3 arrays
+_MAX_BAND_Q = math.sqrt(DRESSING_LIMIT_ER)  # band_curve |q| bound: q^2 <= 1e6 E_r
 # the coarse scan runs in float32 while step^2 >= this times the row scale
 # max(1, |omega|, |delta|, |eps_q|): float32 rounding (~6e-8 x scale) then sits
 # far below the energy change across one grid step (~step^2)
@@ -142,11 +144,12 @@ def build_hamiltonian(q: float, params: RamanParams) -> np.ndarray:
 
 
 def band_curve(params: RamanParams, q_min: float, q_max: float, n_points: int) -> BandCurve:
-    """Sample all three dressed bands on a uniform q grid."""
-    if not q_min < q_max:
-        raise ValueError("require q_min < q_max")
-    if n_points < 2:
-        raise ValueError("require n_points >= 2")
+    """Sample all three dressed bands on a uniform q grid; ValueError, before
+    allocating, unless 2 <= n_points <= _MAX_BAND_POINTS and |q| <= _MAX_BAND_Q."""
+    if not (2 <= n_points <= _MAX_BAND_POINTS
+            and -_MAX_BAND_Q <= q_min < q_max <= _MAX_BAND_Q):
+        raise ValueError(f"need q_min < q_max within +-{_MAX_BAND_Q:g} k_r and "
+                         f"2 <= n_points <= {_MAX_BAND_POINTS}")
     qs = np.linspace(q_min, q_max, n_points)
     vals, vecs = np.linalg.eigh(_hamiltonians(qs, params.omega_r, params.delta, params.epsilon_q))
     weights = np.swapaxes(vecs, 1, 2) ** 2  # [i, band, component]

@@ -137,7 +137,8 @@ def remaining_fraction(eta):
 
     Closed form (15/2) eta^{-5/2} [sqrt(eta) + eta^{3/2}/3
     - sqrt(1+eta) asinh(sqrt(eta))]; strictly decreasing, 1 at eta = 0,
-    asymptotically (5/2)/eta. Below _SERIES_SWITCH the power series
+    asymptotically (5/2)/eta. Evaluated divided through by eta^{5/2}, it has
+    no intermediate over- or underflow for finite eta. Below _SERIES_SWITCH the power series
     sum_n c_n (-eta)^n, c_0 = 1 and c_{n+1}/c_n = (n+2)/(n+3.5), replaces it;
     truncated after _SERIES_TERMS terms it is exact to rounding there.
     Accepts scalars or arrays; raises ValueError unless every eta is finite and >= 0.
@@ -147,9 +148,8 @@ def remaining_fraction(eta):
     if not (0.0 <= arr.min(initial=0.0) and arr.max(initial=0.0) < math.inf):
         raise ValueError("eta must be finite and >= 0")
     big = np.maximum(arr, _SERIES_SWITCH)  # keeps the closed form off eta = 0
-    root = np.sqrt(big)
-    out = np.asarray(7.5 * big**-2.5 * (root + big * root / 3.0
-                                        - np.sqrt(1.0 + big) * np.arcsinh(root)))
+    inner = 1.0 + big / 3.0 - np.sqrt(1.0 + 1.0 / big) * np.arcsinh(np.sqrt(big))
+    out = np.asarray(7.5 / big * (inner / big))
     small = arr < _SERIES_SWITCH
     if small.any():
         out[small] = np.power.outer(arr[small], _SERIES_POWERS) @ _SERIES_COEFFS
@@ -176,21 +176,24 @@ def remaining_fraction_oracle(eta: float, n_shells: int) -> float:
 def invert_remaining_fraction(fraction: float) -> float:
     """Pulse strength eta that leaves the given remaining fraction.
 
-    Inverse of remaining_fraction on (0, 1]; fraction 1 maps to 0.
+    Inverse of remaining_fraction on (0, 1]; fraction 1 maps to 0. Bisection narrows
+    (0, (5/2)/fraction) to two adjacent floats: (5/2)/eta - remaining_fraction(eta) =
+    (15/2) eta^{-5/2} h(sqrt(eta)) > 0, as h(s) = sqrt(1+s^2) asinh(s) - s has h(0) = 0
+    and h'(s) = s asinh(s)/sqrt(1+s^2) > 0. ValueError if (5/2)/fraction overflows.
     """
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must be in (0, 1]")
     if fraction >= 1.0:
         return 0.0
-    from scipy.optimize import brentq  # loaded here, not at import time
-
-    hi = 1.0
-    while remaining_fraction(hi) > fraction:
-        hi *= 2.0
-        if hi > 1e15:
-            raise ValueError("fraction too small to invert")
-    return float(brentq(lambda e: remaining_fraction(e) - fraction, 0.0, hi,
-                        xtol=1e-12, rtol=1e-14))
+    lo, hi = 0.0, 2.5 / fraction
+    if hi == math.inf:
+        raise ValueError("fraction too small to invert")
+    while lo < (mid := lo + 0.5 * (hi - lo)) < hi:
+        if remaining_fraction(mid) > fraction:
+            lo = mid
+        else:
+            hi = mid
+    return min(lo, hi, key=lambda eta: abs(remaining_fraction(eta) - fraction))
 
 
 def eta_from_rate(k_pa: float, pulse: PulseParams) -> float:

@@ -50,13 +50,31 @@ class SpectrumFormatError(ValueError):
         self.line_no = line_no
 
 
+def _first_bad_row(det, total, components, stderr):
+    """(row, reason) for the first row that breaks a rule below, else None;
+    a row's rules are checked in the order listed."""
+    table = np.column_stack([c for c in (det, total, components, stderr) if c is not None])
+    counts = table[:, 1:5] if stderr is None else table[:, 1:-1]
+    rules = (
+        (~np.isfinite(table).all(axis=1), "non-finite value"),
+        (~(det > np.r_[-np.inf, det[:-1]]), "detunings not strictly increasing"),
+        ((counts < 0).any(axis=1), "negative atom count"),
+        # sums over the counts, and the plotted axes, stay finite
+        ((table[:, 1:] > 1e300).any(axis=1), "counts and stderr must be at most 1e300"),
+        ((stderr is not None) & (table[:, -1] <= 0), "stderr must be > 0"),
+    )
+    hits = np.argwhere(np.column_stack([broken for broken, _ in rules]))
+    return (int(hits[0, 0]), rules[hits[0, 1]][1]) if len(hits) else None
+
+
 @dataclass
 class Spectrum:
     """Measured or synthetic PA spectrum.
 
-    Every value must be finite and detunings_khz strictly increasing;
     atoms_components, when present, has one column per m_f = -1, 0, +1;
-    stderr entries are per-point standard errors of atoms_total.
+    stderr entries are per-point standard errors of atoms_total. ValueError
+    names the first row (0-based) with a non-finite value, a detuning not above
+    the previous, a negative count, a count or stderr past 1e300, or stderr <= 0.
     """
 
     detunings_khz: np.ndarray
@@ -71,25 +89,17 @@ class Spectrum:
         n = len(self.detunings_khz)
         if self.atoms_total.shape != (n,):
             raise ValueError("atoms_total length must match detunings")
-        if n >= 2 and np.any(np.diff(self.detunings_khz) <= 0):
-            raise ValueError("detunings must be strictly increasing")
-        if np.any(self.atoms_total < 0):
-            raise ValueError("atom counts must be >= 0")
         if self.atoms_components is not None:
             self.atoms_components = np.asarray(self.atoms_components, dtype=float)
             if self.atoms_components.shape != (n, 3):
                 raise ValueError("atoms_components must have shape (n, 3)")
-            if np.any(self.atoms_components < 0):
-                raise ValueError("atom counts must be >= 0")
         if self.stderr is not None:
             self.stderr = np.asarray(self.stderr, dtype=float)
             if self.stderr.shape != (n,):
                 raise ValueError("stderr length must match detunings")
-            if np.any(self.stderr <= 0):
-                raise ValueError("stderr entries must be > 0")
-        arrays = (self.detunings_khz, self.atoms_total, self.atoms_components, self.stderr)
-        if not all(np.all(np.isfinite(a)) for a in arrays if a is not None):
-            raise ValueError("spectrum values must be finite")
+        columns = (self.detunings_khz, self.atoms_total, self.atoms_components, self.stderr)
+        if bad := _first_bad_row(*columns):
+            raise ValueError("row %d: %s" % bad)
 
     def __len__(self) -> int:
         return len(self.detunings_khz)
@@ -130,9 +140,11 @@ def synthesize_spectrum(line: LorentzianLine, pulse: PulseParams, detunings,
     a generator seeded by `seed`. With component_weights (w_-1, w_0, w_+1),
     per-component columns are synthesized with independent noise and the total
     is their sum; every spin component then shares one fractional loss curve.
+    Raises ValueError unless 0 <= noise_rel <= 1.
     """
-    if noise_rel < 0:
-        raise ValueError("noise_rel must be >= 0")
+    # past sigma = 1, (1 + sigma g) clips most points to 0; huge sigmas overflow
+    if not 0 <= noise_rel <= 1:
+        raise ValueError("--noise must be between 0 and 1")
     det = np.asarray(detunings, dtype=float)
     if det.size == 0:
         raise ValueError("detuning list must be non-empty")
@@ -187,7 +199,8 @@ def fit_spectrum(data: Spectrum) -> FitResult:
     otherwise) are minimized over (n0, eta_res, nu0, gamma); eta_res and gamma
     are searched in log space to stay positive. Simplex search runs from the
     data-driven initial guess plus 5 perturbed restarts; the best run wins.
-    A perfectly flat spectrum short-circuits to eta_res = 0.
+    A perfectly flat spectrum short-circuits to eta_res = 0. ValueError below 5
+    points, or for a half-span past e^60 kHz, where log gamma starts outside _forward's box.
     """
     from scipy.optimize import minimize  # loaded here, not at import time
 
@@ -196,7 +209,9 @@ def fit_spectrum(data: Spectrum) -> FitResult:
         raise ValueError("need at least 5 points to fit")
     x = data.detunings_khz
     y = data.atoms_total
-    span = float(x[-1] - x[0])
+    span = float(x[-1]) - float(x[0])  # Python floats overflow to inf silently
+    if not 0.5 * span <= math.exp(60):
+        raise ValueError("half the detuning span must be at most e^60 (about 1.1e26) kHz")
 
     k_pa_of = (lambda eta: eta / (data.pulse.rho0 * data.pulse.t_pa)) \
         if data.pulse is not None else (lambda eta: float("nan"))
@@ -329,10 +344,10 @@ def write_spectrum_csv(path, data: Spectrum) -> None:
 
 
 def read_spectrum_csv(path) -> Spectrum:
-    """Parse a spectrum CSV, enforcing the format invariants.
+    """Parse an ASCII spectrum CSV whose values pass Spectrum's rules.
 
-    Violations raise SpectrumFormatError naming the offending line (1-based,
-    header included); the file must be ASCII.
+    Faults raise SpectrumFormatError naming the offending line (1-based, header
+    included); a parse fault on any line is named before a value fault.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -361,8 +376,7 @@ def read_spectrum_csv(path) -> Spectrum:
             f"line 1: unrecognized columns {rest}", line_no=1)
     n_cols = 2 + (3 if has_components else 0) + (1 if has_stderr else 0)
 
-    det, total, comps, errs = [], [], [], []
-    prev = -math.inf
+    lines, vals = [], []
     for k, row in enumerate(rows[1:], start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
@@ -370,38 +384,17 @@ def read_spectrum_csv(path) -> Spectrum:
             raise SpectrumFormatError(
                 f"line {k}: expected {n_cols} fields, got {len(row)}", line_no=k)
         try:
-            vals = [float(v) for v in row]
+            vals.append([float(v) for v in row])
         except ValueError:
             raise SpectrumFormatError(
                 f"line {k}: non-numeric field in {row!r}", line_no=k) from None
-        if not all(math.isfinite(v) for v in vals):
-            raise SpectrumFormatError(
-                f"line {k}: non-finite field in {row!r}", line_no=k)
-        if vals[0] <= prev:
-            raise SpectrumFormatError(
-                f"line {k}: detunings not strictly increasing", line_no=k)
-        prev = vals[0]
-        if any(v < 0 for v in vals[1:n_cols - (1 if has_stderr else 0)]):
-            raise SpectrumFormatError(
-                f"line {k}: negative atom count", line_no=k)
-        # the mixture counts' bound: sums over the counts stay finite
-        if any(v > 1e300 for v in vals[1:]):
-            raise SpectrumFormatError(
-                f"line {k}: counts and stderr must be at most 1e300", line_no=k)
-        det.append(vals[0])
-        total.append(vals[1])
-        if has_components:
-            comps.append(vals[2:5])
-        if has_stderr:
-            errs.append(vals[-1])
-            if errs[-1] <= 0:
-                raise SpectrumFormatError(
-                    f"line {k}: stderr must be > 0", line_no=k)
-    if not det:
+        lines.append(k)
+    if not lines:
         raise SpectrumFormatError("no data rows", line_no=len(rows))
-    return Spectrum(
-        detunings_khz=np.array(det),
-        atoms_total=np.array(total),
-        atoms_components=np.array(comps) if has_components else None,
-        stderr=np.array(errs) if has_stderr else None,
-    )
+    table = np.array(vals, order="F")  # contiguous columns
+    columns = (table[:, 0], table[:, 1], table[:, 2:5] if has_components else None,
+               table[:, -1] if has_stderr else None)
+    if bad := _first_bad_row(*columns):
+        k = lines[bad[0]]
+        raise SpectrumFormatError(f"line {k}: {bad[1]}", line_no=k)
+    return Spectrum(*columns)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import ramanpa.cli as cli
+import ramanpa.dressed_states as dressed_states
 from ramanpa.config import RunConfig
 from ramanpa.pa_kinetics import LorentzianLine, PulseParams
 from ramanpa.spectra import FitResult, synthesize_spectrum, write_spectrum_csv
@@ -397,9 +398,9 @@ def test_unknown_flag_is_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize("n_points", [cli._MAX_BAND_POINTS + 1, 10**12])
 def test_bands_point_cap_rejects_before_allocating(tmp_path, monkeypatch, capsys, n_points):
     def must_not_run(*args, **kwargs):
-        raise AssertionError("band_curve called above the point cap")
+        raise AssertionError("band_curve allocated its grid above the point cap")
 
-    monkeypatch.setattr(cli, "band_curve", must_not_run)
+    monkeypatch.setattr(dressed_states.np, "linspace", must_not_run)
     monkeypatch.delenv("RAMANPA_CONFIG", raising=False)
     out = tmp_path / "o"
     code = cli.main(["bands", "--n-points", str(n_points), "--out-dir", str(out)])
@@ -802,6 +803,23 @@ def test_fit_covariance_overflow_is_numeric_error(tmp_path):
     assert res.returncode == 3, res.stderr
     assert "covariance is not finite" in res.stderr
     assert "Traceback" not in res.stderr and "Warning" not in res.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("center, half", [(0.0, 1e30), (1e200, 1e190)],
+                         ids=["+-1e30", "1e200+-1e190"])
+def test_fit_span_past_the_log_gamma_box_is_data_error(tmp_path, center, half):
+    """A 9-point spectrum this wide printed a TypeError traceback: exit 2, no out dir."""
+    spec = tmp_path / "wide.csv"
+    det = center + np.linspace(-half, half, 9)
+    counts = [9000, 8900, 8500, 7000, 5000, 7000, 8500, 8900, 9000]
+    spec.write_text("detuning_khz,atoms_total\n" + "".join(
+        f"{float(d)!r},{c}\n" for d, c in zip(det, counts)), encoding="ascii")
+    out = tmp_path / "o"
+    res = run_cli(["fit", str(spec), "--out-dir", str(out)],
+                  env={"PYTHONWARNINGS": "error"})
+    assert res.returncode == 2, res.stderr
+    assert res.stderr == "error: half the detuning span must be at most e^60 (about 1.1e26) kHz\n"
     assert not out.exists()
 
 

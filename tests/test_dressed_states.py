@@ -106,6 +106,19 @@ def test_band_curve_sorted_and_weights_normalized():
     assert np.max(np.abs(sums - 1.0)) < 1e-10
 
 
+@pytest.mark.parametrize("q_min, q_max, n_points", [
+    (-1e200, 1e200, 5), (-3.0, 1001.0, 5), (math.nan, 3.0, 5), (1.0, 1.0, 5),
+    (-3.0, 3.0, 1), (-3.0, 3.0, ds._MAX_BAND_POINTS + 1),
+])
+def test_band_curve_rejects_grid_before_allocating(q_min, q_max, n_points):
+    """A grid past q^2 <= 1e6 E_r overflowed H(q); one past the point cap
+    allocated n x 3 x 3 arrays. Each raises ValueError, with no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"n_points <= {ds._MAX_BAND_POINTS}"):
+            band_curve(params(5.4, 0.0), q_min, q_max, n_points)
+
+
 # --------------------------------------------------------------- band minimum
 
 def test_minimum_bare_state():

@@ -1,6 +1,8 @@
 """Loss kinetics: pulse-strength model, shell oracle, mixture kinetics."""
 import inspect
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -55,9 +57,11 @@ def test_fraction_frozen_values(eta):
     assert remaining_fraction(eta) == pytest.approx(FROZEN_FRACTION[eta], rel=1e-12)
 
 
-@pytest.mark.parametrize("eta", [1.2e-4, 1e-3, 1e-2, 0.099, 0.1, 0.3])
+@pytest.mark.parametrize("eta", [1.2e-4, 1e-3, 1e-2, 0.099, 0.1, 0.3, 1.0, 1e130, 1e206,
+                                 1e300])
 def test_fraction_matches_50_digit_reference(eta):
-    """Both sides of the series switch agree with 50-digit arithmetic."""
+    """Both sides of the series switch, and huge eta where eta^{-5/2}
+    underflowed, agree with 50-digit arithmetic."""
     mp = pytest.importorskip("mpmath")
     with mp.workdps(50):
         x = mp.mpf(eta)
@@ -151,6 +155,29 @@ def test_invert_round_trip():
     for frac in (0.9, 0.64, 0.21, 0.05):
         eta = invert_remaining_fraction(frac)
         assert remaining_fraction(eta) == pytest.approx(frac, abs=1e-10)
+
+
+@pytest.mark.parametrize("frac", [1 - 1e-6, 0.79, 0.21, 1e-3, 1e-15, 1e-300])
+def test_invert_round_trip_to_rounding(frac):
+    eta = invert_remaining_fraction(frac)
+    assert remaining_fraction(eta) == pytest.approx(frac, rel=1e-14)
+    # no neighbouring float lands closer
+    for other in (np.nextafter(eta, 0.0), np.nextafter(eta, math.inf)):
+        assert abs(remaining_fraction(eta) - frac) <= abs(remaining_fraction(other) - frac)
+
+
+def test_invert_rejects_fraction_whose_bracket_overflows():
+    with pytest.raises(ValueError, match="too small"):
+        invert_remaining_fraction(1e-310)  # 2.5 / fraction overflows
+
+
+def test_invert_loads_no_scipy():
+    code = ("import sys; from ramanpa.pa_kinetics import invert_remaining_fraction as inv; "
+            "before = set(sys.modules); inv(0.21); "
+            "print(sorted(m for m in set(sys.modules) - before if m.split('.')[0] == 'scipy'))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert res.stdout.strip() == "[]"
 
 
 def test_invert_identity_edges():

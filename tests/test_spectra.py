@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ramanpa.dressed_states import RamanParams, find_band_minimum
 from ramanpa.interference import rate_ratio
@@ -89,6 +89,15 @@ def test_synthesize_validation():
         synthesize_spectrum(LINE, PULSE, [], 0.0, 0)
 
 
+def test_synthesize_rejects_noise_past_one_without_warnings():
+    # a sigma of 1e308 overflowed (1 + sigma g)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for noise in (1e308, 1.01, math.nan):
+            with pytest.raises(ValueError, match="between 0 and 1"):
+                synthesize_spectrum(LINE, PULSE, GRID_30, noise, 0)
+
+
 def test_synthesize_components_share_loss_curve():
     w = (0.25, 0.5, 0.25)
     spec = synthesize_spectrum(LINE, PULSE, GRID_30, 0.0, 0, component_weights=w)
@@ -153,6 +162,18 @@ def test_spectrum_validation():
             Spectrum(detunings_khz=np.array([0.0, 1.0]),
                      atoms_total=np.array([1.0, 2.0]),
                      stderr=np.array([0.1, bad]))
+
+
+def test_spectrum_rejects_counts_past_1e300_without_warnings():
+    """Counts near 1.7e307 overflowed the fit's sums; Spectrum now stops them."""
+    x = np.arange(9.0)
+    counts = np.linspace(1.6e307, 1.7e307, 9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="row 0: counts and stderr must be at most 1e300"):
+            fit_spectrum(Spectrum(x, counts))
+        with pytest.raises(ValueError, match="row 2: .*1e300"):
+            Spectrum(x, np.ones(9), stderr=np.array([1.0, 1.0, 1e301] + [1.0] * 6))
 
 
 # ------------------------------------------------------------------ fitting
@@ -272,6 +293,26 @@ def test_fit_drawn_spectra_give_valid_covariance(log_eta, gamma, nu0, noise,
     assert np.all(np.diag(cov) >= 0)
     if fit.converged:
         assert np.min(np.diff(detunings)) <= fit.gamma <= detunings[-1] - detunings[0]
+
+
+DIP = np.array([9000.0, 8900.0, 8500.0, 7000.0, 5000.0, 7000.0, 8500.0, 8900.0, 9000.0])
+
+
+@pytest.mark.parametrize("detunings", [np.linspace(-1e30, 1e30, 9),
+                                       1e200 + np.linspace(-1e190, 1e190, 9)],
+                         ids=["+-1e30", "1e200+-1e190"])
+def test_fit_rejects_span_past_the_log_gamma_box(detunings):
+    """Every start's log gamma sat outside |log gamma| <= 60, so the model was
+    never evaluated and the fit raised TypeError."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="e\\^60"):
+            fit_spectrum(Spectrum(detunings, DIP))
+
+
+def test_fit_span_inside_the_box_still_fits():
+    fit = fit_spectrum(Spectrum(np.linspace(-1e26, 1e26, 9), DIP))
+    assert math.isfinite(fit.eta_res) and fit.gamma > 0
 
 
 def test_fit_needs_five_points():
@@ -428,3 +469,66 @@ def test_csv_empty_and_headers_only(tmp_path):
     write_lines(headers, ["detuning_khz,atoms_total"])
     with pytest.raises(SpectrumFormatError):
         read_spectrum_csv(headers)
+
+
+_CELLS = [1.0, 250.0] * 4 + [0.0, -1.0, math.nan, math.inf, -math.inf, 1e301]
+
+
+@st.composite
+def _tables(draw):
+    """(has_components, has_stderr, rows): small tables whose cells are mostly
+    valid, with zeros, negatives, non-finite values, 1e301 and repeated
+    detunings mixed in."""
+    has_components, has_stderr = draw(st.booleans()), draw(st.booleans())
+    width = 1 + 3 * has_components + has_stderr
+    rows = []
+    for i in range(draw(st.integers(1, 4))):
+        repeat = [rows[-1][0]] if rows else []
+        det = draw(st.sampled_from([float(i)] * 6 + repeat + _CELLS))
+        rows.append([det] + draw(st.lists(st.sampled_from(_CELLS), min_size=width,
+                                          max_size=width)))
+    return has_components, has_stderr, rows
+
+
+def _first_bad_row(rows, has_stderr):
+    """Row-by-row statement of the spectrum value rules."""
+    prev = -math.inf
+    for i, row in enumerate(rows):
+        counts = row[1:len(row) - has_stderr]
+        if (not all(map(math.isfinite, row)) or row[0] <= prev or min(counts) < 0
+                or max(row[1:]) > 1e300 or (has_stderr and row[-1] <= 0)):
+            return i
+        prev = row[0]
+    return None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(table=_tables())
+def test_csv_reader_and_spectrum_share_one_value_checker(tmp_path, table):
+    """read_spectrum_csv rejects a table exactly when Spectrum does, for the
+    same reason, naming line 2 + the first bad row."""
+    has_components, has_stderr, rows = table
+    cols = np.array(rows).T
+    try:
+        Spectrum(cols[0], cols[1], cols[2:5].T if has_components else None,
+                 cols[-1] if has_stderr else None)
+        spectrum_error = None
+    except ValueError as exc:
+        spectrum_error = str(exc)
+    header = ["detuning_khz", "atoms_total"] + (
+        ["atoms_m_minus1", "atoms_m0", "atoms_m_plus1"] if has_components else []) + (
+        ["stderr"] if has_stderr else [])
+    path = tmp_path / "table.csv"
+    write_lines(path, [",".join(header)] + [",".join(map(repr, row)) for row in rows])
+    try:
+        read_spectrum_csv(path)
+        reader_error = None
+    except SpectrumFormatError as exc:
+        reader_error = exc
+    bad = _first_bad_row(rows, has_stderr)
+    assert (spectrum_error is None) == (reader_error is None) == (bad is None)
+    if bad is not None:
+        assert reader_error.line_no == 2 + bad
+        reason = str(reader_error).split(": ", 1)[1]
+        assert spectrum_error == f"row {bad}: {reason}"
