@@ -215,19 +215,28 @@ def _raman(v) -> RamanParams:
                        recoil_energy_hz=v["raman.recoil_energy_hz"])
 
 
+def _n_total(v) -> float:
+    # counts synthesized from n_total, times (1 + noise g) with noise <= 1, stay
+    # far below Spectrum's 1e300 bound
+    n_total = v["atoms.n_total"]
+    if not 0 < n_total <= 1e290:
+        raise ValueError("atoms.n_total must be > 0 and at most 1e290")
+    return n_total
+
+
 def _peak_density(v) -> float:
     explicit = v["pulse.rho0_cm3"]
     if explicit > 0:
         return explicit
     return thomas_fermi_peak_density(
-        n_atoms=v["atoms.n_total"], omega_bar=2.0 * math.pi * v["trap.frequency_hz"],
+        n_atoms=_n_total(v), omega_bar=2.0 * math.pi * v["trap.frequency_hz"],
         scattering_length=v["atoms.scattering_length_a0"] * BOHR_RADIUS_M,
         mass=v["atoms.mass_amu"] * ATOMIC_MASS_KG)
 
 
 def _pulse(v, n0=None) -> PulseParams:
     return PulseParams(t_pa=v["pulse.t_pa_ms"] * MS, rho0=_peak_density(v),
-                       n0=v["atoms.n_total"] if n0 is None else float(n0),
+                       n0=_n_total(v) if n0 is None else float(n0),
                        intensity=v["pulse.intensity_w_cm2"])
 
 

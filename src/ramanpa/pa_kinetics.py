@@ -147,6 +147,13 @@ def remaining_fraction(eta):
     # min and max propagate nan; initial=0 lets an empty array through
     if not (0.0 <= arr.min(initial=0.0) and arr.max(initial=0.0) < math.inf):
         raise ValueError("eta must be finite and >= 0")
+    return _remaining_fraction(arr)
+
+
+def _remaining_fraction(arr):
+    """remaining_fraction of a float array (or float) the caller has proven
+    finite and >= 0; the one copy of the formula, with no input check."""
+    arr = np.asarray(arr)
     big = np.maximum(arr, _SERIES_SWITCH)  # keeps the closed form off eta = 0
     inner = 1.0 + big / 3.0 - np.sqrt(1.0 + 1.0 / big) * np.arcsinh(np.sqrt(big))
     out = np.asarray(7.5 / big * (inner / big))
@@ -188,12 +195,13 @@ def invert_remaining_fraction(fraction: float) -> float:
     lo, hi = 0.0, 2.5 / fraction
     if hi == math.inf:
         raise ValueError("fraction too small to invert")
+    # every eta evaluated lies in the finite, non-negative bracket
     while lo < (mid := lo + 0.5 * (hi - lo)) < hi:
-        if remaining_fraction(mid) > fraction:
+        if _remaining_fraction(mid) > fraction:
             lo = mid
         else:
             hi = mid
-    return min(lo, hi, key=lambda eta: abs(remaining_fraction(eta) - fraction))
+    return min(lo, hi, key=lambda eta: abs(_remaining_fraction(eta) - fraction))
 
 
 def eta_from_rate(k_pa: float, pulse: PulseParams) -> float:

@@ -3,7 +3,9 @@
 A spectrum is the remaining atom number versus PA detuning. The forward model
 is n0 * remaining_fraction(lorentzian_eta(detuning)); the fitter inverts it
 for (n0, eta_res, nu0, gamma) by derivative-free simplex search with restarts
-and reports the Gauss-Newton covariance from the residual Jacobian.
+and reports the Gauss-Newton covariance from the residual Jacobian. The
+simplex search is in-house numpy: a transcription of scipy's Nelder-Mead
+that reproduces its iterates bit for bit.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import csv
 import io
 import math
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +22,7 @@ import numpy as np
 from .pa_kinetics import (
     LorentzianLine,
     PulseParams,
+    _remaining_fraction,
     invert_remaining_fraction,
     lorentzian_eta,
     remaining_fraction,
@@ -182,14 +186,92 @@ def component_spectrum(data: Spectrum, m_f: int) -> Spectrum:
 
 def _forward(det, theta):
     """Model in internal coordinates (n0, log eta_res, nu0, log gamma)."""
-    n0, log_eta, nu0, log_gamma = theta
-    if not all(map(math.isfinite, theta)) or abs(log_eta) > 60 or abs(log_gamma) > 60:
+    n0, log_eta, nu0, log_gamma = values = theta.tolist()
+    if not all(map(math.isfinite, values)) or abs(log_eta) > 60 or abs(log_gamma) > 60:
         return None
-    # inlined Lorentzian; the optimizer calls this thousands of times per fit
+    # inlined Lorentzian; the optimizer calls this thousands of times per fit.
+    # The kernel's input check holds by construction: theta is finite, so
+    # e^log_eta <= e^60 and half is in [e^-60, e^60] / 2; d = det - nu0 may
+    # overflow to +-inf but is never nan, so d^2 + half^2 >= half^2 > 0. eta
+    # is thus finite and in [0, e^60] up to rounding, the Lorentzian factor
+    # half^2 / (d^2 + half^2) being at most 1.
     half = 0.5 * math.exp(log_gamma)
     d = det - nu0
     eta = math.exp(log_eta) * half * half / (d * d + half * half)
-    return n0 * remaining_fraction(eta)
+    return n0 * _remaining_fraction(eta)
+
+
+_Simplex = namedtuple("_Simplex", "x fun nit nfev success")
+_XATOL, _FATOL, _MAXITER, _MAXFEV = 1e-7, 1e-9, 2000, 4000
+
+
+class _EvalCap(Exception):
+    """The simplex search spent its evaluation budget mid-iteration."""
+
+
+def _simplex(func, x0):
+    """Nelder-Mead minimum of func from x0 (Nelder & Mead 1965; Lagarias et al. 1998).
+
+    Transcribes scipy 1.17's _minimize_neldermead for the options fit_spectrum
+    used with it (coefficients rho 1, chi 2, psi 0.5, sigma 0.5; xatol 1e-7,
+    fatol 1e-9, maxiter 2000, maxfev 4000; no bounds), so x, fun, nit, nfev
+    and success equal scipy.optimize.minimize's bit for bit. func receives
+    the simplex's own rows and must not modify them.
+    """
+    nfev = 0
+
+    def f(x):
+        nonlocal nfev
+        if nfev >= _MAXFEV:
+            raise _EvalCap
+        nfev += 1
+        return func(x)
+
+    n = len(x0)
+    sim = np.array([x0] * (n + 1), dtype=float)
+    for k in range(n):  # 5 % steps, 0.00025 from a zero coordinate
+        sim[k + 1, k] = (1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.array([f(v) for v in sim], dtype=float)
+    for _ in range(2):  # scipy sorts twice before the first iteration
+        ind = fsim.argsort()
+        sim, fsim = sim.take(ind, 0), fsim.take(ind)
+    nit = 1
+    while nfev < _MAXFEV and nit < _MAXITER:
+        try:
+            if (abs(sim[1:] - sim[0]).max() <= _XATOL
+                    and abs(fsim[0] - fsim[1:]).max() <= _FATOL):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = 2 * xbar - sim[-1]
+            fxr = f(xr)
+            if fxr < fsim[0]:  # expand
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:  # reflect
+                sim[-1], fsim[-1] = xr, fxr
+            else:  # contract outside, else inside; shrink if neither improves
+                if fxr < fsim[-1]:
+                    xc = 1.5 * xbar - 0.5 * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc <= fxr
+                else:
+                    xc = 0.5 * xbar + 0.5 * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+            nit += 1
+        except _EvalCap:
+            pass
+        ind = fsim.argsort()
+        sim, fsim = sim.take(ind, 0), fsim.take(ind)
+    return _Simplex(sim[0], fsim.min(), nit, nfev,
+                    not (nfev >= _MAXFEV or nit >= _MAXITER))
 
 
 def fit_spectrum(data: Spectrum) -> FitResult:
@@ -199,11 +281,11 @@ def fit_spectrum(data: Spectrum) -> FitResult:
     otherwise) are minimized over (n0, eta_res, nu0, gamma); eta_res and gamma
     are searched in log space to stay positive. Simplex search runs from the
     data-driven initial guess plus 5 perturbed restarts; the best run wins.
+    The search is _simplex, an in-house numpy Nelder-Mead whose every iterate
+    equals scipy.optimize.minimize(method="Nelder-Mead")'s at the same options.
     A perfectly flat spectrum short-circuits to eta_res = 0. ValueError below 5
     points, or for a half-span past e^60 kHz, where log gamma starts outside _forward's box.
     """
-    from scipy.optimize import minimize  # loaded here, not at import time
-
     n = len(data)
     if n < 5:
         raise ValueError("need at least 5 points to fit")
@@ -258,9 +340,7 @@ def fit_spectrum(data: Spectrum) -> FitResult:
 
     best = best_start = None
     for start in starts:
-        res = minimize(objective, start, method="Nelder-Mead",
-                       options={"xatol": 1e-7, "fatol": 1e-9,
-                                "maxiter": 2000, "maxfev": 4000})
+        res = _simplex(objective, start)
         if best is None or res.fun < best.fun:
             best, best_start = res, start
 

@@ -234,6 +234,19 @@ def test_out_of_range_config_value_is_data_error(tmp_path, line):
     assert not out.exists()
 
 
+def test_configured_atom_count_past_its_bound_is_data_error(tmp_path):
+    # exited 1 with "row 0: counts and stderr must be at most 1e300", a usage
+    # error naming no key, once the synthesized counts passed Spectrum's bound
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("atoms.n_total = 1e305\npulse.rho0_cm3 = 1e14\n", encoding="ascii")
+    out = tmp_path / "o"
+    res = run_cli(["simulate", "--config", str(cfg), "--out-dir", str(out)])
+    assert res.returncode == 2, res.stderr
+    assert "invalid configured value: atoms.n_total" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not out.exists()
+
+
 def test_out_of_range_uncertainty_config_is_data_error(tmp_path):
     cfg = tmp_path / "range.cfg"
     cfg.write_text("uncertainty.delta_sigma = -0.5\n", encoding="ascii")

@@ -86,3 +86,14 @@ def test_crlf_and_cr_line_ends_parse(tmp_path):
         RunConfig.from_file(path)
     path.write_bytes(b"raman.omega_r = 5\r\nraman.delta = 1  # E_r\r")
     assert RunConfig.from_file(path).raman_params() == RamanParams(omega_r=5.0, delta=1.0)
+
+
+def test_atom_count_is_bounded_where_it_is_read():
+    at_bound = RunConfig({"atoms.n_total": 1e290, "pulse.rho0_cm3": 1e14})
+    assert at_bound.pulse_params().n0 == 1e290
+    for views in (lambda c: c.pulse_params(), lambda c: c.peak_density()):
+        with pytest.raises(ConfigError, match="atoms.n_total must be > 0 and at most 1e290"):
+            views(RunConfig({"atoms.n_total": 1e291}))
+    # a given n0 and a configured density leave the atom count unread
+    config = RunConfig({"atoms.n_total": 1e305, "pulse.rho0_cm3": 1e14})
+    assert config.pulse_params(n0=9000.0).n0 == 9000.0

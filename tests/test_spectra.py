@@ -1,11 +1,13 @@
 """Spectrum synthesis, CSV IO, line fitting, and rate extraction."""
 import math
 import warnings
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from ramanpa import spectra
 from ramanpa.dressed_states import RamanParams, find_band_minimum
 from ramanpa.interference import rate_ratio
 from ramanpa.pa_kinetics import (
@@ -325,6 +327,79 @@ def test_fit_weighted_by_stderr_matches_unweighted_shape():
     fit = fit_of(0.03, 4, include_stderr=True)
     assert fit.converged
     assert fit.eta_res == pytest.approx(1.0, abs=0.2)
+
+
+# ------------------------------------------------ simplex against scipy's
+
+_NM_OPTIONS = {"xatol": 1e-7, "fatol": 1e-9, "maxiter": 2000, "maxfev": 4000}
+_ORACLE_SPECTRA = {
+    **{f"criterion5-seed{s}": synthesize_spectrum(LINE, PULSE, GRID_30, 0.03, s)
+       for s in range(3)},
+    # the reproducers of the narrow-line, wide-line and edge-spike tests
+    "narrow-line": synthesize_spectrum(LorentzianLine(eta_res=0.1, nu0=0.0, gamma=20.0),
+                                       PULSE, GRID_30, 0.1, 4),
+    "wide-line": synthesize_spectrum(LorentzianLine(eta_res=0.05, nu0=0.0, gamma=20.0),
+                                     PULSE, GRID_30, 0.1, 4),
+    "edge-spike": Spectrum(np.arange(-30.0, 31.0, 10.0),
+                           np.array([8600.0, 8200.0, 7000.0, 5000.0, 7000.0, 8200.0, 0.0]),
+                           stderr=np.full(7, 90.0)),
+}
+
+
+def _scipy_simplex(func, x0):
+    from scipy.optimize import minimize
+    res = minimize(func, x0, method="Nelder-Mead", options=_NM_OPTIONS)
+    return spectra._Simplex(res.x, res.fun, res.nit, res.nfev, res.success)
+
+
+def _assert_same_search(ours, func, x0):
+    ref = _scipy_simplex(func, x0)
+    assert ours.x.tobytes() == ref.x.tobytes()
+    assert np.float64(ours.fun).tobytes() == np.float64(ref.fun).tobytes()
+    assert (ours.nit, ours.nfev, ours.success) == (ref.nit, ref.nfev, ref.success)
+
+
+@pytest.mark.parametrize("name", _ORACLE_SPECTRA)
+def test_simplex_matches_scipy_at_every_fit_start(name, monkeypatch):
+    searches, simplex = [], spectra._simplex
+
+    def recording(func, x0):
+        searches.append((func, x0.copy(), simplex(func, x0)))
+        return searches[-1][2]
+
+    monkeypatch.setattr(spectra, "_simplex", recording)
+    fit_spectrum(_ORACLE_SPECTRA[name])
+    assert len(searches) == 6
+    for func, x0, ours in searches:
+        _assert_same_search(ours, func, x0)
+
+
+@pytest.mark.parametrize("func, counter, cap", [
+    # pseudo-random noise of 1e-3 keeps the values further apart than fatol,
+    # so the search spends every evaluation, the last inside an iteration
+    (lambda x: float(x @ x) + 1e-3 * zlib.crc32(x.tobytes()) / 2**32, "nfev", 4000),
+    # an unbounded, nearly flat descent spends every iteration first
+    (lambda x: -float(np.sum(np.abs(x) ** 0.01)), "nit", 2000),
+], ids=["evaluation-cap", "iteration-cap"])
+def test_simplex_matches_scipy_when_a_cap_stops_it(func, counter, cap):
+    x0 = np.array([0.7, -1.3, 0.0, 2.1])
+    ours = spectra._simplex(func, x0)
+    assert not ours.success
+    assert getattr(ours, counter) == cap
+    _assert_same_search(ours, func, x0)
+
+
+@pytest.mark.parametrize("name", _ORACLE_SPECTRA)
+def test_fit_equals_the_scipy_path_bit_for_bit(name, monkeypatch):
+    data = _ORACLE_SPECTRA[name]
+    ours = fit_spectrum(data)
+    monkeypatch.setattr(spectra, "_simplex", _scipy_simplex)
+    ref = fit_spectrum(data)
+    for key in ("n0", "eta_res", "nu0", "gamma", "residual_rms", "objective_trace"):
+        assert np.asarray(getattr(ours, key)).tobytes() == \
+            np.asarray(getattr(ref, key)).tobytes(), key
+    assert ours.converged is ref.converged
+    assert ours.covariance.tobytes() == ref.covariance.tobytes()
 
 
 # ----------------------------------------------------------- rate extraction

@@ -1,9 +1,12 @@
-"""Start-up cost: the CLI imports numpy only; scipy loads where it is used."""
+"""Start-up cost: the CLI imports numpy only, and no verb loads scipy."""
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 import xml.sax.saxutils
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,13 +16,16 @@ from ramanpa import constants, svgplot
 from ramanpa.pa_kinetics import LorentzianLine, PulseParams
 from ramanpa.spectra import synthesize_spectrum, write_spectrum_csv
 
+_ROOT = Path(__file__).resolve().parents[1]
 _PROBE = """
 import json, sys
 import ramanpa.cli
-heavy = sorted(m for m in sys.modules
-               if m.split(".")[0] == "scipy" or m == "xml.sax" or m.startswith("xml.sax."))
+def heavy():
+    return sorted(m for m in sys.modules
+                  if m.split(".")[0] == "scipy" or m == "xml.sax" or m.startswith("xml.sax."))
+before = heavy()
 code = ramanpa.cli.main(sys.argv[1:])
-print(json.dumps({"heavy": heavy, "code": code}))
+print(json.dumps({"heavy": before, "heavy_after_main": heavy(), "code": code}))
 """
 
 
@@ -38,10 +44,35 @@ def test_cli_import_loads_neither_scipy_nor_xml_sax(tmp_path):
     assert res.returncode == 0, res.stderr
     report = json.loads(res.stdout.strip().splitlines()[-1])
     assert report["heavy"] == []
-    # fit imports its optimizer on demand and still works
+    # the fit runs on numpy alone
+    assert report["heavy_after_main"] == []
     assert report["code"] == 0
     assert json.loads((out / "fit_result.json").read_text())["eta_res"] == \
         pytest.approx(0.8, rel=1e-3)
+
+
+def test_runtime_dependencies_are_numpy_only():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    project = tomllib.loads((_ROOT / "pyproject.toml").read_text())["project"]
+    assert [re.split(r"[<>=!~ ;\[]", d)[0] for d in project["dependencies"]] == ["numpy"]
+    # scipy stays a test-only oracle
+    assert any(d.startswith("scipy") for d in project["optional-dependencies"]["test"])
+
+
+def test_no_module_imports_scipy():
+    """Every import statement in the package, function-local ones included."""
+    found = []
+    for path in sorted((_ROOT / "src" / "ramanpa").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert found == []
 
 
 def test_constants_equal_scipy_codata_to_the_bit():
