@@ -26,17 +26,11 @@ from .dressed_states import (
     _MAX_BAND_Q,
     DRESSING_LIMIT_ER,
     band_curve,
-    band_minima,
     coefficients_vs_delta,
     find_band_minimum,
     write_band_csv,
 )
-from .interference import (
-    _batch_ratios,
-    rate_ratio,
-    rate_ratio_no_interference,
-    write_ratio_sweep_csv,
-)
+from .interference import rate_ratio, rate_ratio_no_interference, write_ratio_sweep_csv
 from .pa_kinetics import (
     _MAX_SHELLS,
     LorentzianLine,
@@ -291,9 +285,8 @@ def cmd_ratio_sweep(args, config: RunConfig):
         else:
             omega_col, delta_col = np.full(points, nominal.omega_r), axis
             x_label = "delta (E_r)"
-        mc_with, mc_without = _band(axis, omega_col, delta_col, mc_spec, nominal.epsilon_q)
-        nominal_with, nominal_without = _batch_ratios(
-            band_minima(omega_col, delta_col, nominal.epsilon_q)[2])
+        (mc_with, mc_without), (nominal_with, nominal_without) = _band(
+            axis, omega_col, delta_col, mc_spec, nominal.epsilon_q)
     bands = [mc_without] if args.no_interference else [mc_with, mc_without]
 
     areas = [BandArea(x=b.sweep_axis, lower=b.lower, upper=b.upper,

@@ -25,6 +25,7 @@ from .pa_kinetics import (
     _remaining_fraction,
     invert_remaining_fraction,
     lorentzian_eta,
+    rate_from_eta,
     remaining_fraction,
 )
 from .tables import write_csv
@@ -295,7 +296,7 @@ def fit_spectrum(data: Spectrum) -> FitResult:
     if not 0.5 * span <= math.exp(60):
         raise ValueError("half the detuning span must be at most e^60 (about 1.1e26) kHz")
 
-    k_pa_of = (lambda eta: eta / (data.pulse.rho0 * data.pulse.t_pa)) \
+    k_pa_of = (lambda eta: rate_from_eta(eta, data.pulse)) \
         if data.pulse is not None else (lambda eta: float("nan"))
 
     if np.ptp(y) == 0.0:
@@ -390,7 +391,7 @@ def extract_kpa(fit: FitResult, pulse: PulseParams) -> float:
     """PA rate constant k_pa = eta_res / (rho0 * t_pa), in cm^3/s."""
     if not fit.converged:
         raise ValueError("fit did not converge; k_pa undefined")
-    return fit.eta_res / (pulse.rho0 * pulse.t_pa)
+    return rate_from_eta(fit.eta_res, pulse)
 
 
 def normalize_spectrum(data: Spectrum, fit: FitResult) -> Spectrum:

@@ -1,9 +1,10 @@
 """Monte Carlo propagation of dressing-parameter uncertainties.
 
 The measured Raman coupling and detuning carry experimental uncertainties
-(10% relative and 0.5 E_r by default). Sampling both, re-solving the band
-minimum per sample, and evaluating the PA rate ratio yields the mean +- one
-standard deviation prediction bands drawn around the nominal theory curves.
+(10% relative and 0.5 E_r by default). Sampling both, solving the band
+minimum of every sample and every nominal point of a sweep together, and
+evaluating the PA rate ratio yields the nominal theory curves and the mean
++- one standard deviation prediction bands drawn around them.
 """
 
 from __future__ import annotations
@@ -26,7 +27,10 @@ __all__ = [
     "write_ratio_band_csv",
 ]
 
-_MAX_SAMPLES = 10**6  # per sweep point; about 136 MiB peak at the cap
+_MAX_SAMPLES = 10**6  # per sweep point; about 146 MiB peak at the cap
+_SOLVE_ROWS = 1 << 16  # rows per band_minima call in _band: 25 x 2001 fit in one
+# draws within 99 sigma of omega_r 12, |delta| 3 and eps_q 0.65 E_r stay within 1e6 E_r
+_SIGMA_CAPS = {"omega_rel_sigma": 100.0, "delta_sigma": 1e4, "epsilon_q_sigma": 1e4}
 VARIANT_WITH = "with-interference"
 VARIANT_WITHOUT = "without-interference"
 
@@ -43,9 +47,9 @@ class UncertaintySpec:
     epsilon_q_sigma: float = 0.0
 
     def __post_init__(self):
-        sigmas = (self.omega_rel_sigma, self.delta_sigma, self.epsilon_q_sigma)
-        if not all(0 <= s < math.inf for s in sigmas):
-            raise ValueError("sigmas must be finite and >= 0")
+        for name, cap in _SIGMA_CAPS.items():
+            if not 0 <= getattr(self, name) <= cap:  # NaN fails too
+                raise ValueError(f"{name} must be finite, >= 0 and <= {cap:g}")
         if not 100 <= self.n_samples <= _MAX_SAMPLES:
             raise ValueError(f"n_samples must be between 100 and {_MAX_SAMPLES}")
         if self.seed < 0:
@@ -72,34 +76,32 @@ class RatioBand:
     std: np.ndarray
 
 
-def _draw_positive(rng, nominal: float, sigma: float, n: int) -> np.ndarray:
-    """Gaussian draws with negative values redrawn until none remain."""
+def _draw(rng, nominal: float, sigma: float, n: int, low: float) -> np.ndarray:
+    """n Gaussian draws about nominal, those below low redrawn until none remain."""
     if sigma == 0:
         return np.full(n, nominal)
     out = rng.normal(nominal, sigma, n)
-    while np.any(out < 0):
-        bad = out < 0
+    while np.any(out < low):
+        bad = out < low
         out[bad] = rng.normal(nominal, sigma, int(bad.sum()))
     return out
 
 
-def _draw_samples(rng, omega_nom, delta_nom, epsilon_nom, spec: UncertaintySpec):
-    omegas = _draw_positive(rng, omega_nom, spec.omega_rel_sigma * omega_nom,
-                            spec.n_samples)
-    if spec.delta_sigma > 0:
-        deltas = rng.normal(delta_nom, spec.delta_sigma, spec.n_samples)
-    else:
-        deltas = np.full(spec.n_samples, delta_nom)
-    epsilons = _draw_positive(rng, epsilon_nom, spec.epsilon_q_sigma, spec.n_samples)
-    return omegas, deltas, epsilons
+def _draw_samples(rng, omega_nom, delta_nom, epsilon_nom, spec: UncertaintySpec, out):
+    """Fill out (3, n_samples) with omega, delta, epsilon_q draws; omega, epsilon_q >= 0."""
+    out[0] = _draw(rng, omega_nom, spec.omega_rel_sigma * omega_nom, spec.n_samples, 0.0)
+    out[1] = _draw(rng, delta_nom, spec.delta_sigma, spec.n_samples, -math.inf)
+    out[2] = _draw(rng, epsilon_nom, spec.epsilon_q_sigma, spec.n_samples, 0.0)
 
 
-def _band(axis_values, omegas, deltas, spec: UncertaintySpec,
-          epsilon_q: float) -> tuple[RatioBand, RatioBand]:
-    """Sweep both variants over nominal omegas/deltas broadcast against the axis.
+def _band(axis_values, omegas, deltas, spec: UncertaintySpec, epsilon_q: float):
+    """Both variants' bands and both nominal curves over a sweep, in one pass.
 
-    Both variants come from one band-minimum solve per sweep point, since the
-    same coefficients feed both ratios. Returns (with, without) interference.
+    Point i gives a block of rows: its nominal row, then (unless the spec is
+    zero-width) n_samples draws from its own default_rng([seed, i]) stream, so
+    mirrored or reordered sweeps reuse identical draws at equal indices. One
+    band_minima call solves each group of whole blocks of at most _SOLVE_ROWS
+    rows. Returns ((with, without) bands, (2, points) nominal ratios).
     """
     axis = np.asarray(axis_values, dtype=float)
     if axis.size == 0:
@@ -110,34 +112,35 @@ def _band(axis_values, omegas, deltas, spec: UncertaintySpec,
         raise ValueError("sweep values and nominal omega_r, delta must be finite")
     if np.any(om_nom < 0):
         raise ValueError("nominal omega_r must be >= 0")
-    means = np.empty((2, axis.size))
-    stds = np.zeros((2, axis.size))
-    if spec.is_zero:
-        # zero-width band: one solve per point
-        _, _, coeffs = band_minima(om_nom, de_nom, epsilon_q)
-        means[:] = _batch_ratios(coeffs)
-    else:
-        for i in range(axis.size):
-            # one independent substream per sweep point: mirrored or reordered
-            # sweeps reuse identical draws at equal indices
-            rng = np.random.default_rng([spec.seed, i])
-            draws = _draw_samples(rng, om_nom[i], de_nom[i], epsilon_q, spec)
-            _, _, coeffs = band_minima(*draws)
-            ratios = np.stack(_batch_ratios(coeffs))
-            means[:, i] = np.mean(ratios, axis=1)
-            stds[:, i] = np.std(ratios, axis=1, ddof=1)
+    width = 1 if spec.is_zero else 1 + spec.n_samples
+    nominal, means, stds = np.zeros((3, 2, axis.size))
+    per_solve = max(1, _SOLVE_ROWS // width)
+    for first in range(0, axis.size, per_solve):
+        part = slice(first, min(first + per_solve, axis.size))
+        block = np.empty((3, part.stop - first, width))
+        block[:, :, 0] = np.broadcast_arrays(om_nom[part], de_nom[part], epsilon_q)
+        if width > 1:
+            for j, i in enumerate(range(first, part.stop)):
+                _draw_samples(np.random.default_rng([spec.seed, i]),
+                              om_nom[i], de_nom[i], epsilon_q, spec, block[:, j, 1:])
+        ratios = np.reshape(_batch_ratios(band_minima(*block.reshape(3, -1))[2]), (2, -1, width))
+        nominal[:, part] = ratios[:, :, 0]
+        # a zero-width block is its nominal row: the mean is that row, the std 0
+        draws = ratios[:, :, 1:] if width > 1 else ratios
+        means[:, part] = np.mean(draws, axis=2)
+        stds[:, part] = np.std(draws, axis=2, ddof=min(1, width - 1))
     lower = np.clip(means - stds, 0.0, 1.05)
     upper = np.clip(means + stds, 0.0, 1.05)
     return tuple(RatioBand(sweep_axis=axis, mean=means[k], lower=lower[k], upper=upper[k],
                            variant=variant, std=stds[k])
-                 for k, variant in enumerate((VARIANT_WITH, VARIANT_WITHOUT)))
+                 for k, variant in enumerate((VARIANT_WITH, VARIANT_WITHOUT))), nominal
 
 
 def ratio_band_vs_omega(omega_list, delta_nominal: float, spec: UncertaintySpec,
                         interference: bool = True,
                         epsilon_q: float = EPSILON_Q_ER) -> RatioBand:
     """Rate-ratio band swept over the Raman coupling at fixed nominal delta."""
-    bands = _band(omega_list, omega_list, delta_nominal, spec, epsilon_q)
+    bands, _ = _band(omega_list, omega_list, delta_nominal, spec, epsilon_q)
     return bands[0] if interference else bands[1]
 
 
@@ -145,7 +148,7 @@ def ratio_band_vs_delta(delta_list, omega_nominal: float, spec: UncertaintySpec,
                         interference: bool = True,
                         epsilon_q: float = EPSILON_Q_ER) -> RatioBand:
     """Rate-ratio band swept over the detuning at fixed nominal coupling."""
-    bands = _band(delta_list, omega_nominal, delta_list, spec, epsilon_q)
+    bands, _ = _band(delta_list, omega_nominal, delta_list, spec, epsilon_q)
     return bands[0] if interference else bands[1]
 
 

@@ -291,6 +291,41 @@ def test_out_of_range_raman_config_is_data_error(tmp_path, monkeypatch, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line", ["uncertainty.omega_rel_sigma = 1e6",
+                                  "uncertainty.omega_rel_sigma = 1e300",
+                                  "uncertainty.delta_sigma = 1e7",
+                                  "uncertainty.epsilon_q_sigma = 1e7"])
+def test_sigma_past_its_cap_is_data_error(tmp_path, monkeypatch, capsys, line):
+    # each sigma once made a draw past the dressing bound: exit 1, naming no key
+    cfg = tmp_path / "sigma.cfg"
+    cfg.write_text(line + "\n", encoding="ascii")
+    out = tmp_path / "o"
+    code, err = _main_in_process(["ratio-sweep", "--config", str(cfg), "--points", "2",
+                                  "--samples", "100", "--out-dir", str(out)],
+                                 monkeypatch, capsys)
+    assert code == 2, err
+    assert f"invalid configured value: {line.split()[0].split('.')[1]} must be" in err
+    assert not out.exists()
+
+
+def test_ratio_sweep_solves_bands_and_nominal_curves_in_one_call(tmp_path, monkeypatch,
+                                                                 capsys):
+    import ramanpa.uncertainty as uncertainty
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(np.size(args[0]))
+        return dressed_states.band_minima(*args, **kwargs)
+
+    monkeypatch.setattr(uncertainty, "band_minima", counted)
+    code, err = _main_in_process(["ratio-sweep", "--format", "json",
+                                  "--out-dir", str(tmp_path / "o")], monkeypatch, capsys)
+    assert code == 0, err
+    assert calls == [25 * 2001]  # 25 points x (nominal row + 2000 draws)
+    assert not hasattr(cli, "band_minima") and not hasattr(cli, "_batch_ratios")
+
+
 @pytest.mark.parametrize("verb", ["bands", "coeffs", "simulate"])
 def test_flags_replace_bad_raman_config(tmp_path, monkeypatch, capsys, verb):
     cfg = tmp_path / "raman.cfg"

@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from ramanpa.dressed_states import RamanParams, find_band_minimum
+import ramanpa.uncertainty as uncertainty
+from ramanpa.dressed_states import RamanParams, band_minima, find_band_minimum
 from ramanpa.interference import rate_ratio, rate_ratio_no_interference
 from ramanpa.uncertainty import (
     RatioBand,
     UncertaintySpec,
+    _band,
     ratio_band_vs_delta,
     _draw_samples,
     ratio_band_vs_omega,
@@ -45,8 +47,36 @@ def test_spec_caps_sample_count():
         UncertaintySpec(n_samples=10**6 + 1)
 
 
+@pytest.mark.parametrize("field, cap", [("omega_rel_sigma", 100.0), ("delta_sigma", 1e4),
+                                        ("epsilon_q_sigma", 1e4)])
+def test_spec_caps_each_sigma_by_name(field, cap):
+    assert getattr(UncertaintySpec(**{field: cap}), field) == cap
+    for value in (np.nextafter(cap, np.inf), 1e300):
+        with pytest.raises(ValueError, match=f"^{field} must be finite, >= 0 and <= {cap:g}$"):
+            UncertaintySpec(**{field: value})
+
+
 def draw(omega, delta, spec):
-    return _draw_samples(np.random.default_rng(spec.seed), omega, delta, 0.65, spec)
+    out = np.empty((3, spec.n_samples))
+    _draw_samples(np.random.default_rng(spec.seed), omega, delta, 0.65, spec, out)
+    return out
+
+
+def test_draw_samples_matches_hand_rolled_normals_in_order():
+    spec = UncertaintySpec(omega_rel_sigma=0.5, delta_sigma=0.5, epsilon_q_sigma=0.05,
+                           n_samples=100, seed=2)
+    rng = np.random.default_rng(spec.seed)
+    omegas = rng.normal(1.0, 0.5, 100)
+    bad = omegas < 0
+    assert bad.any()
+    omegas[bad] = rng.normal(1.0, 0.5, int(bad.sum()))
+    assert omegas.min() >= 0  # one redraw round suffices at this seed
+    deltas = rng.normal(-1.0, 0.5, 100)
+    assert deltas.min() < 0  # delta is never redrawn
+    epsilons = rng.normal(0.65, 0.05, 100)
+    assert epsilons.min() >= 0
+    got = draw(1.0, -1.0, spec)
+    assert np.array_equal(got, np.stack([omegas, deltas, epsilons]))
 
 
 def test_draw_samples_deterministic():
@@ -101,6 +131,49 @@ def test_zero_sigma_delta_sweep_is_symmetric():
 
 
 # -------------------------------------------------------------- MC bands
+
+SWEEP = np.linspace(0.0, 12.0, 25)
+
+
+def _sweep(spec):
+    (full, noint), nominal = _band(SWEEP, SWEEP, 0.3, spec, 0.65)
+    return np.stack([full.mean, noint.mean, full.std, noint.std]), nominal
+
+
+def test_band_nominal_curve_is_the_zero_width_band():
+    spec = UncertaintySpec(n_samples=300, seed=4)
+    zero_bands, zero_nominal = _sweep(ZERO)
+    _, nominal = _sweep(spec)
+    assert np.array_equal(zero_bands[:2], nominal)
+    assert np.array_equal(zero_nominal, nominal)
+    assert np.all(zero_bands[2:] == 0.0)
+    direct = band_minima(SWEEP, 0.3, 0.65)[2]
+    assert np.array_equal(nominal[0], [rate_ratio(c) for c in direct])
+    assert np.array_equal(nominal[1], [rate_ratio_no_interference(c) for c in direct])
+
+
+@pytest.mark.parametrize("spec", [NOMINAL_MC, UncertaintySpec(n_samples=200, seed=9,
+                                                              epsilon_q_sigma=0.05), ZERO])
+def test_band_grouping_does_not_change_results(monkeypatch, spec):
+    calls = []
+
+    def counted(*args):
+        calls.append(np.size(args[0]))
+        return band_minima(*args)
+
+    monkeypatch.setattr(uncertainty, "band_minima", counted)
+    width = 1 if spec.is_zero else spec.n_samples + 1
+    results = []
+    # one solve; three whole blocks and half a fourth per solve; one block per solve
+    for rows, solves in ((uncertainty._SOLVE_ROWS, 1), (3 * width + width // 2, 9), (1, 25)):
+        monkeypatch.setattr(uncertainty, "_SOLVE_ROWS", rows)
+        calls.clear()
+        results.append(_sweep(spec))
+        assert len(calls) == solves and sum(calls) == 25 * width
+    for bands, nominal in results[1:]:
+        assert np.array_equal(bands, results[0][0])
+        assert np.array_equal(nominal, results[0][1])
+
 
 def test_band_envelope_invariants():
     band = ratio_band_vs_omega(np.linspace(0.5, 12.0, 9), 0.0, NOMINAL_MC)
