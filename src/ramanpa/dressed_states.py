@@ -41,7 +41,7 @@ __all__ = [
 # strictly beyond +2. The global minimum over any wider window lies in [-2, 2].
 Q_WINDOW = (-2.0, 2.0)
 # scan step in k_r for every caller: wells are about 1 k_r wide and Newton
-# refines every grid well afterwards (a 0.2 step already misses the odd well)
+# refines each grid well that can win (a 0.2 step already misses the odd well)
 SCAN_STEP = 0.1
 # cap on Newton iterations per candidate: from one scan step (<= 0.1 k_r) away
 # they reach the 1e-13 k_r level of the dense reference
@@ -164,7 +164,7 @@ def _lowest_eigenvalue(q, omega, delta, epsilon_q):
     (h + x, -2h, h - x) with h = (4 + eps_q)/3 and x = 4q - delta, so
     (2p)^2 = 4x^2/3 + 4h^2 + 8w^2/3 and -det/(2p^3) = 8h (h^2 + w^2 - x^2)/(2p)^3.
     The lowest root is mean - 2p cos(arccos(-det/(2p^3))/3). Only x mixes q
-    with the other arguments, so on a (rows x grid) scan block each pass is
+    with the other arguments, so on a (grid x rows) scan block each pass is
     one in-place ufunc on one of two buffers. It computes in the dtype of its
     arguments: float32 when every array among them is float32 (the coarse
     scan of _minima_chunk), float64 when one is float64 or all are numbers.
@@ -231,13 +231,23 @@ def _slope(q, omega, delta, epsilon_q):
 def _minima_chunk(qs, om, de, ep, scan_step):
     """band_minima on one chunk of 1-D rows over the scan grid qs.
 
-    qs holds both window ends and one bracketed Newton loop refines every grid
-    well, so a window that cuts the band returns its lowest point, edges
-    included. The coarse scan only proposes grid wells, so it runs in float32
-    (arccos and cos are 5-10x cheaper) wherever float32 resolves the grid: its
-    rounding, about 2^-24 x max(1, |omega|, |delta|, |eps_q|) over the chunk,
-    must sit far below the energy change across one step, about step^2, else
-    it runs in float64. Newton, the winner and the state are always float64.
+    The scan block is grid-major, (grid, rows), so each pass of the closed form
+    runs over contiguous rows; wells come off its mask's transpose, sorted by
+    row. qs holds both window ends and one bracketed Newton loop refines each
+    well that can win, so a window that cuts the band returns its lowest point,
+    edges included. The scan only proposes wells, so it runs in float32 (arccos
+    and cos are 5-10x cheaper) where its rounding, about 2^-24 x scale = max(1,
+    |omega|, |delta|, |eps_q|) over the chunk, sits far below the energy change
+    across one step, about step^2. Newton, winner and state are float64.
+
+    Wells that can win: E(q) = q^2 + mu(q), mu = min over unit v of v.(A + qB)v
+    with B = diag(4, 0, -4), is concave, so E'' <= 2 and E(q) <= E(x) + (q - x)^2
+    about a stationary x. Newton keeps a well q_c in [q_c - step, q_c + step],
+    whose ends lie at or above E(q_c), so it ends at or above E(q_c) - step^2;
+    the row's lowest grid well ends at or below its grid energy. Wells scanned
+    over step^2 + sqrt(eps) x scale + 1e-12 above it land in a higher 1e-12 bin
+    and skip Newton; sqrt(eps) of the scan dtype covers the rounding of two
+    scanned and two refined energies (< 2^8 ulps of scale at grid wells).
 
     The state at q* needs no eigensolver. The closed-form root lam is good to
     rounding there, so the unit eigenvector is the longest cross product of
@@ -247,13 +257,15 @@ def _minima_chunk(qs, om, de, ep, scan_step):
     q_lo, q_hi = qs[0], qs[-1]
     scale = max(1.0, *(float(np.max(np.abs(v))) for v in (om, de, ep)))
     dt = np.float32 if scan_step * scan_step >= _F32_SCAN_MARGIN * scale else np.float64
-    energy = _lowest_eigenvalue(*(v.astype(dt, copy=False) for v in (
-        qs, om[:, None], de[:, None], ep[:, None])))
+    energy = _lowest_eigenvalue(*(v.astype(dt, copy=False) for v in (qs[:, None], om, de, ep)))
     is_min = np.ones(energy.shape, dtype=bool)
-    is_min[:, 1:] = energy[:, 1:] <= energy[:, :-1]
-    is_min[:, :-1] &= energy[:, :-1] <= energy[:, 1:]
+    is_min[1:] = energy[1:] <= energy[:-1]
+    is_min[:-1] &= energy[:-1] <= energy[1:]
     # rows come out sorted, and each finite row has a well: its grid argmin
-    rows, cols = np.divmod(np.flatnonzero(is_min), qs.size)
+    rows, cols = np.divmod(np.flatnonzero(is_min.T), qs.size)
+    slack = scan_step * scan_step + math.sqrt(np.finfo(dt).eps) * scale + 1e-12
+    keep = energy[cols, rows] - energy.min(axis=0)[rows] <= slack  # wells that can win
+    rows, cols = rows[keep], cols[keep]
     qc = qs[cols]
     om_c, de_c, ep_c = om[rows], de[rows], ep[rows]
     lo = np.clip(qc - scan_step, q_lo, q_hi)
@@ -283,14 +295,15 @@ def _minima_chunk(qs, om, de, ep, scan_step):
                 break
     x[live] = xl
 
-    # winner per row: energy (1e-12 bins), then |q| (1e-9 bins), then q >= 0;
-    # with one well per row it is that well
+    # winner per row: energy (1e-12 bins), then |q| (1e-9), then q >= 0, where contested
     lam = _lowest_eigenvalue(x, om_c, de_c, ep_c)
-    q_star = x
-    if rows.size > om.size:
-        order = np.lexsort((x < 0.0, np.round(np.abs(x) * 1e9), np.round(lam * 1e12), rows))
-        win = order[np.flatnonzero(np.diff(rows, prepend=-1))]
-        q_star, lam = x[win], lam[win]
+    win = np.flatnonzero(np.diff(rows, prepend=-1))  # first well of each row
+    wells = np.diff(win, append=rows.size)
+    tied = np.flatnonzero(np.repeat(wells > 1, wells))
+    order = np.lexsort((x[tied] < 0.0, np.round(np.abs(x[tied]) * 1e9),
+                        np.round(lam[tied] * 1e12), rows[tied]))
+    win[wells > 1] = tied[order[np.flatnonzero(np.diff(rows[tied], prepend=-1))]]
+    q_star, lam = x[win], lam[win]
 
     a, b, c = _diagonal(q_star, de, ep)
     w = 0.5 * om
@@ -311,20 +324,22 @@ def _minima_chunk(qs, om, de, ep, scan_step):
 def band_minima(omega, delta, epsilon_q=EPSILON_Q_ER, scan_step=SCAN_STEP, q_window=Q_WINDOW):
     """Global lowest-band minima over broadcast (omega, delta, epsilon_q) arrays.
 
-    Vectorized core of every band-minimum caller. A grid scan of the closed-form
-    root (_lowest_eigenvalue) at scan_step from one end of q_window to the other
-    finds every grid well of every row (SCAN_STEP finds every well, a finer step
-    is a dense reference; Q_WINDOW holds the global minimum of any wider window).
-    Safeguarded float64 Newton on the characteristic-polynomial slope refines
-    each well, bisecting whenever a step would leave the bracket, and stops once
-    an accepted step is at most 1e-9 k_r; the lowest refined energy wins, and
-    exactly degenerate minima resolve to smallest |q|, preferring q >= 0. An edge
-    well where the band rises inward stays on its edge, so a window that cuts
-    the band returns its lowest point, edges included. The scan runs in float32
-    where float32 resolves the grid (step^2 >= 1e-5 x max(1, |omega|, |delta|,
-    |eps_q|): the default step up to 1000 E_r). The state at q* needs no
-    eigensolver (see _minima_chunk). Rows are solved in chunks of about 2^17
-    grid cells, so the scan temporaries stay bounded for any row count and step.
+    Vectorized core of every band-minimum caller. A grid-major scan of the
+    closed-form root (_lowest_eigenvalue) at scan_step across q_window finds
+    every grid well of every row (SCAN_STEP finds every well, a finer step is a
+    dense reference; Q_WINDOW holds the global minimum of any wider window).
+    Wells over step^2 + sqrt(eps) x scale + 1e-12 above their row's grid minimum
+    cannot win (E'' <= 2, see _minima_chunk); safeguarded float64 Newton on the
+    characteristic-polynomial slope refines the rest, bisecting whenever a step
+    would leave the bracket, and stops once an accepted step is at most 1e-9
+    k_r; the lowest refined energy wins, and exactly degenerate minima resolve
+    to smallest |q|, preferring q >= 0. An edge well where the band rises
+    inward stays on its edge, so a window that cuts the band returns its lowest
+    point, edges included. The scan runs in float32 where float32 resolves the
+    grid (step^2 >= 1e-5 x max(1, |omega|, |delta|, |eps_q|): the default step
+    up to 1000 E_r). The state at q* needs no eigensolver (see _minima_chunk).
+    Rows are solved in chunks of about 2^17 grid cells, so the scan
+    temporaries stay bounded for any row count and step.
 
     Returns (q_star, energy, coeffs) with shapes (n,), (n,), (n, 3).
     Raises ValueError if any omega, delta or epsilon_q is not finite or exceeds
@@ -358,8 +373,8 @@ def band_minima(omega, delta, epsilon_q=EPSILON_Q_ER, scan_step=SCAN_STEP, q_win
 def find_band_minimum(params: RamanParams) -> DressedState:
     """Global minimum of the lowest band over all q (searched in [-2, 2] k_r).
 
-    Grid scan at SCAN_STEP (0.1 k_r) plus safeguarded Newton refinement of
-    every grid well brings |dE/dq| below 1e-8 E_r/k_r at the returned point.
+    Grid scan at SCAN_STEP (0.1 k_r) plus safeguarded Newton refinement of each
+    grid well that can win brings |dE/dq| below 1e-8 E_r/k_r at the returned point.
     """
     q, e, c = band_minima(params.omega_r, params.delta, params.epsilon_q)
     return _state(q[0], e[0], c[0])

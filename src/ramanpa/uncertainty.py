@@ -108,10 +108,10 @@ def _band(axis_values, omegas, deltas, spec: UncertaintySpec, epsilon_q: float):
         raise ValueError("sweep axis must be non-empty")
     om_nom, de_nom, _ = np.broadcast_arrays(np.asarray(omegas, dtype=float),
                                             np.asarray(deltas, dtype=float), axis)
-    if not (np.all(np.isfinite(om_nom)) and np.all(np.isfinite(de_nom))):
-        raise ValueError("sweep values and nominal omega_r, delta must be finite")
-    if np.any(om_nom < 0):
-        raise ValueError("nominal omega_r must be >= 0")
+    if not all(np.all(np.isfinite(v)) for v in (om_nom, de_nom, epsilon_q)):
+        raise ValueError("sweep values and nominal omega_r, delta, epsilon_q must be finite")
+    if np.any(om_nom < 0) or epsilon_q < 0:  # a negative epsilon_q would redraw forever
+        raise ValueError("nominal omega_r and epsilon_q must be >= 0")
     width = 1 if spec.is_zero else 1 + spec.n_samples
     nominal, means, stds = np.zeros((3, 2, axis.size))
     per_solve = max(1, _SOLVE_ROWS // width)

@@ -312,14 +312,14 @@ def test_band_minima_memory_is_bounded(n_rows, step):
 
 def _count_scan_blocks(monkeypatch):
     """Spy on _lowest_eigenvalue; the returned dict sums the rows and cells
-    of every (rows x grid) scan block."""
+    of every (grid x rows) scan block."""
     true_root = ds._lowest_eigenvalue
     count = {"rows": 0, "cells": 0}
 
     def root(q, omega, delta, epsilon_q):
         out = true_root(q, omega, delta, epsilon_q)
-        if out.ndim == 2:  # the (rows x grid) scan block
-            count["rows"] += out.shape[0]
+        if out.ndim == 2:  # the (grid x rows) scan block
+            count["rows"] += out.shape[1]
             count["cells"] += out.size
         return out
 
@@ -404,12 +404,18 @@ def test_closed_form_eigenvalue_matches_eigvalsh():
     ref = np.linalg.eigvalsh(_hamiltonians(qs[None, :], omega[:, None], delta[:, None],
                                            eps[:, None]))[..., 0]
     tol = 1e-12 * np.maximum(1.0, np.abs(ref))
-    # the (rows x grid) block of the scan and the flat rows of the refinement
-    block = _lowest_eigenvalue(qs, omega[:, None], delta[:, None], eps[:, None])
-    assert np.all(np.abs(block - ref) <= tol)
+    # the (grid x rows) block of the scan and the flat rows of the refinement
+    block = _lowest_eigenvalue(qs[:, None], omega, delta, eps)
+    assert np.all(np.abs(block.T - ref) <= tol)
     q_flat = np.broadcast_to(qs, ref.shape).ravel()
     flat = _lowest_eigenvalue(q_flat, *(np.repeat(v, n_q) for v in (omega, delta, eps)))
     assert np.all(np.abs(flat - ref.ravel()) <= tol.ravel())
+
+
+def _multi_well_rows(n=600):
+    """Weak-coupling rows near delta = 0, more than a quarter with several grid wells."""
+    rng = np.random.default_rng(77)
+    return rng.uniform(0.0, 2.0, n), rng.uniform(-0.7, 0.7, n), rng.uniform(0.0, 2.0, n)
 
 
 def test_band_minima_multi_well_rows():
@@ -418,11 +424,8 @@ def test_band_minima_multi_well_rows():
     The energies are also checked against a dense eigvalsh grid, which shares
     no code with the scan: the refined minimum lies at or below every sample.
     """
-    rng = np.random.default_rng(77)
-    n = 600
-    omega = rng.uniform(0.0, 2.0, n)
-    delta = rng.uniform(-0.7, 0.7, n)
-    eps = rng.uniform(0.0, 2.0, n)
+    omega, delta, eps = _multi_well_rows()
+    n = omega.size
     coarse = np.linspace(*Q_WINDOW, int(round((Q_WINDOW[1] - Q_WINDOW[0]) / SCAN_STEP)) + 1)
     energy = np.pad(_lowest_eigenvalue(coarse, omega[:, None], delta[:, None], eps[:, None]),
                     ((0, 0), (1, 1)), constant_values=np.inf)
@@ -440,6 +443,77 @@ def test_band_minima_multi_well_rows():
         grid_min = np.linalg.eigvalsh(_hamiltonians(
             dense[None, :], omega[rows, None], delta[rows, None], eps[rows, None]))[..., 0]
         assert np.all(e[rows] <= grid_min.min(axis=1) + 1e-12)
+
+
+# ------------------------------------------------------ wells that can win
+
+def test_lowest_band_curvature_is_at_most_two():
+    """E(q) - q^2 is the lowest eigenvalue of A + q diag(4, 0, -4), a minimum of
+    functions affine in q, so E'' <= 2: the bound the well prune rests on."""
+    rng = np.random.default_rng(5150)
+    n = 300
+    omega = rng.uniform(0.0, 15.0, n)
+    omega[:60] = 0.0
+    delta = rng.uniform(-4.0, 4.0, n)
+    delta[60:120] = rng.uniform(-100.0, 100.0, 60)
+    eps = rng.uniform(0.0, 2.0, n)
+    h = 0.01
+    qs = np.arange(-300, 301) * h
+    for rows in np.array_split(np.arange(n), 6):
+        e = np.linalg.eigvalsh(_hamiltonians(
+            qs[None, :], omega[rows, None], delta[rows, None], eps[rows, None]))[..., 0]
+        second = (e[:, 2:] - 2.0 * e[:, 1:-1] + e[:, :-2]) / (h * h)
+        rounding = 64 * np.finfo(float).eps * np.abs(e).max(axis=1, keepdims=True) / (h * h)
+        assert np.all(second <= 2.0 + rounding)
+        assert np.min(second) < 1.0  # the rows really bend below the bare parabola
+
+
+def test_band_minima_refines_only_wells_that_can_win(monkeypatch):
+    """On the multi-well rows, wells more than step^2 above their row's grid
+    minimum skip Newton: at most four slope rows per row (9.5 when every grid
+    well is refined)."""
+    omega, delta, eps = _multi_well_rows()
+    q_all, e_all, c_all = band_minima(omega, delta, eps, scan_step=SCAN_STEP)
+    true_slope = ds._slope
+    count = {"slope": 0}
+
+    def slope(q, omega, delta, epsilon_q):
+        count["slope"] += np.size(q)
+        return true_slope(q, omega, delta, epsilon_q)
+
+    monkeypatch.setattr(ds, "_slope", slope)
+    q, e, c = band_minima(omega, delta, eps, scan_step=SCAN_STEP)
+    assert count["slope"] <= 4.0 * omega.size
+    assert np.array_equal(q, q_all) and np.array_equal(e, e_all) and np.array_equal(c, c_all)
+
+
+@pytest.mark.parametrize("step, top, dtype", [
+    (SCAN_STEP, 999.0, np.float32), (SCAN_STEP, 1e5, np.float64), (1e-3, 1e5, np.float64),
+])
+def test_degenerate_wells_at_zero_detuning(step, top, dtype, monkeypatch):
+    """At delta = 0 the band is even in q, so wells come in exactly degenerate
+    mirror pairs (with eps_q = 0 and omega = 0 the wells at -2, 0 and 2 tie);
+    on both scan dtypes the prune keeps every well that ties for the minimum,
+    so q* >= 0 and the energy matches a dense eigvalsh grid."""
+    rng = np.random.default_rng(606)
+    omega = np.concatenate([np.zeros(4), np.linspace(0.0, 16.0, 97),
+                            4.0 * step * rng.uniform(0.5, 2.0, 40),
+                            10.0 ** rng.uniform(-3.0, np.log10(top), 99), [top]])
+    eps = rng.uniform(0.0, 2.0, omega.size)
+    eps[:4] = 0.0
+    eps[101:141] = 0.0  # edge wells within about step^2 of the centre one
+    seen = _scan_dtypes(monkeypatch)
+    q, e, _ = band_minima(omega, 0.0, eps, scan_step=step)
+    assert set(seen) == {np.dtype(dtype)}
+    assert np.all(q >= 0.0)
+    assert q[0] == 0.0
+    dense = np.linspace(*Q_WINDOW, 4001)
+    for rows in np.array_split(np.arange(omega.size), 8):
+        vals = np.linalg.eigvalsh(_hamiltonians(
+            dense[None, :], omega[rows, None], 0.0, eps[rows, None]))[..., 0]
+        low = vals.min(axis=1)
+        assert np.all(e[rows] <= low + 1e-12 * np.maximum(1.0, np.abs(low)))
+        assert np.all(np.abs(q[rows]) <= np.abs(dense[np.argmin(vals, axis=1)]) + 1e-3)
 
 
 # --------------------------------------------------------- eigh-free kernel
@@ -511,7 +585,7 @@ def test_band_minima_rejects_bad_grid(scan_step, window):
 def test_band_minima_refines_every_grid_well(monkeypatch):
     """Rows with more than four grid minima at step 1e-3 keep the dense-grid minimum.
 
-    A physical row has at most three wells, so a ripple on every other column
+    A physical row has at most three wells, so a ripple on every other grid point
     of the scan block turns each remaining column into a grid minimum; the
     refinement still sees the true band and must land on the same minimum.
     """
@@ -527,10 +601,10 @@ def test_band_minima_refines_every_grid_well(monkeypatch):
 
     def rippled(q, omega, delta, epsilon_q):
         out = true_root(q, omega, delta, epsilon_q)
-        if out.ndim == 2:  # the (rows x grid) scan block
-            out[:, 1::2] += 0.05  # above any |dE/dq| * step of these rows
-            inner = out[:, 1:-1]
-            wells.append(((inner <= out[:, :-2]) & (inner <= out[:, 2:])).sum(axis=1))
+        if out.ndim == 2:  # the (grid x rows) scan block
+            out[1::2] += 0.05  # above any |dE/dq| * step of these rows
+            inner = out[1:-1]
+            wells.append(((inner <= out[:-2]) & (inner <= out[2:])).sum(axis=0))
         return out
 
     monkeypatch.setattr(ds, "_lowest_eigenvalue", rippled)
@@ -560,7 +634,7 @@ def _structured_rows(bound):
 
 
 def _scan_dtypes(monkeypatch):
-    """Record the dtype of every (rows x grid) scan block."""
+    """Record the dtype of every (grid x rows) scan block."""
     true_root = ds._lowest_eigenvalue
     seen = []
 

@@ -227,6 +227,14 @@ def test_band_rejects_negative_or_nonfinite_coupling(omegas):
             ratio_band_vs_omega(omegas, 0.0, spec)
 
 
+@pytest.mark.parametrize("epsilon_q", [-1.0, math.nan, math.inf])
+def test_band_rejects_negative_or_nonfinite_epsilon_q(epsilon_q):
+    """A nominal epsilon_q far below 0 used to redraw its samples forever."""
+    spec = UncertaintySpec(epsilon_q_sigma=0.05, n_samples=100)
+    with pytest.raises(ValueError, match="epsilon_q"):
+        ratio_band_vs_omega([5.0], 0.0, spec, epsilon_q=epsilon_q)
+
+
 def test_band_dressed_minimum_ratio_ordering_per_draw():
     # same coefficients feed both variants, so the ordering survives averaging
     state = find_band_minimum(RamanParams(omega_r=7.0, delta=1.0))
