@@ -39,7 +39,7 @@ def main():
             ("gamma (kHz)", truth.gamma, fit.gamma, sig[3]))
     for name, want, got, s in rows:
         print(f"{name:11s}  {want:8.3f}  {got:9.4f}  +/- {s:.4f}")
-    print(f"\nconverged = {fit.converged}, residual rms = {fit.residual_rms:.1f} atoms")
+    print(f"\nconverged = {fit.converged}, residual rms = {fit.residual_rms:.2%} of the model")
     print(f"k_pa = {extract_kpa(fit, pulse):.3e} cm^3/s "
           f"(truth {truth.eta_res / (pulse.rho0 * pulse.t_pa):.3e})")
 

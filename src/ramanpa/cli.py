@@ -6,12 +6,13 @@ writes CSV/JSON/SVG artifacts into --out-dir, and is deterministic for a given
 config and seed. A verb checks its flags and solves; `main` alone writes the
 outputs --format asks for and prints, so a failed run creates no out dir.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric non-convergence.
+`main` alone maps errors to codes (ConfigError, SpectrumFormatError, OSError: 2;
+any other ValueError, a bad flag value: 1), save `fit`'s solver failures (2, 3).
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
 import os
@@ -35,6 +36,7 @@ from .pa_kinetics import (
     _MAX_SHELLS,
     LorentzianLine,
     lorentzian_eta,
+    rate_from_eta,
     remaining_fraction,
     simulate_mixture,
     write_mixture_csv,
@@ -71,17 +73,6 @@ class _Failure(Exception):
     def __init__(self, message: str, code: int):
         super().__init__(message)
         self.code = code
-
-
-@contextlib.contextmanager
-def _flag_values():
-    """Turn a ValueError from flag values into a usage failure; a ConfigError passes."""
-    try:
-        yield
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise _Failure(str(exc), EXIT_USAGE) from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -203,9 +194,8 @@ def _svg(title, x_label, y_label, **layers):
 # writers look up render_plot, write_svg and the CSV writers only when called.
 
 def cmd_bands(args, config: RunConfig):
-    with _flag_values():
-        params = config.raman_params(args.omega, args.delta)
-        curve = band_curve(params, args.q_min, args.q_max, args.n_points)
+    params = config.raman_params(args.omega, args.delta)
+    curve = band_curve(params, args.q_min, args.q_max, args.n_points)
     state = find_band_minimum(params)
 
     series = [Series(x=curve.q_grid, y=curve.energies[:, b],
@@ -229,13 +219,12 @@ def cmd_bands(args, config: RunConfig):
 
 
 def cmd_coeffs(args, config: RunConfig):
-    with _flag_values():
-        params = config.raman_params(args.omega, args.delta)
-        if args.delta_list:
-            deltas = [float(v) for v in args.delta_list.split(",")]
-        else:
-            deltas = [params.delta]
-        states = coefficients_vs_delta(params, deltas)
+    params = config.raman_params(args.omega, args.delta)
+    if args.delta_list:
+        deltas = [float(v) for v in args.delta_list.split(",")]
+    else:
+        deltas = [params.delta]
+    states = coefficients_vs_delta(params, deltas)
 
     ratios = [rate_ratio(s.coeffs) for s in states]
     ratios_ni = [rate_ratio_no_interference(s.coeffs) for s in states]
@@ -268,25 +257,24 @@ def cmd_coeffs(args, config: RunConfig):
 
 
 def cmd_ratio_sweep(args, config: RunConfig):
-    with _flag_values():
-        start, stop, points = (default if value is None else value for value, default
-                               in zip((args.start, args.stop, args.points),
-                                      _SWEEP_DEFAULTS[args.axis]))
-        if not (1 <= points <= _MAX_SWEEP_POINTS and -math.inf < start <= stop < math.inf):
-            raise ValueError(f"need finite start <= stop and 1 <= points <= "
-                             f"{_MAX_SWEEP_POINTS}")
-        nominal = config.raman_params(args.omega, args.delta)
-        mc_spec = config.uncertainty_spec(seed=args.seed, n_samples=args.samples)
+    start, stop, points = (default if value is None else value for value, default
+                           in zip((args.start, args.stop, args.points),
+                                  _SWEEP_DEFAULTS[args.axis]))
+    if not (1 <= points <= _MAX_SWEEP_POINTS and -math.inf < start <= stop < math.inf):
+        raise ValueError(f"need finite start <= stop and 1 <= points <= "
+                         f"{_MAX_SWEEP_POINTS}")
+    nominal = config.raman_params(args.omega, args.delta)
+    mc_spec = config.uncertainty_spec(seed=args.seed, n_samples=args.samples)
 
-        axis = np.linspace(start, stop, points)
-        if args.axis == "omega":
-            omega_col, delta_col = axis, np.full(points, nominal.delta)
-            x_label = "omega_R (E_r)"
-        else:
-            omega_col, delta_col = np.full(points, nominal.omega_r), axis
-            x_label = "delta (E_r)"
-        (mc_with, mc_without), (nominal_with, nominal_without) = _band(
-            axis, omega_col, delta_col, mc_spec, nominal.epsilon_q)
+    axis = np.linspace(start, stop, points)
+    if args.axis == "omega":
+        omega_col, delta_col = axis, np.full(points, nominal.delta)
+        x_label = "omega_R (E_r)"
+    else:
+        omega_col, delta_col = np.full(points, nominal.omega_r), axis
+        x_label = "delta (E_r)"
+    (mc_with, mc_without), (nominal_with, nominal_without) = _band(
+        axis, omega_col, delta_col, mc_spec, nominal.epsilon_q)
     bands = [mc_without] if args.no_interference else [mc_with, mc_without]
 
     areas = [BandArea(x=b.sweep_axis, lower=b.lower, upper=b.upper,
@@ -319,9 +307,8 @@ def cmd_ratio_sweep(args, config: RunConfig):
 
 def cmd_fit(args, config: RunConfig):
     data = read_spectrum_csv(args.spectrum)
-    with _flag_values():
-        data.pulse = config.pulse_params(n0=max(float(np.max(data.atoms_total)), 1.0),
-                                         t_pa_ms=args.t_pa, rho0=args.rho0)
+    pulse = config.pulse_params(n0=max(float(np.max(data.atoms_total)), 1.0),
+                                t_pa_ms=args.t_pa, rho0=args.rho0)
 
     # LinAlgError is a ValueError, so the numeric failures are caught first
     try:
@@ -331,9 +318,10 @@ def cmd_fit(args, config: RunConfig):
     except ValueError as exc:
         raise _Failure(str(exc), EXIT_DATA) from None
 
+    k_pa = rate_from_eta(fit.eta_res, pulse)
     record = {
         "n0": fit.n0, "eta_res": fit.eta_res, "nu0_khz": fit.nu0,
-        "gamma_khz": fit.gamma, "k_pa_cm3_s": fit.k_pa,
+        "gamma_khz": fit.gamma, "k_pa_cm3_s": k_pa,
         "residual_rms": fit.residual_rms, "converged": fit.converged,
     }
     text = "".join(f"{key} = {value}\n" for key, value in record.items())
@@ -369,31 +357,34 @@ def cmd_fit(args, config: RunConfig):
     loss = 1.0 - remaining_fraction(fit.eta_res) if math.isfinite(fit.eta_res) else math.nan
     return outputs, (f"fit: n0 = {fit.n0:.6g}, eta_res = {fit.eta_res:.6g}, "
                      f"nu0 = {fit.nu0:.6g} kHz, gamma = {fit.gamma:.6g} kHz, "
-                     f"k_pa = {fit.k_pa:.6g} cm^3/s, resonant loss = {loss:.2%}, "
+                     f"k_pa = {k_pa:.6g} cm^3/s, resonant loss = {loss:.2%}, "
                      f"converged = {fit.converged}")
 
 
 def cmd_simulate(args, config: RunConfig):
     # the mixture mode reads none of the flags and configured values below
     if args.mode == "mixture":
+        given = {"--omega": args.omega is not None, "--delta": args.delta is not None,
+                 "--noise": args.noise != 0.0, "--seed": args.seed is not None,
+                 "--no-interference": args.no_interference}
+        if ignored := [flag for flag, on in given.items() if on]:
+            raise ValueError(f"--mode mixture takes no {', '.join(ignored)}")
         return _run_mixture(config.mixture_args())
 
-    with _flag_values():
-        params = config.raman_params(args.omega, args.delta)
+    params = config.raman_params(args.omega, args.delta)
 
     state = find_band_minimum(params)
     ratio = (rate_ratio_no_interference(state.coeffs) if args.no_interference
              else rate_ratio(state.coeffs))
     # a bad configured value exits 2, a bad --seed or --noise 1
-    with _flag_values():
-        pulse = config.pulse_params()
-        eta00 = config.eta00(pulse)
-        line = config.lorentzian(eta_res=ratio * eta00)
-        seed = config.seed(args.seed)
-        detunings = np.linspace(line.nu0 - 3.0 * line.gamma, line.nu0 + 3.0 * line.gamma, 31)
-        spectrum = synthesize_spectrum(
-            line, pulse, detunings, args.noise, seed,
-            component_weights=state.weights, include_stderr=args.noise > 0)
+    pulse = config.pulse_params()
+    eta00 = config.eta00(pulse)
+    line = config.lorentzian(eta_res=ratio * eta00)
+    seed = config.seed(args.seed)
+    detunings = np.linspace(line.nu0 - 3.0 * line.gamma, line.nu0 + 3.0 * line.gamma, 31)
+    spectrum = synthesize_spectrum(
+        line, pulse, detunings, args.noise, seed,
+        component_weights=state.weights, include_stderr=args.noise > 0)
     k00 = config.get("kinetics.k00_cm3_s")
 
     points = [Markers(x=spectrum.detunings_khz, y=spectrum.atoms_total,
@@ -418,10 +409,9 @@ def cmd_simulate(args, config: RunConfig):
 
 
 def cmd_mixture_sim(args, config: RunConfig):
-    with _flag_values():
-        mixture = config.mixture_args(
-            counts=args.counts, k00=args.k00, t_pa_ms=args.t_pa, dt_ms=args.dt,
-            cross_weight=args.cross_weight, n_shells=args.n_shells)
+    mixture = config.mixture_args(
+        counts=args.counts, k00=args.k00, t_pa_ms=args.t_pa, dt_ms=args.dt,
+        cross_weight=args.cross_weight, n_shells=args.n_shells)
     return _run_mixture(mixture)
 
 
@@ -463,17 +453,20 @@ def main(argv=None) -> int:
         args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         config = RunConfig.from_environment(args.config)
-        with _flag_values():
-            formats = config.formats(args.formats)
+        formats = config.formats(args.formats)
         outputs, summary = args.func(args, config)
-        out_dir = args.out_dir or config.get("output.dir")
+        out_dir = config.out_dir(args.out_dir or None)  # an empty --out-dir is not given
         os.makedirs(out_dir, exist_ok=True)
         for name, fmt, write in outputs:
             if fmt is None or fmt in formats:
                 write(os.path.join(out_dir, name))
-    except (_Failure, ConfigError, SpectrumFormatError, OSError) as exc:
+    except (_Failure, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code if isinstance(exc, _Failure) else EXIT_DATA
+        if isinstance(exc, _Failure):
+            return exc.code
+        # bad data or config exits 2; any other ValueError is a bad flag value
+        data = isinstance(exc, (ConfigError, SpectrumFormatError, OSError))
+        return EXIT_DATA if data else EXIT_USAGE
     print(summary)
     return EXIT_OK
 

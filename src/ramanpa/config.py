@@ -194,6 +194,9 @@ class RunConfig:
         """Output formats from a comma list such as "csv,svg"."""
         return self._build(_formats, {"output.formats": formats})
 
+    def out_dir(self, out_dir=None) -> str:
+        return self._build(_out_dir, {"output.dir": out_dir})
+
     def mixture_args(self, counts=None, k00=None, t_pa_ms=None, dt_ms=None,
                      cross_weight=None, n_shells=None) -> dict:
         """simulate_mixture's keyword arguments from the configured kinetics.
@@ -260,6 +263,12 @@ def _formats(v) -> tuple[str, ...]:
     if not parts or not set(parts) <= {"csv", "json", "svg"}:
         raise ValueError(f"formats must be a comma list of csv, json and svg, got {raw!r}")
     return parts
+
+
+def _out_dir(v) -> str:
+    if "\0" in v["output.dir"]:  # os.makedirs raises ValueError on it
+        raise ValueError("output.dir and --out-dir must not contain a NUL byte")
+    return v["output.dir"]
 
 
 def _mixture(v) -> dict:

@@ -86,7 +86,6 @@ class Spectrum:
     atoms_total: np.ndarray
     atoms_components: np.ndarray | None = None
     stderr: np.ndarray | None = None
-    pulse: PulseParams | None = None
 
     def __post_init__(self):
         self.detunings_khz = np.asarray(self.detunings_khz, dtype=float)
@@ -115,8 +114,8 @@ class FitResult:
     """Fitted line parameters.
 
     covariance is the 4x4 Gauss-Newton estimate s^2 (J^T J)^+ over
-    (n0, eta_res, nu0, gamma), so its diagonal is never negative; k_pa is
-    eta_res/(rho0*t_pa) when pulse metadata was available, else nan;
+    (n0, eta_res, nu0, gamma), so its diagonal is never negative;
+    residual_rms is the RMS of (y - model) / model, a fraction, not a count;
     converged is False when the simplex search failed or the fitted gamma is
     narrower than the smallest detuning spacing (a line that captured a
     single point) or wider than the detuning span (its half-maximum points
@@ -128,7 +127,6 @@ class FitResult:
     eta_res: float
     nu0: float
     gamma: float
-    k_pa: float
     residual_rms: float
     converged: bool
     covariance: np.ndarray
@@ -171,7 +169,7 @@ def synthesize_spectrum(line: LorentzianLine, pulse: PulseParams, detunings,
     if include_stderr and noise_rel > 0:
         stderr = noise_rel * clean
     return Spectrum(detunings_khz=det, atoms_total=total,
-                    atoms_components=components, stderr=stderr, pulse=pulse)
+                    atoms_components=components, stderr=stderr)
 
 
 def component_spectrum(data: Spectrum, m_f: int) -> Spectrum:
@@ -181,8 +179,7 @@ def component_spectrum(data: Spectrum, m_f: int) -> Spectrum:
     if m_f not in (-1, 0, 1):
         raise ValueError("m_f must be -1, 0, or +1")
     return Spectrum(detunings_khz=data.detunings_khz.copy(),
-                    atoms_total=data.atoms_components[:, m_f + 1].copy(),
-                    pulse=data.pulse)
+                    atoms_total=data.atoms_components[:, m_f + 1].copy())
 
 
 def _forward(det, theta):
@@ -296,15 +293,11 @@ def fit_spectrum(data: Spectrum) -> FitResult:
     if not 0.5 * span <= math.exp(60):
         raise ValueError("half the detuning span must be at most e^60 (about 1.1e26) kHz")
 
-    k_pa_of = (lambda eta: rate_from_eta(eta, data.pulse)) \
-        if data.pulse is not None else (lambda eta: float("nan"))
-
     if np.ptp(y) == 0.0:
         # no structure to fit; pin the line to zero strength
         return FitResult(n0=float(y[0]), eta_res=0.0,
                          nu0=float(0.5 * (x[0] + x[-1])), gamma=0.5 * span,
-                         k_pa=k_pa_of(0.0), residual_rms=0.0, converged=True,
-                         covariance=np.zeros((4, 4)))
+                         residual_rms=0.0, converged=True, covariance=np.zeros((4, 4)))
 
     # uniform weights are normalized by the count scale so the objective is
     # O(1) and the simplex stopping tolerances are meaningful
@@ -382,8 +375,7 @@ def fit_spectrum(data: Spectrum) -> FitResult:
         raise FloatingPointError("fit covariance is not finite")
 
     return FitResult(n0=n0, eta_res=eta_res, nu0=nu0, gamma=gamma,
-                     k_pa=k_pa_of(eta_res), residual_rms=residual_rms,
-                     converged=converged, covariance=covariance,
+                     residual_rms=residual_rms, converged=converged, covariance=covariance,
                      objective_trace=[objective(best_start), float(best.fun)])
 
 
@@ -407,7 +399,6 @@ def normalize_spectrum(data: Spectrum, fit: FitResult) -> Spectrum:
         atoms_components=None if data.atoms_components is None
         else data.atoms_components * scale,
         stderr=None if data.stderr is None else data.stderr * scale,
-        pulse=data.pulse,
     )
 
 

@@ -9,13 +9,12 @@ evaluating the PA rate ratio yields the nominal theory curves and the mean
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import EPSILON_Q_ER
-from .dressed_states import band_minima
+from .dressed_states import DRESSING_LIMIT_ER, band_minima
 from .interference import _batch_ratios
 from .tables import write_csv
 
@@ -77,20 +76,23 @@ class RatioBand:
 
 
 def _draw(rng, nominal: float, sigma: float, n: int, low: float) -> np.ndarray:
-    """n Gaussian draws about nominal, those below low redrawn until none remain."""
+    """n Gaussian draws about nominal, those outside [low, DRESSING_LIMIT_ER] redrawn
+    in index order until none remain. For a nominal inside, UncertaintySpec's caps
+    keep each draw's odds of landing inside >= 0.004 (omega_r 1e6, sigma 100 x)."""
     if sigma == 0:
         return np.full(n, nominal)
     out = rng.normal(nominal, sigma, n)
-    while np.any(out < low):
-        bad = out < low
-        out[bad] = rng.normal(nominal, sigma, int(bad.sum()))
+    bad = np.flatnonzero((out < low) | (out > DRESSING_LIMIT_ER))
+    while bad.size:
+        out[bad] = redrawn = rng.normal(nominal, sigma, bad.size)
+        bad = bad[(redrawn < low) | (redrawn > DRESSING_LIMIT_ER)]
     return out
 
 
 def _draw_samples(rng, omega_nom, delta_nom, epsilon_nom, spec: UncertaintySpec, out):
     """Fill out (3, n_samples) with omega, delta, epsilon_q draws; omega, epsilon_q >= 0."""
     out[0] = _draw(rng, omega_nom, spec.omega_rel_sigma * omega_nom, spec.n_samples, 0.0)
-    out[1] = _draw(rng, delta_nom, spec.delta_sigma, spec.n_samples, -math.inf)
+    out[1] = _draw(rng, delta_nom, spec.delta_sigma, spec.n_samples, -DRESSING_LIMIT_ER)
     out[2] = _draw(rng, epsilon_nom, spec.epsilon_q_sigma, spec.n_samples, 0.0)
 
 
@@ -108,9 +110,11 @@ def _band(axis_values, omegas, deltas, spec: UncertaintySpec, epsilon_q: float):
         raise ValueError("sweep axis must be non-empty")
     om_nom, de_nom, _ = np.broadcast_arrays(np.asarray(omegas, dtype=float),
                                             np.asarray(deltas, dtype=float), axis)
-    if not all(np.all(np.isfinite(v)) for v in (om_nom, de_nom, epsilon_q)):
-        raise ValueError("sweep values and nominal omega_r, delta, epsilon_q must be finite")
-    if np.any(om_nom < 0) or epsilon_q < 0:  # a negative epsilon_q would redraw forever
+    # a nominal outside _draw's interval would redraw (nearly) forever
+    if not all(np.all(np.abs(v) <= DRESSING_LIMIT_ER) for v in (om_nom, de_nom, epsilon_q)):
+        raise ValueError(f"sweep values and nominal omega_r, delta, epsilon_q must be finite, "
+                         f"with magnitude <= {DRESSING_LIMIT_ER:g} E_r")
+    if np.any(om_nom < 0) or epsilon_q < 0:
         raise ValueError("nominal omega_r and epsilon_q must be >= 0")
     width = 1 if spec.is_zero else 1 + spec.n_samples
     nominal, means, stds = np.zeros((3, 2, axis.size))

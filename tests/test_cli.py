@@ -308,6 +308,30 @@ def test_sigma_past_its_cap_is_data_error(tmp_path, monkeypatch, capsys, line):
     assert not out.exists()
 
 
+def test_configured_nominal_near_the_dressing_bound_is_drawn_inside_it(tmp_path):
+    # about half the draws about omega_r 999999 cross 1e6 E_r and are redrawn
+    cfg = tmp_path / "near.cfg"
+    cfg.write_text("raman.omega_r = 999999\n", encoding="ascii")
+    out = tmp_path / "o"
+    res = run_cli(["ratio-sweep", "--config", str(cfg), "--axis", "delta", "--points", "2",
+                   "--samples", "100", "--out-dir", str(out), "--format", "json"])
+    assert res.returncode == 0, res.stderr
+    payload = json.loads((out / "ratio_sweep.json").read_text())
+    values = [v for band in payload["bands"] for key in ("mean", "lower", "upper")
+              for v in band[key]] + payload["nominal_ratio"]
+    assert np.all(np.isfinite(values))
+
+
+def test_sweep_past_the_dressing_bound_exits_before_drawing(tmp_path):
+    # a nominal past the bound would redraw (nearly) forever
+    out = tmp_path / "o"
+    res = run_cli(["ratio-sweep", "--axis", "omega", "--stop", "2e6", "--points", "2",
+                   "--samples", "100", "--out-dir", str(out)], timeout=60)
+    assert res.returncode == 1
+    assert res.stderr.startswith("error:") and "1e+06" in res.stderr
+    assert not out.exists()
+
+
 def test_ratio_sweep_solves_bands_and_nominal_curves_in_one_call(tmp_path, monkeypatch,
                                                                  capsys):
     import ramanpa.uncertainty as uncertainty
@@ -380,6 +404,21 @@ def test_mixture_flags_replace_bad_config(tmp_path, monkeypatch, capsys, line, f
                                       "--out-dir", str(tmp_path / "s")], monkeypatch, capsys)
         assert code == 0, err
         assert tree_bytes(tmp_path / "s") == tree_bytes(tmp_path / "o")
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--omega", "3"], "--omega"), (["--delta=-1"], "--delta"),
+    (["--noise", "0.5"], "--noise"), (["--seed", "5"], "--seed"),
+    (["--no-interference"], "--no-interference"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_simulate_mixture_rejects_superposition_flags(tmp_path, monkeypatch, capsys,
+                                                      flags, named):
+    out = tmp_path / "o"
+    code, err = _main_in_process(["simulate", "--mode", "mixture", *flags,
+                                  "--out-dir", str(out)], monkeypatch, capsys)
+    assert code == 1, err
+    assert err.startswith("error:") and named in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("args", [
@@ -623,7 +662,7 @@ def test_numeric_failure_exit_code(tmp_path, monkeypatch, capsys, error, code):
 def test_non_converged_fit_still_reports(tmp_path, monkeypatch, capsys):
     def stuck(data):
         return FitResult(n0=9000.0, eta_res=1.0, nu0=0.0, gamma=20.0,
-                         k_pa=float("nan"), residual_rms=1.0, converged=False,
+                         residual_rms=1.0, converged=False,
                          covariance=np.zeros((4, 4)))
 
     monkeypatch.setattr(cli, "fit_spectrum", stuck)
@@ -662,7 +701,7 @@ def test_fit_svg_with_non_finite_line_is_flat(tmp_path, monkeypatch, capsys, fie
     def broken(data):
         values = dict(n0=9000.0, eta_res=1.0, nu0=0.0, gamma=20.0)
         values[field] = float(value)
-        return FitResult(**values, k_pa=1e-12, residual_rms=1.0, converged=True,
+        return FitResult(**values, residual_rms=1.0, converged=True,
                          covariance=np.zeros((4, 4)))
 
     drawn = []
@@ -801,6 +840,30 @@ def test_bad_configured_formats_is_data_error(tmp_path, monkeypatch, capsys, arg
     assert code == 2, err
     assert "invalid configured value" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_nul_in_the_out_dir_is_a_config_or_usage_error(tmp_path, monkeypatch, capsys):
+    # os.makedirs raises ValueError on a NUL byte, which once escaped as a traceback
+    cfg = tmp_path / "nul.cfg"
+    cfg.write_bytes(b"output.dir = " + str(tmp_path / "o").encode() + b"\0x\n")
+    monkeypatch.chdir(tmp_path)
+    code, err = _main_in_process(["bands", "--config", str(cfg)], monkeypatch, capsys)
+    assert code == 2, err
+    assert err.startswith("error: invalid configured value") and "output.dir" in err
+    code, err = _main_in_process(["bands", "--out-dir", str(tmp_path / "o") + "\0x"],
+                                 monkeypatch, capsys)
+    assert code == 1, err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert sorted(os.listdir(tmp_path)) == ["nul.cfg"]
+    # a flag replaces the configured value; an empty one does not
+    code, err = _main_in_process(["bands", "--config", str(cfg), "--out-dir", ""],
+                                 monkeypatch, capsys)
+    assert code == 2, err
+    code, err = _main_in_process(["bands", "--config", str(cfg), "--out-dir",
+                                  str(tmp_path / "p"), "--format", "json"],
+                                 monkeypatch, capsys)
+    assert code == 0, err
+    assert os.listdir(tmp_path / "p") == ["bands.json"]
 
 
 @pytest.mark.parametrize("line", ["pulse.t_pa_ms = 0", "pulse.intensity_w_cm2 = -1"])

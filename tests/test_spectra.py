@@ -187,8 +187,8 @@ def test_fit_zero_noise_round_trip():
     assert fit.eta_res == pytest.approx(1.0, rel=1e-4)
     assert fit.nu0 == pytest.approx(0.3, abs=1e-3)
     assert fit.gamma == pytest.approx(20.0, rel=1e-4)
-    assert fit.residual_rms < 1e-6 * PULSE.n0
-    assert fit.k_pa == pytest.approx(1.0 / (PULSE.rho0 * PULSE.t_pa), rel=1e-4)
+    assert fit.residual_rms < 1e-6
+    assert extract_kpa(fit, PULSE) == pytest.approx(1.0 / (PULSE.rho0 * PULSE.t_pa), rel=1e-4)
 
 
 def test_fit_is_deterministic():
@@ -249,7 +249,6 @@ def test_fit_flat_spectrum_gives_zero_strength():
     assert fit.converged
     assert fit.eta_res < 1e-4
     assert fit.n0 == pytest.approx(9000.0, rel=1e-6)
-    assert math.isnan(fit.k_pa)  # no pulse metadata on a bare spectrum
 
 
 def test_fit_line_narrower_than_grid_is_not_converged():
@@ -411,7 +410,7 @@ def test_extract_kpa_arithmetic():
 
 
 def test_extract_kpa_requires_convergence():
-    bad = FitResult(n0=1.0, eta_res=1.0, nu0=0.0, gamma=1.0, k_pa=float("nan"),
+    bad = FitResult(n0=1.0, eta_res=1.0, nu0=0.0, gamma=1.0,
                     residual_rms=0.0, converged=False, covariance=np.zeros((4, 4)))
     with pytest.raises(ValueError):
         extract_kpa(bad, PULSE)
