@@ -454,8 +454,8 @@ def main(argv=None) -> int:
     try:
         config = RunConfig.from_environment(args.config)
         formats = config.formats(args.formats)
-        outputs, summary = args.func(args, config)
         out_dir = config.out_dir(args.out_dir or None)  # an empty --out-dir is not given
+        outputs, summary = args.func(args, config)
         os.makedirs(out_dir, exist_ok=True)
         for name, fmt, write in outputs:
             if fmt is None or fmt in formats:

@@ -266,6 +266,8 @@ def _formats(v) -> tuple[str, ...]:
 
 
 def _out_dir(v) -> str:
+    if not v["output.dir"]:  # os.makedirs raises FileNotFoundError on it
+        raise ValueError("output.dir must not be empty")
     if "\0" in v["output.dir"]:  # os.makedirs raises ValueError on it
         raise ValueError("output.dir and --out-dir must not contain a NUL byte")
     return v["output.dir"]

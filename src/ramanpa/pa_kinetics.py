@@ -47,8 +47,9 @@ __all__ = [
 # (1e-11 relative at 1e-2); the series takes over, exact to rounding up to here
 _SERIES_SWITCH = 0.1
 _SERIES_TERMS = 20
-_SERIES_POWERS = np.arange(_SERIES_TERMS + 1.0)
-_SERIES_COEFFS = np.cumprod([1.0] + [-(n + 2.0) / (n + 3.5) for n in range(_SERIES_TERMS)])
+# the signed series coefficients, highest power first for Horner's rule
+_SERIES_COEFFS = np.cumprod(
+    [1.0] + [-(n + 2.0) / (n + 3.5) for n in range(_SERIES_TERMS)])[::-1].tolist()
 # time rows x shells per block of the closed-form mixture evaluation
 _BLOCK_CELLS = 2**14
 _MAX_SHELLS = 100_000  # n_shells cap: a few MB of shell arrays
@@ -152,14 +153,25 @@ def remaining_fraction(eta):
 
 def _remaining_fraction(arr):
     """remaining_fraction of a float array (or float) the caller has proven
-    finite and >= 0; the one copy of the formula, with no input check."""
+    finite and >= 0; the one copy of the formula, with no input check.
+
+    Each element's value depends on that element alone, bit for bit, so a
+    batch of spectrum rows rounds like each row evaluated by itself: the
+    series is summed by Horner's rule elementwise, where a matvec's rounding
+    would depend on how many rows it gets.
+    """
     arr = np.asarray(arr)
     big = np.maximum(arr, _SERIES_SWITCH)  # keeps the closed form off eta = 0
     inner = 1.0 + big / 3.0 - np.sqrt(1.0 + 1.0 / big) * np.arcsinh(np.sqrt(big))
     out = np.asarray(7.5 / big * (inner / big))
     small = arr < _SERIES_SWITCH
     if small.any():
-        out[small] = np.power.outer(arr[small], _SERIES_POWERS) @ _SERIES_COEFFS
+        eta = arr[small]
+        acc = np.full(eta.shape, _SERIES_COEFFS[0])
+        for c in _SERIES_COEFFS[1:]:
+            acc *= eta
+            acc += c
+        out[small] = acc
     return float(out) if out.ndim == 0 else out
 
 

@@ -4,8 +4,9 @@ A spectrum is the remaining atom number versus PA detuning. The forward model
 is n0 * remaining_fraction(lorentzian_eta(detuning)); the fitter inverts it
 for (n0, eta_res, nu0, gamma) by derivative-free simplex search with restarts
 and reports the Gauss-Newton covariance from the residual Jacobian. The
-simplex search is in-house numpy: a transcription of scipy's Nelder-Mead
-that reproduces its iterates bit for bit.
+simplex search is in-house numpy: scipy's Nelder-Mead with the restarts run
+in lockstep, one batched model call per round serving every search, each
+search reproducing scipy's iterates from its start bit for bit.
 """
 
 from __future__ import annotations
@@ -182,94 +183,147 @@ def component_spectrum(data: Spectrum, m_f: int) -> Spectrum:
                     atoms_total=data.atoms_components[:, m_f + 1].copy())
 
 
-def _forward(det, theta):
-    """Model in internal coordinates (n0, log eta_res, nu0, log gamma)."""
-    n0, log_eta, nu0, log_gamma = values = theta.tolist()
-    if not all(map(math.isfinite, values)) or abs(log_eta) > 60 or abs(log_gamma) > 60:
-        return None
-    # inlined Lorentzian; the optimizer calls this thousands of times per fit.
-    # The kernel's input check holds by construction: theta is finite, so
-    # e^log_eta <= e^60 and half is in [e^-60, e^60] / 2; d = det - nu0 may
-    # overflow to +-inf but is never nan, so d^2 + half^2 >= half^2 > 0. eta
-    # is thus finite and in [0, e^60] up to rounding, the Lorentzian factor
-    # half^2 / (d^2 + half^2) being at most 1.
-    half = 0.5 * math.exp(log_gamma)
+def _in_box(thetas):
+    """Rows of (k, 4) internal coordinates the model is defined on: finite,
+    with |log eta_res| and |log gamma| at most 60."""
+    return np.isfinite(thetas).all(axis=1) & (np.abs(thetas[:, 1::2]) <= 60).all(axis=1)
+
+
+def _forward(det, thetas):
+    """Model rows (k, n) for (k, 4) internal coordinates (n0, log eta_res,
+    nu0, log gamma) that pass _in_box; row i depends on thetas[i] alone, bit
+    for bit, so a batch rounds like each row evaluated by itself.
+
+    In the box the kernel's input check holds by construction: e^log_eta <=
+    e^60 and half is in [e^-60, e^60] / 2; d = det - nu0 may overflow to +-inf
+    but is never nan, so d^2 + half^2 >= half^2 > 0. eta is thus finite and in
+    [0, e^60] up to rounding, the Lorentzian factor being at most 1. Only n0
+    times the fraction, and d^2, can overflow; callers silence that.
+    """
+    # contiguous columns keep every row on the same ufunc loops
+    n0, log_eta, nu0, log_gamma = np.array(thetas.T)[:, :, None]
+    half = 0.5 * np.exp(log_gamma)
     d = det - nu0
-    eta = math.exp(log_eta) * half * half / (d * d + half * half)
+    eta = np.exp(log_eta) * half * half / (d * d + half * half)
     return n0 * _remaining_fraction(eta)
 
 
 _Simplex = namedtuple("_Simplex", "x fun nit nfev success")
 _XATOL, _FATOL, _MAXITER, _MAXFEV = 1e-7, 1e-9, 2000, 4000
+# trial points a * xbar - b * worst, in scipy's order of use: reflection,
+# expansion, outside and inside contraction (rho 1, chi 2, psi 0.5)
+_TRIAL_A = np.array([[2.0], [3.0], [1.5], [0.5]])
+_TRIAL_B = np.array([[1.0], [2.0], [0.5], [-0.5]])
 
 
-class _EvalCap(Exception):
-    """The simplex search spent its evaluation budget mid-iteration."""
+class _Search:
+    """One search of _simplex: views of its rows in the shared simplex arrays,
+    scipy's counters, and whether its iteration ends in a shrink."""
+
+    __slots__ = ("sim", "fsim", "nit", "nfev", "shrinking")
+
+    def __init__(self, sim, fsim):
+        self.sim, self.fsim = sim, fsim
+        self.nit, self.nfev, self.shrinking = 1, len(fsim), False
+
+    def take(self, pts, values):
+        """Finish the iteration from the values of pts, the trial points or
+        the shrunk vertices, using only those scipy's order evaluates and
+        counting them as it does: a capped evaluation ends the iteration,
+        uncounted in nit. True when the iteration ended and the simplex is
+        due its sort; False while a shrink is pending."""
+        sim, fsim = self.sim, self.fsim
+        if self.shrinking:
+            self.shrinking = False
+            for j, fx in enumerate(values, 1):
+                sim[j] = pts[j - 1]  # scipy moves the vertex before the cap stops it
+                if self.nfev >= _MAXFEV:
+                    break
+                self.nfev += 1
+                fsim[j] = fx
+            else:
+                self.nit += 1
+            return True
+        fxr, fxe, fxc, fxcc = values
+        self.nfev += 1  # the round began with nfev < _MAXFEV
+        if fxr < fsim[0] or not fxr < fsim[-2]:  # expansion or contraction next
+            if self.nfev >= _MAXFEV:
+                return True
+            self.nfev += 1
+        if fxr < fsim[0]:  # expand
+            sim[-1], fsim[-1] = (pts[1], fxe) if fxe < fxr else (pts[0], fxr)
+        elif fxr < fsim[-2]:  # reflect
+            sim[-1], fsim[-1] = pts[0], fxr
+        elif fxr < fsim[-1] and fxc <= fxr:  # contract outside
+            sim[-1], fsim[-1] = pts[2], fxc
+        elif not fxr < fsim[-1] and fxcc < fsim[-1]:  # contract inside
+            sim[-1], fsim[-1] = pts[3], fxcc
+        else:  # shrink toward the best vertex next round
+            self.shrinking = True
+            return False
+        self.nit += 1
+        return True
 
 
-def _simplex(func, x0):
-    """Nelder-Mead minimum of func from x0 (Nelder & Mead 1965; Lagarias et al. 1998).
+def _sort_vertices(sims, fsims, rows):
+    """Order the given searches' vertices by value with np.argsort, as scipy
+    does; ties keep its order, which Python's stable sort would not."""
+    rows = np.asarray(rows, dtype=np.intp)
+    flat = fsims[rows].argsort(axis=1) + (rows * fsims.shape[1])[:, None]
+    fsims[rows] = fsims.reshape(-1)[flat]
+    sims[rows] = sims.reshape(-1, sims.shape[2])[flat]
 
-    Transcribes scipy 1.17's _minimize_neldermead for the options fit_spectrum
-    used with it (coefficients rho 1, chi 2, psi 0.5, sigma 0.5; xatol 1e-7,
-    fatol 1e-9, maxiter 2000, maxfev 4000; no bounds), so x, fun, nit, nfev
-    and success equal scipy.optimize.minimize's bit for bit. func receives
-    the simplex's own rows and must not modify them.
+
+def _simplex(batch, starts):
+    """Nelder-Mead minima of batch from every start, run in lockstep (Nelder &
+    Mead 1965; Lagarias et al. 1998).
+
+    batch maps (k, n) points to their k objective values; a row's value must
+    not depend on the other rows, and batch must not modify the points.
+    Every round, each live search submits the four trial points of its
+    iteration (reflection, expansion, outside and inside contraction, all
+    known from the centroid and the worst vertex) or, after a failed
+    contraction, its n shrunk vertices, and one batch call serves them all.
+    Each search then uses only the values that scipy 1.17's
+    _minimize_neldermead evaluates, with the options fit_spectrum used with it
+    (coefficients rho 1, chi 2, psi 0.5, sigma 0.5; xatol 1e-7, fatol 1e-9,
+    maxiter 2000, maxfev 4000; no bounds), so each result's x, fun, nit, nfev
+    and success equal scipy.optimize.minimize's from that start bit for bit.
     """
-    nfev = 0
-
-    def f(x):
-        nonlocal nfev
-        if nfev >= _MAXFEV:
-            raise _EvalCap
-        nfev += 1
-        return func(x)
-
-    n = len(x0)
-    sim = np.array([x0] * (n + 1), dtype=float)
+    x0 = np.array(starts, dtype=float)
+    m, n = x0.shape
+    sims = np.repeat(x0[:, None], n + 1, axis=1)
     for k in range(n):  # 5 % steps, 0.00025 from a zero coordinate
-        sim[k + 1, k] = (1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025
-    fsim = np.array([f(v) for v in sim], dtype=float)
-    for _ in range(2):  # scipy sorts twice before the first iteration
-        ind = fsim.argsort()
-        sim, fsim = sim.take(ind, 0), fsim.take(ind)
-    nit = 1
-    while nfev < _MAXFEV and nit < _MAXITER:
-        try:
-            if (abs(sim[1:] - sim[0]).max() <= _XATOL
-                    and abs(fsim[0] - fsim[1:]).max() <= _FATOL):
+        sims[:, k + 1, k] = np.where(x0[:, k] != 0, (1 + 0.05) * x0[:, k], 0.00025)
+    # speculative points can lie far past any point scipy evaluates
+    with np.errstate(over="ignore", invalid="ignore"):
+        fsims = np.array(batch(sims.reshape(-1, n)), dtype=float).reshape(m, n + 1)
+        searches = [_Search(sim, fsim) for sim, fsim in zip(sims, fsims)]
+        for _ in range(2):  # scipy sorts twice before the first iteration
+            _sort_vertices(sims, fsims, np.arange(m))
+        live = list(enumerate(searches))
+        while True:
+            # every search's stopping test and trial points at once; the
+            # stopped ones' go unused
+            converged = ((abs(sims[:, 1:] - sims[:, :1]).max(axis=(1, 2)) <= _XATOL)
+                         & (abs(fsims[:, :1] - fsims[:, 1:]).max(axis=1) <= _FATOL)).tolist()
+            live = [(i, s) for i, s in live if s.shrinking
+                    or (s.nfev < _MAXFEV and s.nit < _MAXITER and not converged[i])]
+            if not live:
                 break
-            xbar = np.add.reduce(sim[:-1], 0) / n
-            xr = 2 * xbar - sim[-1]
-            fxr = f(xr)
-            if fxr < fsim[0]:  # expand
-                xe = 3 * xbar - 2 * sim[-1]
-                fxe = f(xe)
-                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-            elif fxr < fsim[-2]:  # reflect
-                sim[-1], fsim[-1] = xr, fxr
-            else:  # contract outside, else inside; shrink if neither improves
-                if fxr < fsim[-1]:
-                    xc = 1.5 * xbar - 0.5 * sim[-1]
-                    fxc = f(xc)
-                    accept = fxc <= fxr
-                else:
-                    xc = 0.5 * xbar + 0.5 * sim[-1]
-                    fxc = f(xc)
-                    accept = fxc < fsim[-1]
-                if accept:
-                    sim[-1], fsim[-1] = xc, fxc
-                else:
-                    for j in range(1, n + 1):
-                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                        fsim[j] = f(sim[j])
-            nit += 1
-        except _EvalCap:
-            pass
-        ind = fsim.argsort()
-        sim, fsim = sim.take(ind, 0), fsim.take(ind)
-    return _Simplex(sim[0], fsim.min(), nit, nfev,
-                    not (nfev >= _MAXFEV or nit >= _MAXITER))
+            xbar = np.add.reduce(sims[:, :-1], 1) / n
+            trials = _TRIAL_A * xbar[:, None] - _TRIAL_B * sims[:, -1:]
+            points = [s.sim[0] + 0.5 * (s.sim[1:] - s.sim[0]) if s.shrinking else trials[i]
+                      for i, s in live]
+            values = batch(np.concatenate(points)).tolist()
+            k, ended = 0, []
+            for (i, s), pts in zip(live, points):
+                if s.take(pts, values[k:k + len(pts)]):
+                    ended.append(i)
+                k += len(pts)
+            _sort_vertices(sims, fsims, ended)
+    return [_Simplex(s.sim[0].copy(), s.fsim.min(), s.nit, s.nfev,
+                     not (s.nfev >= _MAXFEV or s.nit >= _MAXITER)) for s in searches]
 
 
 def fit_spectrum(data: Spectrum) -> FitResult:
@@ -279,10 +333,12 @@ def fit_spectrum(data: Spectrum) -> FitResult:
     otherwise) are minimized over (n0, eta_res, nu0, gamma); eta_res and gamma
     are searched in log space to stay positive. Simplex search runs from the
     data-driven initial guess plus 5 perturbed restarts; the best run wins.
-    The search is _simplex, an in-house numpy Nelder-Mead whose every iterate
-    equals scipy.optimize.minimize(method="Nelder-Mead")'s at the same options.
-    A perfectly flat spectrum short-circuits to eta_res = 0. ValueError below 5
-    points, or for a half-span past e^60 kHz, where log gamma starts outside _forward's box.
+    The six searches run in lockstep in _simplex, an in-house numpy
+    Nelder-Mead that makes one batched model call per round and whose every
+    search equals scipy.optimize.minimize(method="Nelder-Mead")'s from the
+    same start at the same options. A perfectly flat spectrum short-circuits
+    to eta_res = 0. ValueError below 5 points, or for a half-span past e^60
+    kHz, where log gamma starts outside _forward's box.
     """
     n = len(data)
     if n < 5:
@@ -314,11 +370,15 @@ def fit_spectrum(data: Spectrum) -> FitResult:
         return theta_s * internal_scale
 
     def objective(theta_s):
-        model = _forward(x, to_internal(theta_s))
-        if model is None:
-            return np.inf
-        r = (y - model) * sqrt_w
-        return float(r @ r)
+        """Weighted sum of squared residuals of each row; inf off the box."""
+        with np.errstate(over="ignore"):
+            thetas = to_internal(theta_s)
+            ok = _in_box(thetas)
+            out = np.full(len(thetas), np.inf)
+            if ok.any():
+                r = (y - _forward(x, thetas[ok])) * sqrt_w
+                out[ok] = np.add.reduce(r * r, axis=1)
+        return out
 
     nu0_init = float(x[np.argmin(y)])
     frac = min(max(float(np.min(y)) / n0_ref, 1e-9), 1.0)
@@ -332,11 +392,8 @@ def fit_spectrum(data: Spectrum) -> FitResult:
         starts.append(theta0 + np.array([0.05, 0.3, 0.2, 0.3])
                       * rng.standard_normal(4))
 
-    best = best_start = None
-    for start in starts:
-        res = _simplex(objective, start)
-        if best is None or res.fun < best.fun:
-            best, best_start = res, start
+    # the first of equal minima wins
+    best, best_start = min(zip(_simplex(objective, starts), starts), key=lambda r: r[0].fun)
 
     theta = to_internal(best.x)
     n0 = float(theta[0])
@@ -348,26 +405,24 @@ def fit_spectrum(data: Spectrum) -> FitResult:
     converged = (bool(best.success) and math.isfinite(best.fun)
                  and float(np.min(np.diff(x))) <= gamma <= span)
 
-    model = _forward(x, theta)
+    model = _forward(x, theta[None])[0]
     safe = np.where(np.abs(model) > 0, model, 1.0)
     residual_rms = float(np.sqrt(np.mean(((y - model) / safe) ** 2)))
 
     # Gauss-Newton covariance s^2 (J^T J)^+ = s^2 J^+ (J^+)^T, with J the
     # Jacobian of the weighted residuals in the O(1) search coordinates by
-    # central differences. The step is absolute: a relative step collapses
-    # whenever a coordinate sits near zero (log eta crosses 0 at unit pulse
-    # strength). The diagonal scale/log Jacobian maps it to
-    # (n0, eta_res, nu0, gamma); counts so large that the n0 variance
+    # central differences, all 8 model rows in one call. The step is absolute:
+    # a relative step collapses whenever a coordinate sits near zero (log eta
+    # crosses 0 at unit pulse strength). The diagonal scale/log Jacobian maps
+    # it to (n0, eta_res, nu0, gamma); counts so large that the n0 variance
     # overflows raise FloatingPointError.
     step = 1e-6
     with np.errstate(over="ignore", invalid="ignore"):
-        jac = np.empty((n, 4))
-        for i, e in enumerate(step * np.eye(4)):
-            hi = _forward(x, to_internal(best.x + e))
-            lo = _forward(x, to_internal(best.x - e))
-            if hi is None or lo is None:
-                raise FloatingPointError("fit covariance is not finite")
-            jac[:, i] = (hi - lo) * sqrt_w / (2.0 * step)
+        rows = to_internal(best.x + step * np.concatenate([np.eye(4), -np.eye(4)]))
+        if not _in_box(rows).all():
+            raise FloatingPointError("fit covariance is not finite")
+        hi, lo = np.split(_forward(x, rows), 2)
+        jac = ((hi - lo) * sqrt_w / (2.0 * step)).T
         s2 = 1.0 if data.stderr is not None else float(best.fun) / max(n - 4, 1)
         p = np.array([n0_ref, eta_res, x_scale, gamma])[:, None] * np.linalg.pinv(jac)
         covariance = s2 * (p @ p.T)
@@ -376,7 +431,8 @@ def fit_spectrum(data: Spectrum) -> FitResult:
 
     return FitResult(n0=n0, eta_res=eta_res, nu0=nu0, gamma=gamma,
                      residual_rms=residual_rms, converged=converged, covariance=covariance,
-                     objective_trace=[objective(best_start), float(best.fun)])
+                     objective_trace=[float(objective(best_start[None])[0]),
+                                      float(best.fun)])
 
 
 def extract_kpa(fit: FitResult, pulse: PulseParams) -> float:

@@ -866,6 +866,27 @@ def test_nul_in_the_out_dir_is_a_config_or_usage_error(tmp_path, monkeypatch, ca
     assert os.listdir(tmp_path / "p") == ["bands.json"]
 
 
+def test_empty_configured_out_dir_is_data_error_before_the_solve(tmp_path, monkeypatch,
+                                                                 capsys):
+    # os.makedirs("") once failed with ENOENT after the verb had solved
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text("output.dir =\n", encoding="ascii")
+    monkeypatch.chdir(tmp_path)
+    solved = []
+    monkeypatch.setattr(cli, "cmd_bands", lambda *a: solved.append(a) or ([], "solved"))
+    code, err = _main_in_process(["bands", "--config", str(cfg)], monkeypatch, capsys)
+    assert code == 2, err
+    assert err.startswith("error: invalid configured value") and "output.dir" in err
+    assert "Traceback" not in err
+    assert not solved
+    assert os.listdir(tmp_path) == ["empty.cfg"]
+    # the stand-in verb does run once a flag gives the directory
+    code, err = _main_in_process(["bands", "--config", str(cfg), "--out-dir", "o"],
+                                 monkeypatch, capsys)
+    assert code == 0, err
+    assert len(solved) == 1 and os.path.isdir(tmp_path / "o")
+
+
 @pytest.mark.parametrize("line", ["pulse.t_pa_ms = 0", "pulse.intensity_w_cm2 = -1"])
 def test_fit_configured_pulse_is_data_error(tmp_path, monkeypatch, capsys, line):
     spec = tmp_path / "spec.csv"

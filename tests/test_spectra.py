@@ -11,9 +11,11 @@ from ramanpa import spectra
 from ramanpa.dressed_states import RamanParams, find_band_minimum
 from ramanpa.interference import rate_ratio
 from ramanpa.pa_kinetics import (
+    _SERIES_SWITCH,
     LorentzianLine,
     PulseParams,
     invert_remaining_fraction,
+    lorentzian_eta,
     remaining_fraction,
 )
 from ramanpa.spectra import (
@@ -345,32 +347,53 @@ _ORACLE_SPECTRA = {
 }
 
 
-def _scipy_simplex(func, x0):
+def _scipy_simplex(func, x0, **options):
     from scipy.optimize import minimize
-    res = minimize(func, x0, method="Nelder-Mead", options=_NM_OPTIONS)
+    res = minimize(func, x0, method="Nelder-Mead", options={**_NM_OPTIONS, **options})
     return spectra._Simplex(res.x, res.fun, res.nit, res.nfev, res.success)
 
 
-def _assert_same_search(ours, func, x0):
-    ref = _scipy_simplex(func, x0)
+def _row_function(batch):
+    """The scalar objective of one point: a batch of one row."""
+    return lambda x: float(batch(x[None])[0])
+
+
+def _assert_same_search(ours, func, x0, **options):
+    ref = _scipy_simplex(func, x0, **options)
     assert ours.x.tobytes() == ref.x.tobytes()
     assert np.float64(ours.fun).tobytes() == np.float64(ref.fun).tobytes()
     assert (ours.nit, ours.nfev, ours.success) == (ref.nit, ref.nfev, ref.success)
 
 
+def _fit_objective(data, monkeypatch):
+    """The batched objective fit_spectrum hands to _simplex."""
+    batches, simplex = [], spectra._simplex
+
+    def recording(batch, starts):
+        batches.append(batch)
+        return simplex(batch, starts)
+
+    monkeypatch.setattr(spectra, "_simplex", recording)
+    fit_spectrum(data)
+    monkeypatch.undo()
+    return batches[0]
+
+
 @pytest.mark.parametrize("name", _ORACLE_SPECTRA)
 def test_simplex_matches_scipy_at_every_fit_start(name, monkeypatch):
+    """Each lockstep search equals scipy's from its start on the one-row objective."""
     searches, simplex = [], spectra._simplex
 
-    def recording(func, x0):
-        searches.append((func, x0.copy(), simplex(func, x0)))
-        return searches[-1][2]
+    def recording(batch, starts):
+        results = simplex(batch, starts)
+        searches.extend((batch, x0.copy(), res) for x0, res in zip(starts, results))
+        return results
 
     monkeypatch.setattr(spectra, "_simplex", recording)
     fit_spectrum(_ORACLE_SPECTRA[name])
     assert len(searches) == 6
-    for func, x0, ours in searches:
-        _assert_same_search(ours, func, x0)
+    for batch, x0, ours in searches:
+        _assert_same_search(ours, _row_function(batch), x0)
 
 
 @pytest.mark.parametrize("func, counter, cap", [
@@ -382,23 +405,89 @@ def test_simplex_matches_scipy_at_every_fit_start(name, monkeypatch):
 ], ids=["evaluation-cap", "iteration-cap"])
 def test_simplex_matches_scipy_when_a_cap_stops_it(func, counter, cap):
     x0 = np.array([0.7, -1.3, 0.0, 2.1])
-    ours = spectra._simplex(func, x0)
+    ours, = spectra._simplex(lambda points: np.array([func(x) for x in points]), [x0])
     assert not ours.success
     assert getattr(ours, counter) == cap
     _assert_same_search(ours, func, x0)
+
+
+def test_simplex_matches_scipy_wherever_the_evaluation_cap_falls(monkeypatch):
+    """On pure noise about half the contractions fail, so these caps fall in
+    every step of an iteration, the shrink's four evaluations included."""
+    func = lambda x: zlib.crc32(x.tobytes()) / 2**32  # noqa: E731
+    x0 = np.array([0.7, -1.3, 0.0, 2.1])
+    for cap in range(6, 60):
+        monkeypatch.setattr(spectra, "_MAXFEV", cap)
+        ours, = spectra._simplex(lambda points: np.array([func(x) for x in points]), [x0])
+        assert ours.nfev == cap
+        _assert_same_search(ours, func, x0, maxfev=cap)
 
 
 @pytest.mark.parametrize("name", _ORACLE_SPECTRA)
 def test_fit_equals_the_scipy_path_bit_for_bit(name, monkeypatch):
     data = _ORACLE_SPECTRA[name]
     ours = fit_spectrum(data)
-    monkeypatch.setattr(spectra, "_simplex", _scipy_simplex)
+    starts = []
+
+    def scipy_searches(batch, x0s):
+        starts.extend(x0s)
+        return [_scipy_simplex(_row_function(batch), x0) for x0 in x0s]
+
+    monkeypatch.setattr(spectra, "_simplex", scipy_searches)
     ref = fit_spectrum(data)
+    assert len(starts) == 6  # scipy ran every search the fit made
     for key in ("n0", "eta_res", "nu0", "gamma", "residual_rms", "objective_trace"):
         assert np.asarray(getattr(ours, key)).tobytes() == \
             np.asarray(getattr(ref, key)).tobytes(), key
     assert ours.converged is ref.converged
     assert ours.covariance.tobytes() == ref.covariance.tobytes()
+
+
+def _rows_for_batches():
+    """24 search points: the fit's neighbourhood, with line strengths whose
+    eta falls below, across and above _SERIES_SWITCH, four points outside the
+    |log| <= 60 box, and far points whose model or residuals overflow."""
+    rng = np.random.default_rng(3)
+    near = np.column_stack([rng.uniform(0.8, 1.2, 16), rng.uniform(-6.0, 4.0, 16),
+                            rng.uniform(-0.5, 0.5, 16), rng.uniform(1.0, 4.0, 16)])
+    edge = [[1.0, 61.0, 0.0, 2.3], [1.0, 0.0, 0.0, -60.5], [math.nan, 0.0, 0.0, 2.3],
+            [1.0, 0.0, math.inf, 2.3],
+            [1e295, 0.0, 0.0, 2.3],  # the squared residuals overflow
+            [1e306, 0.0, 0.0, 2.3],  # n0 overflows once scaled
+            [1.0, -60.0, 1e300, 60.0],  # d^2 overflows; eta is 0
+            # a far expansion point 3 * centroid - 2 * worst, inside the box
+            list(3.0 * np.array([1.0, 0.0, 0.0, 2.3])
+                 - 2.0 * np.array([1.0, -10.0, 5e299, 25.0]))]
+    return np.concatenate([near, edge])[rng.permutation(24)]
+
+
+def test_batched_objective_rows_equal_rows_evaluated_alone(monkeypatch):
+    """A row's objective value, and its model, do not depend on the other rows
+    of the call, bit for bit; rows off the box give inf and nothing warns."""
+    data = _ORACLE_SPECTRA["criterion5-seed0"]
+    batch = _fit_objective(data, monkeypatch)
+    rows = _rows_for_batches()
+    with np.errstate(over="ignore"):
+        internal = rows * np.array([float(np.max(data.atoms_total)), 1.0,
+                                    0.5 * (data.detunings_khz[-1] - data.detunings_khz[0]), 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alone = np.concatenate([batch(row[None]) for row in rows])
+        assert np.isinf(alone).sum() == 6 and not np.isnan(alone).any()
+        boxed = spectra._in_box(internal)
+        assert boxed.sum() == 19
+        for k in (1, 2, 3, 5, 24):
+            assert batch(rows[:k]).tobytes() == alone[:k].tobytes(), k
+            with np.errstate(over="ignore"):  # as _forward's callers run it
+                model = spectra._forward(data.detunings_khz, internal[:k][boxed[:k]])
+                for i, row in enumerate(internal[:k][boxed[:k]]):
+                    assert model[i].tobytes() == \
+                        spectra._forward(data.detunings_khz, row[None])[0].tobytes(), (k, i)
+        with np.errstate(over="ignore"):
+            etas = [lorentzian_eta(data.detunings_khz,
+                                   LorentzianLine(math.exp(le), nu0, math.exp(lg)))
+                    for _, le, nu0, lg in internal[boxed]]
+    assert (np.array(etas) < _SERIES_SWITCH).any() and (np.array(etas) > _SERIES_SWITCH).any()
 
 
 # ----------------------------------------------------------- rate extraction
@@ -422,7 +511,6 @@ def test_normalize_spectrum_round_trip():
     data = synthesize_spectrum(LINE, PULSE, GRID_30, 0.0, 0)
     fit = fit_spectrum(data)
     norm = normalize_spectrum(data, fit)
-    from ramanpa.pa_kinetics import lorentzian_eta
     wing = remaining_fraction(lorentzian_eta(GRID_30[0], LINE))
     assert norm.atoms_total[0] == pytest.approx(wing, rel=1e-4)
     i0 = int(np.argmin(np.abs(GRID_30 - 0.3)))
