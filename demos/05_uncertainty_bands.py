@@ -9,11 +9,7 @@ import os
 import numpy as np
 
 from ramanpa.svgplot import BandArea, Series, render_plot, write_svg
-from ramanpa.uncertainty import (
-    UncertaintySpec,
-    ratio_band_vs_delta,
-    ratio_band_vs_omega,
-)
+from ramanpa.uncertainty import UncertaintySpec, ratio_band_vs_delta, ratio_bands
 
 OUT = os.path.join(os.path.dirname(__file__), "output")
 
@@ -22,21 +18,18 @@ def main():
     os.makedirs(OUT, exist_ok=True)
     mc = UncertaintySpec(omega_rel_sigma=0.10, delta_sigma=0.5,
                          n_samples=2000, seed=0)
-    zero = UncertaintySpec(omega_rel_sigma=0.0, delta_sigma=0.0,
-                           n_samples=100, seed=0)
 
     axis = np.linspace(0.0, 12.0, 25)
-    band = ratio_band_vs_omega(axis, 0.0, mc)
-    nominal = ratio_band_vs_omega(axis, 0.0, zero)
+    band, _ = ratio_bands(axis, axis, 0.0, mc)  # the with-interference band
     print("omega_R   nominal    MC mean   +/- std")
     for i in (0, 4, 8, 12, 16, 20, 24):
-        print(f"{axis[i]:7.1f}   {nominal.mean[i]:7.4f}   {band.mean[i]:7.4f}"
+        print(f"{axis[i]:7.1f}   {band.nominal[i]:7.4f}   {band.mean[i]:7.4f}"
               f"   {band.std[i]:7.4f}")
 
     svg = render_plot(
         "Suppression vs coupling, 10% coupling / 0.5 E_r detuning sigma",
         "omega_R (E_r)", "k_sup / k_00",
-        series=[Series(x=axis, y=nominal.mean, color="#1f77b4", label="nominal")],
+        series=[Series(x=axis, y=band.nominal, color="#1f77b4", label="nominal")],
         bands=[BandArea(x=axis, lower=band.lower, upper=band.upper,
                         color="#1f77b4", label="+/- 1 sigma")],
         y_range=(0.0, 1.05))

@@ -53,8 +53,10 @@ from .spectra import (
     write_spectrum_csv,
 )
 from .uncertainty import (
+    MAX_SAMPLES,
     RatioBand,
     UncertaintySpec,
+    ratio_bands,
     ratio_band_vs_delta,
     ratio_band_vs_omega,
     write_ratio_band_csv,
@@ -75,7 +77,7 @@ __all__ = [
     "FitResult", "Spectrum", "SpectrumFormatError", "component_spectrum",
     "extract_kpa", "fit_spectrum", "normalize_spectrum", "read_spectrum_csv",
     "synthesize_spectrum", "write_spectrum_csv",
-    "RatioBand", "UncertaintySpec", "ratio_band_vs_delta",
+    "MAX_SAMPLES", "RatioBand", "UncertaintySpec", "ratio_bands", "ratio_band_vs_delta",
     "ratio_band_vs_omega", "write_ratio_band_csv",
     "EPSILON_Q_ER", "RECOIL_ENERGY_HZ", "er_to_khz",
     "__version__",

@@ -51,7 +51,7 @@ from .spectra import (
 )
 from .svgplot import BandArea, Markers, Series, render_plot, write_svg
 from .tables import write_csv
-from .uncertainty import _MAX_SAMPLES, _band, write_ratio_band_csv
+from .uncertainty import MAX_SAMPLES, ratio_bands, write_ratio_band_csv
 from .constants import MS
 
 EXIT_OK = 0
@@ -133,7 +133,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--omega", type=float, help="nominal coupling for the delta axis")
     p.add_argument("--delta", type=float, help="nominal detuning for the omega axis")
     p.add_argument("--samples", type=int,
-                   help=f"Monte Carlo samples per point, 100 to {_MAX_SAMPLES}")
+                   help=f"Monte Carlo samples per point, 100 to {MAX_SAMPLES}")
     p.add_argument("--no-interference", action="store_true",
                    help="emit only the no-interference variant band")
     p.set_defaults(func=cmd_ratio_sweep, parser=p)
@@ -273,30 +273,28 @@ def cmd_ratio_sweep(args, config: RunConfig):
     else:
         omega_col, delta_col = np.full(points, nominal.omega_r), axis
         x_label = "delta (E_r)"
-    (mc_with, mc_without), (nominal_with, nominal_without) = _band(
-        axis, omega_col, delta_col, mc_spec, nominal.epsilon_q)
-    bands = [mc_without] if args.no_interference else [mc_with, mc_without]
+    mc_with, mc_without = ratio_bands(axis, omega_col, delta_col, mc_spec, nominal.epsilon_q)
+    first = 1 if args.no_interference else 0
+    bands, colors = [mc_with, mc_without][first:], (_COLOR_WITH, _COLOR_WITHOUT)[first:]
 
-    areas = [BandArea(x=b.sweep_axis, lower=b.lower, upper=b.upper,
-                      color=_COLOR_WITH if b.variant.startswith("with-")
-                      else _COLOR_WITHOUT,
+    areas = [BandArea(x=b.sweep_axis, lower=b.lower, upper=b.upper, color=color,
                       label=b.variant)
-             for b in bands]
-    lines = [Series(x=axis, y=nominal_without, color=_COLOR_WITHOUT,
+             for b, color in zip(bands, colors)]
+    lines = [Series(x=axis, y=mc_without.nominal, color=_COLOR_WITHOUT,
                     label="nominal, no cross term", dashed=True),
-             Series(x=axis, y=nominal_with, color=_COLOR_WITH,
+             Series(x=axis, y=mc_with.nominal, color=_COLOR_WITH,
                     label="nominal")]
     return [
         ("ratio_band.csv", "csv", lambda path: write_ratio_band_csv(path, bands)),
         ("ratio_nominal.csv", "csv", lambda path: write_ratio_sweep_csv(
-            path, omega_col, delta_col, nominal_with, nominal_without)),
+            path, omega_col, delta_col, mc_with.nominal, mc_without.nominal)),
         ("ratio_sweep.json", "json", _json({
             "axis": args.axis, "values": axis.tolist(),
             "bands": [{"variant": b.variant, "mean": b.mean.tolist(),
                        "lower": b.lower.tolist(), "upper": b.upper.tolist()}
                       for b in bands],
-            "nominal_ratio": nominal_with.tolist(),
-            "nominal_ratio_no_interference": nominal_without.tolist(),
+            "nominal_ratio": mc_with.nominal.tolist(),
+            "nominal_ratio_no_interference": mc_without.nominal.tolist(),
             "n_samples": mc_spec.n_samples, "seed": mc_spec.seed,
         })),
         ("ratio_sweep.svg", "svg", _svg("Normalized PA rate", x_label, "k_sup / k_00",

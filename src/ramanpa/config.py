@@ -176,8 +176,7 @@ class RunConfig:
         return pulse
 
     def lorentzian(self, eta_res: float) -> LorentzianLine:
-        return self._build(lambda v: LorentzianLine(
-            eta_res=eta_res, nu0=v["line.nu0_khz"], gamma=v["line.gamma_khz"]))
+        return self._build(lambda v: _line(v, eta_res))
 
     def eta00(self, pulse: PulseParams) -> float:
         """eta of the configured (0,0) rate kinetics.k00_cm3_s over pulse."""
@@ -231,10 +230,26 @@ def _peak_density(v) -> float:
     explicit = v["pulse.rho0_cm3"]
     if explicit > 0:
         return explicit
-    return thomas_fermi_peak_density(
-        n_atoms=_n_total(v), omega_bar=2.0 * math.pi * v["trap.frequency_hz"],
-        scattering_length=v["atoms.scattering_length_a0"] * BOHR_RADIUS_M,
-        mass=v["atoms.mass_amu"] * ATOMIC_MASS_KG)
+    n_total = _n_total(v)
+    try:
+        return thomas_fermi_peak_density(
+            n_atoms=n_total, omega_bar=2.0 * math.pi * v["trap.frequency_hz"],
+            scattering_length=v["atoms.scattering_length_a0"] * BOHR_RADIUS_M,
+            mass=v["atoms.mass_amu"] * ATOMIC_MASS_KG)
+    except ValueError as exc:
+        raise ValueError(f"trap.frequency_hz, atoms.mass_amu, atoms.scattering_length_a0 "
+                         f"and atoms.n_total: {exc}") from None
+
+
+def _line(v, eta_res: float) -> LorentzianLine:
+    # simulate samples the line at nu0 + (-3 ... 3) gamma: the bounds keep the
+    # Lorentzian's squares finite and normal and points 0.2 gamma apart distinct
+    nu0, gamma = v["line.nu0_khz"], v["line.gamma_khz"]
+    if not 1e-100 <= gamma <= 1e100:
+        raise ValueError("line.gamma_khz must be between 1e-100 and 1e100")
+    if not abs(nu0) <= 1e12 * gamma:
+        raise ValueError("line.nu0_khz must be at most 1e12 x line.gamma_khz in magnitude")
+    return LorentzianLine(eta_res=eta_res, nu0=nu0, gamma=gamma)
 
 
 def _pulse(v, n0=None) -> PulseParams:

@@ -253,13 +253,20 @@ def thomas_fermi_peak_density(n_atoms: float, omega_bar: float,
     """Peak density (cm^-3) of a Thomas-Fermi condensate.
 
     rho_0 = (15 N / 8 pi) Rbar^-3 with Rbar = a_ho (15 N a_s / a_ho)^{1/5}
-    and a_ho = sqrt(hbar / (m omega_bar)); SI inputs (rad/s, m, kg).
+    and a_ho = sqrt(hbar / (m omega_bar)); SI inputs (rad/s, m, kg). ValueError
+    unless the inputs are > 0 and the density is finite and > 0.
     """
     if n_atoms <= 0 or omega_bar <= 0 or scattering_length <= 0 or mass <= 0:
         raise ValueError("all Thomas-Fermi inputs must be > 0")
-    a_ho = math.sqrt(HBAR / (mass * omega_bar))
-    rbar = a_ho * (15.0 * n_atoms * scattering_length / a_ho) ** 0.2
-    return (15.0 * n_atoms / (8.0 * math.pi)) / rbar**3 * M3_TO_CM3
+    try:
+        a_ho = math.sqrt(HBAR / (mass * omega_bar))
+        rbar = a_ho * (15.0 * n_atoms * scattering_length / a_ho) ** 0.2
+        density = (15.0 * n_atoms / (8.0 * math.pi)) / rbar**3 * M3_TO_CM3
+    except ArithmeticError:  # rbar**3 overflowed, or a length underflowed to 0
+        density = 0.0
+    if not 0.0 < density < math.inf:
+        raise ValueError("Thomas-Fermi peak density must be finite and > 0")
+    return density
 
 
 def check_mixture_args(k00: float, pulse: PulseParams, dt: float,

@@ -21,13 +21,15 @@ from .tables import write_csv
 __all__ = [
     "UncertaintySpec",
     "RatioBand",
+    "MAX_SAMPLES",
+    "ratio_bands",
     "ratio_band_vs_omega",
     "ratio_band_vs_delta",
     "write_ratio_band_csv",
 ]
 
-_MAX_SAMPLES = 10**6  # per sweep point; about 146 MiB peak at the cap
-_SOLVE_ROWS = 1 << 16  # rows per band_minima call in _band: 25 x 2001 fit in one
+MAX_SAMPLES = 10**6  # per sweep point; about 146 MiB peak at the cap
+_SOLVE_ROWS = 1 << 16  # rows per band_minima call in ratio_bands: 25 x 2001 fit in one
 # draws within 99 sigma of omega_r 12, |delta| 3 and eps_q 0.65 E_r stay within 1e6 E_r
 _SIGMA_CAPS = {"omega_rel_sigma": 100.0, "delta_sigma": 1e4, "epsilon_q_sigma": 1e4}
 VARIANT_WITH = "with-interference"
@@ -49,8 +51,8 @@ class UncertaintySpec:
         for name, cap in _SIGMA_CAPS.items():
             if not 0 <= getattr(self, name) <= cap:  # NaN fails too
                 raise ValueError(f"{name} must be finite, >= 0 and <= {cap:g}")
-        if not 100 <= self.n_samples <= _MAX_SAMPLES:
-            raise ValueError(f"n_samples must be between 100 and {_MAX_SAMPLES}")
+        if not 100 <= self.n_samples <= MAX_SAMPLES:
+            raise ValueError(f"n_samples must be between 100 and {MAX_SAMPLES}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -64,7 +66,8 @@ class RatioBand:
     """Rate-ratio band along one sweep axis.
 
     lower/upper are mean -+ one standard deviation, clipped to [0, 1.05] for
-    display; std holds the unclipped per-point standard deviation.
+    display; std holds the unclipped per-point standard deviation; nominal is
+    the variant's zero-width ratio at each point, solved with the draws.
     """
 
     sweep_axis: np.ndarray
@@ -73,6 +76,7 @@ class RatioBand:
     upper: np.ndarray
     variant: str
     std: np.ndarray
+    nominal: np.ndarray
 
 
 def _draw(rng, nominal: float, sigma: float, n: int, low: float) -> np.ndarray:
@@ -96,26 +100,31 @@ def _draw_samples(rng, omega_nom, delta_nom, epsilon_nom, spec: UncertaintySpec,
     out[2] = _draw(rng, epsilon_nom, spec.epsilon_q_sigma, spec.n_samples, 0.0)
 
 
-def _band(axis_values, omegas, deltas, spec: UncertaintySpec, epsilon_q: float):
-    """Both variants' bands and both nominal curves over a sweep, in one pass.
+def ratio_bands(axis_values, omegas, deltas, spec: UncertaintySpec,
+                epsilon_q: float = EPSILON_Q_ER) -> tuple[RatioBand, RatioBand]:
+    """Both variants' bands over a sweep, each with its nominal curve, in one pass.
 
-    Point i gives a block of rows: its nominal row, then (unless the spec is
-    zero-width) n_samples draws from its own default_rng([seed, i]) stream, so
-    mirrored or reordered sweeps reuse identical draws at equal indices. One
-    band_minima call solves each group of whole blocks of at most _SOLVE_ROWS
-    rows. Returns ((with, without) bands, (2, points) nominal ratios).
+    axis_values is the 1-D sweep axis written into the bands; omegas and deltas
+    are the nominal coupling and detuning at each point, as arrays or scalars
+    broadcast along it. Point i gives a block of rows: its nominal row, then
+    (unless the spec is zero-width) n_samples draws from its own
+    default_rng([seed, i]) stream, so mirrored or reordered sweeps reuse
+    identical draws at equal indices. One band_minima call solves each group of
+    whole blocks of at most _SOLVE_ROWS rows. Returns (with, without) bands.
     """
     axis = np.asarray(axis_values, dtype=float)
-    if axis.size == 0:
-        raise ValueError("sweep axis must be non-empty")
-    om_nom, de_nom, _ = np.broadcast_arrays(np.asarray(omegas, dtype=float),
-                                            np.asarray(deltas, dtype=float), axis)
+    if axis.ndim != 1 or axis.size == 0:
+        raise ValueError("sweep axis must be a non-empty 1-D sequence")
+    om_nom, de_nom = (np.broadcast_to(np.asarray(v, dtype=float), axis.shape)
+                      for v in (omegas, deltas))
     # a nominal outside _draw's interval would redraw (nearly) forever
     if not all(np.all(np.abs(v) <= DRESSING_LIMIT_ER) for v in (om_nom, de_nom, epsilon_q)):
         raise ValueError(f"sweep values and nominal omega_r, delta, epsilon_q must be finite, "
                          f"with magnitude <= {DRESSING_LIMIT_ER:g} E_r")
     if np.any(om_nom < 0) or epsilon_q < 0:
         raise ValueError("nominal omega_r and epsilon_q must be >= 0")
+    if not np.all(np.isfinite(axis)):
+        raise ValueError("sweep axis values must be finite")
     width = 1 if spec.is_zero else 1 + spec.n_samples
     nominal, means, stds = np.zeros((3, 2, axis.size))
     per_solve = max(1, _SOLVE_ROWS // width)
@@ -136,24 +145,24 @@ def _band(axis_values, omegas, deltas, spec: UncertaintySpec, epsilon_q: float):
     lower = np.clip(means - stds, 0.0, 1.05)
     upper = np.clip(means + stds, 0.0, 1.05)
     return tuple(RatioBand(sweep_axis=axis, mean=means[k], lower=lower[k], upper=upper[k],
-                           variant=variant, std=stds[k])
-                 for k, variant in enumerate((VARIANT_WITH, VARIANT_WITHOUT))), nominal
+                           variant=variant, std=stds[k], nominal=nominal[k])
+                 for k, variant in enumerate((VARIANT_WITH, VARIANT_WITHOUT)))
 
 
 def ratio_band_vs_omega(omega_list, delta_nominal: float, spec: UncertaintySpec,
                         interference: bool = True,
                         epsilon_q: float = EPSILON_Q_ER) -> RatioBand:
-    """Rate-ratio band swept over the Raman coupling at fixed nominal delta."""
-    bands, _ = _band(omega_list, omega_list, delta_nominal, spec, epsilon_q)
-    return bands[0] if interference else bands[1]
+    """One variant of ratio_bands swept over the Raman coupling at fixed nominal delta."""
+    return ratio_bands(omega_list, omega_list, delta_nominal, spec,
+                       epsilon_q)[0 if interference else 1]
 
 
 def ratio_band_vs_delta(delta_list, omega_nominal: float, spec: UncertaintySpec,
                         interference: bool = True,
                         epsilon_q: float = EPSILON_Q_ER) -> RatioBand:
-    """Rate-ratio band swept over the detuning at fixed nominal coupling."""
-    bands, _ = _band(delta_list, omega_nominal, delta_list, spec, epsilon_q)
-    return bands[0] if interference else bands[1]
+    """One variant of ratio_bands swept over the detuning at fixed nominal coupling."""
+    return ratio_bands(delta_list, omega_nominal, delta_list, spec,
+                       epsilon_q)[0 if interference else 1]
 
 
 def write_ratio_band_csv(path, bands) -> None:

@@ -6,13 +6,14 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import ramanpa.cli as cli
 import ramanpa.dressed_states as dressed_states
-from ramanpa.config import RunConfig
+from ramanpa.config import DEFAULTS, RunConfig
 from ramanpa.pa_kinetics import LorentzianLine, PulseParams
 from ramanpa.spectra import FitResult, synthesize_spectrum, write_spectrum_csv
 
@@ -517,9 +518,9 @@ def test_huge_sizes_exit_before_allocating(tmp_path, args):
 
 def test_ratio_sweep_point_cap_rejects_before_solving(tmp_path, monkeypatch, capsys):
     def must_not_run(*args, **kwargs):
-        raise AssertionError("_band called above the point cap")
+        raise AssertionError("ratio_bands called above the point cap")
 
-    monkeypatch.setattr(cli, "_band", must_not_run)
+    monkeypatch.setattr(cli, "ratio_bands", must_not_run)
     monkeypatch.delenv("RAMANPA_CONFIG", raising=False)
     code = cli.main(["ratio-sweep", "--points", str(cli._MAX_SWEEP_POINTS + 1),
                      "--out-dir", str(tmp_path / "o")])
@@ -887,12 +888,16 @@ def test_empty_configured_out_dir_is_data_error_before_the_solve(tmp_path, monke
     assert len(solved) == 1 and os.path.isdir(tmp_path / "o")
 
 
-@pytest.mark.parametrize("line", ["pulse.t_pa_ms = 0", "pulse.intensity_w_cm2 = -1"])
-def test_fit_configured_pulse_is_data_error(tmp_path, monkeypatch, capsys, line):
-    spec = tmp_path / "spec.csv"
-    write_spectrum_csv(spec, synthesize_spectrum(
+def _write_spectrum(path):
+    write_spectrum_csv(path, synthesize_spectrum(
         LorentzianLine(eta_res=1.0, nu0=0.0, gamma=20.0),
         PulseParams(t_pa=5e-3, rho0=1e14, n0=9000.0), np.linspace(-30, 30, 9), 0.0, 0))
+    return str(path)
+
+
+@pytest.mark.parametrize("line", ["pulse.t_pa_ms = 0", "pulse.intensity_w_cm2 = -1"])
+def test_fit_configured_pulse_is_data_error(tmp_path, monkeypatch, capsys, line):
+    spec = _write_spectrum(tmp_path / "spec.csv")
     cfg = tmp_path / "pulse.cfg"
     cfg.write_text(line + "\n", encoding="ascii")
     out = tmp_path / "o"
@@ -969,3 +974,72 @@ def test_undecodable_input_file_is_data_error(tmp_path, monkeypatch, capsys, arg
     assert code == 2, err
     assert err.startswith(f"error: line {line}: ")
     assert not out.exists()
+
+
+# ------------------------------------------- extreme configured values
+
+FORMS = {
+    "bands": ["bands"],
+    "coeffs": ["coeffs"],
+    "ratio-sweep": ["ratio-sweep", "--points", "2", "--samples", "100"],
+    "fit": ["fit"],  # the spectrum path follows
+    "simulate": ["simulate"],
+    "simulate-mixture": ["simulate", "--mode", "mixture"],
+    "mixture-sim": ["mixture-sim"],
+}
+_RAMAN = ("bands", "coeffs", "ratio-sweep", "simulate")
+_PULSE = ("fit", "simulate", "simulate-mixture", "mixture-sim")
+_MIXTURE = ("simulate-mixture", "mixture-sim")
+# every numeric config key and the verb forms that read it
+READERS = {
+    "raman.omega_r": _RAMAN, "raman.delta": _RAMAN, "raman.epsilon_q": _RAMAN,
+    "raman.recoil_energy_hz": _RAMAN,
+    "trap.frequency_hz": _PULSE, "atoms.mass_amu": _PULSE,
+    "atoms.scattering_length_a0": _PULSE, "atoms.n_total": _PULSE,
+    "pulse.t_pa_ms": _PULSE, "pulse.intensity_w_cm2": _PULSE, "pulse.rho0_cm3": _PULSE,
+    "kinetics.k00_cm3_s": ("simulate",) + _MIXTURE,
+    "kinetics.cross_weight": _MIXTURE, "kinetics.n_shells": _MIXTURE,
+    "line.nu0_khz": ("simulate",), "line.gamma_khz": ("simulate",),
+    "uncertainty.omega_rel_sigma": ("ratio-sweep",), "uncertainty.delta_sigma": ("ratio-sweep",),
+    "uncertainty.epsilon_q_sigma": ("ratio-sweep",), "uncertainty.n_samples": ("ratio-sweep",),
+    "uncertainty.seed": ("ratio-sweep", "simulate"),
+}
+
+
+def _run_configured(tmp_path, argv, line):
+    """Exit code of main(argv) with a one-line config, warnings raised."""
+    cfg = tmp_path / "extreme.cfg"
+    cfg.write_text(line + "\n", encoding="ascii")
+    argv = argv + ([_write_spectrum(tmp_path / "spec.csv")] if argv == ["fit"] else [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return cli.main(argv + ["--config", str(cfg), "--out-dir", str(tmp_path / "o"),
+                                "--format", "csv,json,svg"])
+
+
+@pytest.mark.parametrize("key", sorted(k for k, v in DEFAULTS.items() if not isinstance(v, str)))
+def test_extreme_configured_value_exits_cleanly(tmp_path, monkeypatch, capsys, key):
+    monkeypatch.delenv("RAMANPA_CONFIG", raising=False)
+    for value in ("1e300", "-1e300", "1e-300"):
+        for form in READERS[key]:
+            code = _run_configured(tmp_path, FORMS[form], f"{key} = {value}")
+            err = capsys.readouterr().err
+            assert code in (0, 2), (form, key, value, err)
+
+
+@pytest.mark.parametrize("form, line", [
+    *((form, line) for line in ("trap.frequency_hz = 1e300", "trap.frequency_hz = 1e-300",
+                                "atoms.mass_amu = 1e300") for form in _PULSE),
+    *(("simulate", f"line.nu0_khz = {v}") for v in ("1e20", "1e300", "-1e300")),
+    *(("simulate", f"line.gamma_khz = {v}") for v in ("1e300", "1e-300")),
+])
+def test_extreme_trap_atom_or_line_value_is_data_error_naming_its_key(tmp_path, monkeypatch,
+                                                                      capsys, form, line):
+    # the trap and atom values raised ZeroDivisionError from the Thomas-Fermi
+    # density; the line values exited 1 naming no key, gamma after RuntimeWarnings
+    monkeypatch.delenv("RAMANPA_CONFIG", raising=False)
+    code = _run_configured(tmp_path, FORMS[form], line)
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("error: invalid configured value: ") and line.split()[0] in err
+    assert not (tmp_path / "o").exists()

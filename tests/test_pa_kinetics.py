@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ramanpa.constants import EPSILON_Q_ER, PA_LINE_FWHM_KHZ, TRAP_OMEGA_BAR, er_to_khz
+from ramanpa.constants import (
+    ATOMIC_MASS_KG,
+    EPSILON_Q_ER,
+    PA_LINE_FWHM_KHZ,
+    RB87_MASS_AMU,
+    TRAP_OMEGA_BAR,
+    er_to_khz,
+)
 from ramanpa.dressed_states import RamanParams, build_hamiltonian
 from ramanpa.interference import bare_pair_singlet_weight
 from ramanpa.pa_kinetics import (
@@ -295,6 +302,15 @@ def test_thomas_fermi_scattering_length_scaling():
 def test_thomas_fermi_validation():
     with pytest.raises(ValueError):
         thomas_fermi_peak_density(0.0, TRAP_OMEGA_BAR, 5.3e-9, 1e-25)
+
+
+@pytest.mark.parametrize("omega_bar, mass_amu", [(2e300 * math.pi, RB87_MASS_AMU),
+                                                 (2e-300 * math.pi, RB87_MASS_AMU),
+                                                 (TRAP_OMEGA_BAR, 1e300)])
+def test_thomas_fermi_density_past_the_float_range_is_value_error(omega_bar, mass_amu):
+    # rbar**3 underflowed to 0 (ZeroDivisionError) or overflowed (OverflowError)
+    with pytest.raises(ValueError, match="^Thomas-Fermi peak density must be finite and > 0$"):
+        thomas_fermi_peak_density(15000.0, omega_bar, 5.3e-9, mass_amu * ATOMIC_MASS_KG)
 
 
 # ---------------------------------------------------------- mixture dynamics

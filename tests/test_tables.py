@@ -66,9 +66,9 @@ def test_spectrum_csv_bytes(tmp_path):
 
 def test_ratio_band_csv_bytes(tmp_path):
     bands = [RatioBand(sweep_axis=V[:2], mean=V[1:3], lower=V[2:4], upper=V[3:5],
-                       variant="with-interference", std=np.zeros(2)),
+                       variant="with-interference", std=np.zeros(2), nominal=V[1:3]),
              RatioBand(sweep_axis=V[4:], mean=V[:1], lower=V[1:2], upper=V[2:3],
-                       variant="without-interference", std=np.zeros(1))]
+                       variant="without-interference", std=np.zeros(1), nominal=V[:1])]
     assert written(tmp_path, write_ratio_band_csv, bands) == (
         b"axis_value_Er,mean,lower,upper,variant\n"
         b"0.1,-0,1e-300,0.666666666667,with-interference\n"

@@ -1,4 +1,5 @@
 """Monte Carlo rate-ratio bands over dressing-parameter uncertainty."""
+import dataclasses
 import math
 
 import numpy as np
@@ -10,10 +11,10 @@ from ramanpa.interference import rate_ratio, rate_ratio_no_interference
 from ramanpa.uncertainty import (
     RatioBand,
     UncertaintySpec,
-    _band,
-    ratio_band_vs_delta,
     _draw_samples,
+    ratio_band_vs_delta,
     ratio_band_vs_omega,
+    ratio_bands,
     write_ratio_band_csv,
 )
 
@@ -136,20 +137,32 @@ SWEEP = np.linspace(0.0, 12.0, 25)
 
 
 def _sweep(spec):
-    (full, noint), nominal = _band(SWEEP, SWEEP, 0.3, spec, 0.65)
-    return np.stack([full.mean, noint.mean, full.std, noint.std]), nominal
+    bands = ratio_bands(SWEEP, SWEEP, 0.3, spec, 0.65)
+    return np.stack([getattr(b, f) for f in ("mean", "std", "nominal") for b in bands])
 
 
 def test_band_nominal_curve_is_the_zero_width_band():
     spec = UncertaintySpec(n_samples=300, seed=4)
-    zero_bands, zero_nominal = _sweep(ZERO)
-    _, nominal = _sweep(spec)
-    assert np.array_equal(zero_bands[:2], nominal)
-    assert np.array_equal(zero_nominal, nominal)
-    assert np.all(zero_bands[2:] == 0.0)
+    zero = ratio_bands(SWEEP, SWEEP, 0.3, ZERO, 0.65)
+    bands = ratio_bands(SWEEP, SWEEP, 0.3, spec, 0.65)
+    for z, band in zip(zero, bands):
+        assert np.array_equal(band.nominal, z.mean)
+        assert np.array_equal(z.nominal, z.mean)
+        assert np.all(z.std == 0.0)
     direct = band_minima(SWEEP, 0.3, 0.65)[2]
-    assert np.array_equal(nominal[0], [rate_ratio(c) for c in direct])
-    assert np.array_equal(nominal[1], [rate_ratio_no_interference(c) for c in direct])
+    assert np.array_equal(bands[0].nominal, [rate_ratio(c) for c in direct])
+    assert np.array_equal(bands[1].nominal, [rate_ratio_no_interference(c) for c in direct])
+    # each wrapper is one variant of the same solve
+    by_delta = ratio_bands(SWEEP, 5.4, SWEEP, spec, 0.65)
+    for k, interference in enumerate((True, False)):
+        for got, want in ((ratio_band_vs_omega(SWEEP, 0.3, spec, interference, 0.65), bands[k]),
+                          (ratio_band_vs_delta(SWEEP, 5.4, spec, interference, 0.65),
+                           by_delta[k])):
+            for field in dataclasses.fields(RatioBand):
+                assert np.array_equal(getattr(got, field.name), getattr(want, field.name))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="axis"):
+            ratio_bands([0.0, bad], [1.0, 2.0], 0.3, ZERO)
 
 
 @pytest.mark.parametrize("spec", [NOMINAL_MC, UncertaintySpec(n_samples=200, seed=9,
@@ -170,9 +183,8 @@ def test_band_grouping_does_not_change_results(monkeypatch, spec):
         calls.clear()
         results.append(_sweep(spec))
         assert len(calls) == solves and sum(calls) == 25 * width
-    for bands, nominal in results[1:]:
-        assert np.array_equal(bands, results[0][0])
-        assert np.array_equal(nominal, results[0][1])
+    for result in results[1:]:
+        assert np.array_equal(result, results[0])
 
 
 def test_band_envelope_invariants():
