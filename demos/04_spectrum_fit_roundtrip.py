@@ -9,8 +9,8 @@ import os
 
 import numpy as np
 
-from ramanpa.pa_kinetics import LorentzianLine, PulseParams
-from ramanpa.spectra import extract_kpa, fit_spectrum, synthesize_spectrum, write_spectrum_csv
+from ramanpa.pa_kinetics import LorentzianLine, PulseParams, rate_from_eta
+from ramanpa.spectra import fit_spectrum, synthesize_spectrum, write_spectrum_csv
 
 OUT = os.path.join(os.path.dirname(__file__), "output")
 
@@ -40,7 +40,7 @@ def main():
     for name, want, got, s in rows:
         print(f"{name:11s}  {want:8.3f}  {got:9.4f}  +/- {s:.4f}")
     print(f"\nconverged = {fit.converged}, residual rms = {fit.residual_rms:.2%} of the model")
-    print(f"k_pa = {extract_kpa(fit, pulse):.3e} cm^3/s "
+    print(f"k_pa = {rate_from_eta(fit.eta_res, pulse):.3e} cm^3/s "
           f"(truth {truth.eta_res / (pulse.rho0 * pulse.t_pa):.3e})")
 
     pulls = []

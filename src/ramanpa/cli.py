@@ -402,7 +402,7 @@ def cmd_simulate(args, config: RunConfig):
         ("spectrum_superposition.svg", "svg", _svg(
             "Synthetic superposition-state spectrum", "detuning (kHz)", "atoms",
             markers=points)),
-    ], (f"superposition spectrum: ratio = {ratio:.4f}, eta_res = {ratio * eta00:.4f}, "
+    ], (f"superposition spectrum: ratio = {ratio:.4f}, eta_res = {ratio * eta00:.4g}, "
         f"resonant loss = {1.0 - remaining_fraction(ratio * eta00):.2%}")
 
 

@@ -73,6 +73,18 @@ class ConfigError(ValueError):
     """Raised for unreadable or ill-formed configuration input."""
 
 
+class _Reads(dict):
+    """Merged values that remember which keys a view read."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
 def _parse_value(key: str, raw: str, line_no: int):
     default = DEFAULTS[key]
     raw = raw.strip()
@@ -142,18 +154,26 @@ class RunConfig:
         flags maps config keys to flag values, None meaning not given. If the
         build fails, the configured values are checked alone, DEFAULTS standing
         in for each given flag (None for a flag with no config key): a failure
-        there raises ConfigError (exit 2), else the flags' ValueError stands
-        (exit 1). A successful build reads only the values it uses, so a verb
-        never rejects a configured value that a flag replaces.
+        there raises ConfigError (exit 2), naming the keys the view read whose
+        values differ from DEFAULTS unless the message names one already; else
+        the flags' ValueError stands (exit 1). A successful build reads only the
+        values it uses, so a verb never rejects a configured value that a flag
+        replaces.
         """
         given = {k: v for k, v in (flags or {}).items() if v is not None}
         try:
             return view({**self.values, **given})
         except ValueError:
+            configured = _Reads({**self.values, **{k: DEFAULTS.get(k) for k in given}})
             try:
-                view({**self.values, **{k: DEFAULTS.get(k) for k in given}})
+                view(configured)
             except ValueError as exc:
-                raise ConfigError(f"invalid configured value: {exc}") from None
+                message = str(exc)
+                keys = sorted(k for k in configured.read
+                              if configured.get(k) != DEFAULTS.get(k))
+                if keys and not any(k in message for k in keys):
+                    message = f"{', '.join(keys)}: {message}"
+                raise ConfigError(f"invalid configured value: {message}") from None
             raise
 
     # typed views: each raises ConfigError for a bad configured value and a
@@ -230,15 +250,10 @@ def _peak_density(v) -> float:
     explicit = v["pulse.rho0_cm3"]
     if explicit > 0:
         return explicit
-    n_total = _n_total(v)
-    try:
-        return thomas_fermi_peak_density(
-            n_atoms=n_total, omega_bar=2.0 * math.pi * v["trap.frequency_hz"],
-            scattering_length=v["atoms.scattering_length_a0"] * BOHR_RADIUS_M,
-            mass=v["atoms.mass_amu"] * ATOMIC_MASS_KG)
-    except ValueError as exc:
-        raise ValueError(f"trap.frequency_hz, atoms.mass_amu, atoms.scattering_length_a0 "
-                         f"and atoms.n_total: {exc}") from None
+    return thomas_fermi_peak_density(
+        n_atoms=_n_total(v), omega_bar=2.0 * math.pi * v["trap.frequency_hz"],
+        scattering_length=v["atoms.scattering_length_a0"] * BOHR_RADIUS_M,
+        mass=v["atoms.mass_amu"] * ATOMIC_MASS_KG)
 
 
 def _line(v, eta_res: float) -> LorentzianLine:
@@ -249,6 +264,9 @@ def _line(v, eta_res: float) -> LorentzianLine:
         raise ValueError("line.gamma_khz must be between 1e-100 and 1e100")
     if not abs(nu0) <= 1e12 * gamma:
         raise ValueError("line.nu0_khz must be at most 1e12 x line.gamma_khz in magnitude")
+    if not math.isfinite(eta_res * (0.5 * gamma) * (0.5 * gamma)):  # as lorentzian_eta
+        raise ValueError("line.gamma_khz too large for kinetics.k00_cm3_s: "
+                         "eta_res * (gamma / 2)^2 must be finite")
     return LorentzianLine(eta_res=eta_res, nu0=nu0, gamma=gamma)
 
 

@@ -7,6 +7,8 @@ frequencies in kHz, densities in cm^-3, times in seconds inside the library
 
 import math
 
+__all__ = ["EPSILON_Q_ER", "RECOIL_ENERGY_HZ", "er_to_khz"]
+
 # CODATA 2022, as scipy.constants gives them (hbar, atomic_mass, "Bohr
 # radius"); written out so that importing the toolkit does not load scipy
 HBAR = 1.0545718176461565e-34          # J s

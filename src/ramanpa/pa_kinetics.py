@@ -220,7 +220,10 @@ def eta_from_rate(k_pa: float, pulse: PulseParams) -> float:
     """eta = k_pa * rho0 * t_pa with k_pa in cm^3/s."""
     if k_pa < 0:
         raise ValueError("k_pa must be >= 0")
-    return k_pa * pulse.rho0 * pulse.t_pa
+    eta = k_pa * pulse.rho0 * pulse.t_pa
+    if not math.isfinite(eta):
+        raise ValueError("eta = k_pa * rho0 * t_pa must be finite")
+    return eta
 
 
 def rate_from_eta(eta: float, pulse: PulseParams) -> float:

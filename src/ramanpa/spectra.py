@@ -26,7 +26,6 @@ from .pa_kinetics import (
     _remaining_fraction,
     invert_remaining_fraction,
     lorentzian_eta,
-    rate_from_eta,
     remaining_fraction,
 )
 from .tables import write_csv
@@ -37,7 +36,6 @@ __all__ = [
     "SpectrumFormatError",
     "synthesize_spectrum",
     "fit_spectrum",
-    "extract_kpa",
     "normalize_spectrum",
     "component_spectrum",
     "read_spectrum_csv",
@@ -433,13 +431,6 @@ def fit_spectrum(data: Spectrum) -> FitResult:
                      residual_rms=residual_rms, converged=converged, covariance=covariance,
                      objective_trace=[float(objective(best_start[None])[0]),
                                       float(best.fun)])
-
-
-def extract_kpa(fit: FitResult, pulse: PulseParams) -> float:
-    """PA rate constant k_pa = eta_res / (rho0 * t_pa), in cm^3/s."""
-    if not fit.converged:
-        raise ValueError("fit did not converge; k_pa undefined")
-    return rate_from_eta(fit.eta_res, pulse)
 
 
 def normalize_spectrum(data: Spectrum, fit: FitResult) -> Spectrum:

@@ -305,7 +305,8 @@ def test_sigma_past_its_cap_is_data_error(tmp_path, monkeypatch, capsys, line):
                                   "--samples", "100", "--out-dir", str(out)],
                                  monkeypatch, capsys)
     assert code == 2, err
-    assert f"invalid configured value: {line.split()[0].split('.')[1]} must be" in err
+    key = line.split()[0]
+    assert f"invalid configured value: {key}: {key.split('.')[1]} must be" in err
     assert not out.exists()
 
 
@@ -1025,6 +1026,7 @@ def test_extreme_configured_value_exits_cleanly(tmp_path, monkeypatch, capsys, k
             code = _run_configured(tmp_path, FORMS[form], f"{key} = {value}")
             err = capsys.readouterr().err
             assert code in (0, 2), (form, key, value, err)
+            assert code == 0 or key in err, (form, key, value, err)
 
 
 @pytest.mark.parametrize("form, line", [
@@ -1032,6 +1034,9 @@ def test_extreme_configured_value_exits_cleanly(tmp_path, monkeypatch, capsys, k
                                 "atoms.mass_amu = 1e300") for form in _PULSE),
     *(("simulate", f"line.nu0_khz = {v}") for v in ("1e20", "1e300", "-1e300")),
     *(("simulate", f"line.gamma_khz = {v}") for v in ("1e300", "1e-300")),
+    # each value alone passes, but eta_res * (gamma/2)^2 overflowed in the
+    # Lorentzian: exit 1, "eta must be finite and >= 0"
+    ("simulate", "line.gamma_khz = 1e100\nkinetics.k00_cm3_s = 1e200"),
 ])
 def test_extreme_trap_atom_or_line_value_is_data_error_naming_its_key(tmp_path, monkeypatch,
                                                                       capsys, form, line):

@@ -207,6 +207,13 @@ def test_eta_from_rate_arithmetic():
     assert eta_from_rate(1e-12, pulse) == pytest.approx(0.5, rel=1e-14)
 
 
+def test_eta_from_rate_overflow_raises():
+    # a configured k00 of 1e300 reached LorentzianLine as an infinite eta_res
+    pulse = PulseParams(t_pa=5e-3, rho0=1e14, n0=1.5e4)
+    with pytest.raises(ValueError, match="must be finite"):
+        eta_from_rate(1e300, pulse)
+
+
 def test_rate_eta_round_trip():
     pulse = PulseParams(t_pa=7e-3, rho0=3.2e13, n0=9.3e3)
     k = 2.7e-13

@@ -16,6 +16,7 @@ from ramanpa.pa_kinetics import (
     PulseParams,
     invert_remaining_fraction,
     lorentzian_eta,
+    rate_from_eta,
     remaining_fraction,
 )
 from ramanpa.spectra import (
@@ -23,7 +24,6 @@ from ramanpa.spectra import (
     Spectrum,
     SpectrumFormatError,
     component_spectrum,
-    extract_kpa,
     fit_spectrum,
     normalize_spectrum,
     read_spectrum_csv,
@@ -190,7 +190,8 @@ def test_fit_zero_noise_round_trip():
     assert fit.nu0 == pytest.approx(0.3, abs=1e-3)
     assert fit.gamma == pytest.approx(20.0, rel=1e-4)
     assert fit.residual_rms < 1e-6
-    assert extract_kpa(fit, PULSE) == pytest.approx(1.0 / (PULSE.rho0 * PULSE.t_pa), rel=1e-4)
+    assert rate_from_eta(fit.eta_res, PULSE) == pytest.approx(
+        1.0 / (PULSE.rho0 * PULSE.t_pa), rel=1e-4)
 
 
 def test_fit_is_deterministic():
@@ -259,8 +260,6 @@ def test_fit_line_narrower_than_grid_is_not_converged():
     fit = fit_of(0.1, 4, line=LorentzianLine(eta_res=0.1, nu0=0.0, gamma=20.0))
     assert fit.gamma < np.min(np.diff(GRID_30))
     assert fit.converged is False
-    with pytest.raises(ValueError, match="did not converge"):
-        extract_kpa(fit, PULSE)
 
 
 def test_fit_line_wider_than_span_is_not_converged():
@@ -269,8 +268,6 @@ def test_fit_line_wider_than_span_is_not_converged():
     fit = fit_of(0.1, 4, line=LorentzianLine(eta_res=0.05, nu0=0.0, gamma=20.0))
     assert fit.gamma > GRID_30[-1] - GRID_30[0]
     assert fit.converged is False
-    with pytest.raises(ValueError, match="did not converge"):
-        extract_kpa(fit, PULSE)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -490,19 +487,11 @@ def test_batched_objective_rows_equal_rows_evaluated_alone(monkeypatch):
     assert (np.array(etas) < _SERIES_SWITCH).any() and (np.array(etas) > _SERIES_SWITCH).any()
 
 
-# ----------------------------------------------------------- rate extraction
+# ---------------------------------------------- normalization and rate ratios
 
-def test_extract_kpa_arithmetic():
-    fit = fit_of(0.0, 0)
-    assert extract_kpa(fit, PULSE) == pytest.approx(
-        fit.eta_res / (PULSE.rho0 * PULSE.t_pa), rel=1e-14)
-
-
-def test_extract_kpa_requires_convergence():
+def test_normalize_spectrum_requires_convergence():
     bad = FitResult(n0=1.0, eta_res=1.0, nu0=0.0, gamma=1.0,
                     residual_rms=0.0, converged=False, covariance=np.zeros((4, 4)))
-    with pytest.raises(ValueError):
-        extract_kpa(bad, PULSE)
     with pytest.raises(ValueError):
         normalize_spectrum(synthesize_spectrum(LINE, PULSE, GRID_30, 0.0, 0), bad)
 
@@ -541,7 +530,7 @@ def test_suppression_ratio_pipeline():
         dressed = fit_spectrum(synthesize_spectrum(
             dressed_line, PULSE, GRID_200, 0.03, 2000 + s))
         assert bare.converged and dressed.converged
-        ratios.append(extract_kpa(dressed, PULSE) / extract_kpa(bare, PULSE))
+        ratios.append(rate_from_eta(dressed.eta_res, PULSE) / rate_from_eta(bare.eta_res, PULSE))
 
     assert abs(ratios[0] - expected) / expected < 0.10
     assert abs(float(np.median(ratios)) - expected) / expected < 0.10
