@@ -6,8 +6,9 @@ writes CSV/JSON/SVG artifacts into --out-dir, and is deterministic for a given
 config and seed. A verb checks its flags and solves; `main` alone writes the
 outputs --format asks for and prints, so a failed run creates no out dir.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric non-convergence.
-`main` alone maps errors to codes (ConfigError, SpectrumFormatError, OSError: 2;
-any other ValueError, a bad flag value: 1), save `fit`'s solver failures (2, 3).
+`main` alone maps errors to codes (FloatingPointError, LinAlgError: 3;
+ConfigError, SpectrumFormatError, OSError: 2; any other ValueError, a bad flag
+value: 1).
 """
 
 from __future__ import annotations
@@ -65,14 +66,6 @@ _BAND_COLORS = ("#555555", "#888888", "#bbbbbb")
 _SPIN_LABELS = ("m_f=-1", "m_f=0", "m_f=+1")
 _MAX_SWEEP_POINTS = 100_000  # ratio-sweep --points cap, checked before linspace
 _SWEEP_DEFAULTS = {"omega": (0.0, 12.0, 25), "delta": (-2.5, 2.5, 21)}  # start, stop, points
-
-
-class _Failure(Exception):
-    """A run that exits with `code`; main prints `error: <message>`."""
-
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
 
 
 class _Parser(argparse.ArgumentParser):
@@ -307,15 +300,7 @@ def cmd_fit(args, config: RunConfig):
     data = read_spectrum_csv(args.spectrum)
     pulse = config.pulse_params(n0=max(float(np.max(data.atoms_total)), 1.0),
                                 t_pa_ms=args.t_pa, rho0=args.rho0)
-
-    # LinAlgError is a ValueError, so the numeric failures are caught first
-    try:
-        fit = fit_spectrum(data)
-    except (ArithmeticError, np.linalg.LinAlgError) as exc:
-        raise _Failure(f"fit failed numerically: {exc}", EXIT_NUMERIC) from None
-    except ValueError as exc:
-        raise _Failure(str(exc), EXIT_DATA) from None
-
+    fit = fit_spectrum(data)
     k_pa = rate_from_eta(fit.eta_res, pulse)
     record = {
         "n0": fit.n0, "eta_res": fit.eta_res, "nu0_khz": fit.nu0,
@@ -458,11 +443,12 @@ def main(argv=None) -> int:
         for name, fmt, write in outputs:
             if fmt is None or fmt in formats:
                 write(os.path.join(out_dir, name))
-    except (_Failure, ValueError, OSError) as exc:
+    except (FloatingPointError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, _Failure):
-            return exc.code
+        # LinAlgError is a ValueError, so the numeric failures are tested first;
         # bad data or config exits 2; any other ValueError is a bad flag value
+        if isinstance(exc, (FloatingPointError, np.linalg.LinAlgError)):
+            return EXIT_NUMERIC
         data = isinstance(exc, (ConfigError, SpectrumFormatError, OSError))
         return EXIT_DATA if data else EXIT_USAGE
     print(summary)

@@ -85,7 +85,7 @@ class _Reads(dict):
         return super().__getitem__(key)
 
 
-def _parse_value(key: str, raw: str, line_no: int):
+def _parse_value(key: str, raw: str, line: int):
     default = DEFAULTS[key]
     raw = raw.strip()
     try:
@@ -96,9 +96,9 @@ def _parse_value(key: str, raw: str, line_no: int):
         value = float(raw)
     except ValueError:
         raise ConfigError(
-            f"line {line_no}: cannot parse {key} value {raw!r}") from None
+            f"line {line}: cannot parse {key} value {raw!r}") from None
     if not math.isfinite(value):
-        raise ConfigError(f"line {line_no}: {key} value {raw!r} is not finite")
+        raise ConfigError(f"line {line}: {key} value {raw!r} is not finite")
     return value
 
 

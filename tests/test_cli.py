@@ -13,9 +13,15 @@ import pytest
 
 import ramanpa.cli as cli
 import ramanpa.dressed_states as dressed_states
+import ramanpa.spectra as spectra
 from ramanpa.config import DEFAULTS, RunConfig
 from ramanpa.pa_kinetics import LorentzianLine, PulseParams
-from ramanpa.spectra import FitResult, synthesize_spectrum, write_spectrum_csv
+from ramanpa.spectra import (
+    FitResult,
+    SpectrumFormatError,
+    synthesize_spectrum,
+    write_spectrum_csv,
+)
 
 RUN = [sys.executable, "-m", "ramanpa.cli"]
 
@@ -642,9 +648,14 @@ def test_non_finite_spectrum_is_data_error(tmp_path, count):
 
 
 @pytest.mark.parametrize("error, code", [
-    (ArithmeticError, 3), (np.linalg.LinAlgError, 3), (ValueError, 2),
-], ids=["ArithmeticError", "LinAlgError", "ValueError"])
+    (FloatingPointError, 3), (np.linalg.LinAlgError, 3), (SpectrumFormatError, 2),
+    (ValueError, 1), (ArithmeticError, None), (ZeroDivisionError, None),
+], ids=["FloatingPointError", "LinAlgError", "SpectrumFormatError", "ValueError",
+        "ArithmeticError", "ZeroDivisionError"])
 def test_numeric_failure_exit_code(tmp_path, monkeypatch, capsys, error, code):
+    """main's table, both sides: the numeric failures exit 3 (LinAlgError,
+    a ValueError, included), a spectrum fault 2, any other ValueError 1; any
+    other ArithmeticError is a bug and stays a traceback (code None)."""
     def boom(data):
         raise error("synthetic blow-up")
 
@@ -656,8 +667,13 @@ def test_numeric_failure_exit_code(tmp_path, monkeypatch, capsys, error, code):
         np.linspace(-30, 30, 9), 0.0, 0))
     monkeypatch.delenv("RAMANPA_CONFIG", raising=False)
     out = tmp_path / "o"
-    assert cli.main(["fit", str(spec), "--out-dir", str(out), "--format", "json"]) == code
-    assert capsys.readouterr().err.startswith("error: ")
+    argv = ["fit", str(spec), "--out-dir", str(out), "--format", "json"]
+    if code is None:
+        with pytest.raises(error, match="synthetic blow-up"):
+            cli.main(argv)
+    else:
+        assert cli.main(argv) == code
+        assert capsys.readouterr().err == "error: synthetic blow-up\n"
     assert not out.exists()
 
 
@@ -958,6 +974,36 @@ def test_fit_span_past_the_log_gamma_box_is_data_error(tmp_path, center, half):
                   env={"PYTHONWARNINGS": "error"})
     assert res.returncode == 2, res.stderr
     assert res.stderr == "error: half the detuning span must be at most e^60 (about 1.1e26) kHz\n"
+    assert not out.exists()
+
+
+def test_fit_of_four_points_is_data_error(tmp_path):
+    spec = tmp_path / "short.csv"
+    spec.write_text("detuning_khz,atoms_total\n0,9000\n1,5000\n2,7000\n3,9000\n",
+                    encoding="ascii")
+    out = tmp_path / "o"
+    res = run_cli(["fit", str(spec), "--out-dir", str(out)])
+    assert res.returncode == 2, res.stderr
+    assert res.stderr == "error: need 5 to 100000 points to fit, got 4\n"
+    assert not out.exists()
+
+
+def test_fit_past_the_point_cap_is_data_error_before_any_model_row(
+        tmp_path, monkeypatch, capsys):
+    """The fit costs about 1.7 KB and 0.3 ms per point, so a 10^6-row file
+    would need about 1.6 GiB; the cap stops it before the first model row."""
+    def no_model_rows(det, thetas):
+        raise AssertionError("model rows allocated past the point cap")
+
+    monkeypatch.setattr(spectra, "_forward", no_model_rows)
+    monkeypatch.delenv("RAMANPA_CONFIG", raising=False)
+    n = 100_001
+    spec = tmp_path / "long.csv"
+    spec.write_text("detuning_khz,atoms_total\n" + "".join(
+        f"{k},{9000 - k % 7}\n" for k in range(n)), encoding="ascii")
+    out = tmp_path / "o"
+    assert cli.main(["fit", str(spec), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: need 5 to 100000 points to fit, got {n}\n"
     assert not out.exists()
 
 
