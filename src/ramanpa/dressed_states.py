@@ -46,9 +46,16 @@ SCAN_STEP = 0.1
 # cap on Newton iterations per candidate: from one scan step (<= 0.1 k_r) away
 # they reach the 1e-13 k_r level of the dense reference
 _NEWTON_STEPS = 6
-# a row stops iterating after an accepted Newton step this small (in k_r):
-# quadratic convergence leaves it about 1e-18 k_r from the root
+# a row stops iterating after an accepted Newton step s_k this small (in k_r):
+# quadratic convergence leaves it about 1e-18 k_r from the root. It also stops
+# once s_k^3 / s_{k-1}^2 <= _NEWTON_LEFT (in k_r), both steps Newton steps. In
+# the quadratic regime e_k = C e_{k-1}^2 and s_k = e_{k-1}, so C = s_k / s_{k-1}^2
+# and the error left, C s_k^2, is that ratio. At 1e-14 k_r, q* moves the
+# coefficients by about 1e-14 and E by about 1e-28, far inside the 1e-10 dense
+# reference. After a start or a bisection s_{k-1} counts as 0, so the estimate is
+# infinite and a row in linear convergence never stops early by it.
 _NEWTON_DONE = 1e-9
+_NEWTON_LEFT = 1e-14
 _CHUNK_CELLS = 1 << 17  # rows x scan points per chunk: a few MB per temporary
 # bound on |omega_r|, |delta| and |epsilon_q| in E_r: far above the paper's
 # <= 12 E_r, and far below the scale (~1e12) where rounding flattens the band
@@ -183,16 +190,22 @@ def _lowest_eigenvalue(q, omega, delta, epsilon_q):
     t *= two_p  # (2p)^3
     with np.errstate(divide="ignore", invalid="ignore"):
         cos_arg /= t
-    # fmin/fmax send the 0/0 of p = 0 to 1, where the root is the mean itself
-    np.fmin(cos_arg, 1.0, out=cos_arg)
-    np.fmax(cos_arg, -1.0, out=cos_arg)
-    np.arccos(cos_arg, out=cos_arg)
-    cos_arg /= 3.0
-    np.cos(cos_arg, out=cos_arg)
+    _cos_third(cos_arg)
     cos_arg *= two_p
     np.subtract(q * q, cos_arg, out=cos_arg)
     cos_arg += (8.0 - epsilon_q) / 3.0
     return cos_arg
+
+
+def _cos_third(z):
+    """cos(arccos(z) / 3) in place. fmin/fmax send the 0/0 of p = 0 to 1,
+    where the lowest root is the mean diagonal itself."""
+    np.fmin(z, 1.0, out=z)
+    np.fmax(z, -1.0, out=z)
+    np.arccos(z, out=z)
+    z /= 3.0
+    np.cos(z, out=z)
+    return z
 
 
 def _apply_sign_convention(vec):
@@ -203,29 +216,90 @@ def _apply_sign_convention(vec):
 
 
 def _slope(q, omega, delta, epsilon_q):
-    """Sign-equivalent slope g of the lowest band and its total derivative dg/dq.
+    """Slope E' = dE/dq and curvature E'' of the lowest band at q, in float64.
 
-    Implicit differentiation of the characteristic polynomial
-    p(lam, q) = a*b*c - w^2*(a + c), with (a, b, c) the diagonal of H - lam*I,
-    gives dE/dq = -p_q/p_lam. p_lam < 0 at the lowest root, so g = p_q carries
-    the sign of the slope and vanishes with it. Along the band lam moves with q,
-    so dg/dq = g_q + g_lam * dE/dq.
+    From the trace-free root of _lowest_eigenvalue: E = q^2 + s + mu(x), with
+    x = 4q - delta and mu the lowest root of the trace-free H, whose diagonal
+    is (h + x, -2h, h - x). With u = h - mu and v = u - 3h, mu solves
+    P = (u^2 - x^2) v - 2 w^2 u = 0, and implicit differentiation (P_x = -2xv,
+    P_xx = -2v, P_x,mu = 2x, P_mu,mu = 2v + 4u = -6 mu) gives
+        mu' = 2xv / P_mu,  mu'' = (2v - 4x mu' - (2v + 4u) mu'^2) / P_mu,
+    so E' = 2q + 4 mu' and E'' = 2 + 16 mu''. P_mu = S - 3 mu^2, with
+    S = x^2 + 3h^2 + 2w^2 = 3p^2 half the trace of the trace-free H squared.
+    With r = -mu = 2p cos(arccos(h (h^2 + w^2 - x^2) / p^3) / 3) it is
+    3 (p - r)(p + r) <= 0, zero where the two lowest bands meet; there E' and
+    E'' are not finite and Newton bisects. q and the parameters are arrays of
+    one shape, and each pass is one in-place ufunc on a buffer of it: about
+    45 passes, against 77 for the characteristic-polynomial slope with its
+    separate root.
     """
-    lam = _lowest_eigenvalue(q, omega, delta, epsilon_q)
-    a, b, c = _diagonal(q, delta, epsilon_q)
-    a, b, c = a - lam, b - lam, c - lam
-    aq, bq, cq = 2.0 * (q + 2.0), 2.0 * q, 2.0 * (q - 2.0)
-    w = 0.5 * omega
-    w2 = w * w
-    pa = b * c - w2
-    pb = a * c
-    pc = a * b - w2
-    g = pa * aq + pb * bq + pc * cq
-    p_sum = pa + pb + pc  # -p_lam
-    g_q = 2.0 * (aq * bq * c + aq * b * cq + a * bq * cq + p_sum)
-    g_lam = -((b + c) * aq + (a + c) * bq + (a + b) * cq)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return g, g_q + g_lam * g / p_sum
+    x = np.multiply(q, 4.0)
+    x -= delta
+    h = np.add(epsilon_q, 4.0)
+    h /= 3.0
+    w2 = np.multiply(omega, omega)
+    w2 *= 0.25
+    xx = x * x
+    r = h * h
+    r += w2
+    p2 = np.multiply(r, 3.0)
+    p2 -= w2
+    p2 += xx
+    p2 /= 3.0  # p^2 = S / 3
+    r -= xx
+    r *= h  # h (h^2 + w^2 - x^2)
+    p = np.sqrt(p2)
+    p3 = np.multiply(p2, p, out=p2)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        r /= p3
+        _cos_third(r)
+        r *= p
+        r += r  # r = -mu
+        d = np.subtract(p, r, out=p3)
+        p += r
+        d *= p  # P_mu / 3
+        k = np.divide(8.0 / 3.0, d, out=d)  # 8 / P_mu
+        v = h
+        v *= -2.0
+        v += r
+        g1 = np.multiply(x, v, out=p)
+        g1 *= k  # 4 mu'
+        r *= g1
+        r *= 0.75
+        r += x
+        r += x
+        r *= g1  # 4 mu' (2x + 3 r mu')
+        v *= 4.0
+        v -= r
+        v *= k
+        v += 2.0  # E'' = 2 + 16 mu''
+        np.add(q, q, out=x)
+        x += g1  # E' = 2q + 4 mu'
+    return x, v
+
+
+def _parabolic_start(qs, energy, rows, cols, om, de, ep):
+    """Newton start of each well (rows, cols) of the scan block energy.
+
+    An interior well starts at the vertex of the parabola through its scanned
+    energy and its two grid neighbours where their difference exceeds the
+    row's own float32 rounding, eps_32 x max(1, |omega|, |delta|, |eps_q|);
+    every other well starts on its grid point. The gate is row-local, since
+    the chunk's scale would tie a row's start to the rows solved with it, and
+    it keeps an exact q* = 0 on an even band, where the neighbours differ by
+    rounding alone. A grid well's neighbours lie at or above it, so a resolved
+    difference implies a positive curvature at least as large, and the vertex
+    lies within half a grid step of the well, inside its Newton bracket.
+    """
+    start = qs[cols]
+    inner = np.flatnonzero((cols > 0) & (cols < qs.size - 1))
+    left, mid, right = (energy[cols[inner] + k, rows[inner]].astype(float) for k in (-1, 0, 1))
+    tilt = left - right
+    row_scale = np.maximum(1.0, np.max(np.abs([om, de, ep]), axis=0))[rows[inner]]
+    sure = np.abs(tilt) > np.finfo(np.float32).eps * row_scale
+    start[inner[sure]] += (0.5 * (qs[1] - qs[0]) * tilt[sure]
+                           / (left[sure] - 2.0 * mid[sure] + right[sure]))
+    return start
 
 
 def _minima_chunk(qs, om, de, ep, scan_step):
@@ -249,6 +323,12 @@ def _minima_chunk(qs, om, de, ep, scan_step):
     and skip Newton; sqrt(eps) of the scan dtype covers the rounding of two
     scanned and two refined energies (< 2^8 ulps of scale at grid wells).
 
+    Newton on E' and E'' (_slope) starts each well at its parabolic vertex
+    (_parabolic_start) and stops a row once an accepted step s_k is at most
+    _NEWTON_DONE or the quadratic-regime estimate of the error left,
+    s_k^3 / s_{k-1}^2, is at most _NEWTON_LEFT. Start and stop read only the
+    row's own values, so they do not tie a row to the rows solved with it.
+
     The state at q* needs no eigensolver. The closed-form root lam is good to
     rounding there, so the unit eigenvector is the longest cross product of
     two rows of the tridiagonal H - lam I (Kopp 2008, Int. J. Mod. Phys. C
@@ -266,31 +346,41 @@ def _minima_chunk(qs, om, de, ep, scan_step):
     slack = scan_step * scan_step + math.sqrt(np.finfo(dt).eps) * scale + 1e-12
     keep = energy[cols, rows] - energy.min(axis=0)[rows] <= slack  # wells that can win
     rows, cols = rows[keep], cols[keep]
-    qc = qs[cols]
     om_c, de_c, ep_c = om[rows], de[rows], ep[rows]
-    lo = np.clip(qc - scan_step, q_lo, q_hi)
-    hi = np.clip(qc + scan_step, q_lo, q_hi)
-    # safeguarded Newton on the live rows only; a row whose accepted Newton
-    # step is at most _NEWTON_DONE leaves the set with its final x; an edge
-    # well where the band rises inward gets blo = bhi = the edge and stays put
-    x = np.empty_like(qc)
-    live = np.arange(qc.size)
-    xl, blo, bhi, om_l, de_l, ep_l = qc, lo, hi, om_c, de_c, ep_c
+    blo = np.clip(qs[cols] - scan_step, q_lo, q_hi)
+    bhi = np.clip(qs[cols] + scan_step, q_lo, q_hi)
+    xl = _parabolic_start(qs, energy, rows, cols, om, de, ep)
+    # safeguarded Newton on the live rows only; a row leaves the set with its
+    # final x after an accepted Newton step s of at most _NEWTON_DONE, or with
+    # s^3 <= _NEWTON_LEFT x (the previous Newton step)^2; an edge well where
+    # the band rises inward gets blo = bhi = the edge and stays put
+    x = np.empty_like(xl)
+    live = np.arange(xl.size)
+    prev = np.zeros_like(xl)  # the last step if it was Newton's, else 0
+    om_l, de_l, ep_l = om_c, de_c, ep_c
     for _ in range(_NEWTON_STEPS):
+        # in place on the slope's buffers: g becomes the Newton iterate, dg the
+        # step taken, and xl the next point
         g, dg = _slope(xl, om_l, de_l, ep_l)
-        bhi = np.where(g >= 0.0, xl, bhi)
-        blo = np.where(g <= 0.0, xl, blo)
+        np.copyto(bhi, xl, where=g >= 0.0)
+        np.copyto(blo, xl, where=g <= 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            newton = xl - g / dg
+            g /= dg
+        np.subtract(xl, g, out=g)
         # inclusive test: a converged row sits on a bracket end and must stay put
-        ok = (dg > 0.0) & (blo <= newton) & (newton <= bhi)
-        done = ok & (np.abs(newton - xl) <= _NEWTON_DONE)
-        xl = np.where(ok, newton, 0.5 * (blo + bhi))
+        ok = (dg > 0.0) & (blo <= g) & (g <= bhi)
+        step = np.abs(np.subtract(g, xl, out=dg), out=dg)
+        step[~ok] = 0.0  # 0 after a bisection
+        done = ok & ((step <= _NEWTON_DONE) | (step ** 3 <= _NEWTON_LEFT * prev * prev))
+        np.add(blo, bhi, out=xl)
+        xl *= 0.5
+        np.copyto(xl, g, where=ok)
+        prev = step
         if done.any():
             x[live[done]] = xl[done]
             keep = ~done
-            live, xl, blo, bhi, om_l, de_l, ep_l = (
-                v[keep] for v in (live, xl, blo, bhi, om_l, de_l, ep_l))
+            live, xl, prev, blo, bhi, om_l, de_l, ep_l = (
+                v[keep] for v in (live, xl, prev, blo, bhi, om_l, de_l, ep_l))
             if not live.size:
                 break
     x[live] = xl
@@ -329,11 +419,14 @@ def band_minima(omega, delta, epsilon_q=EPSILON_Q_ER, scan_step=SCAN_STEP, q_win
     every grid well of every row (SCAN_STEP finds every well, a finer step is a
     dense reference; Q_WINDOW holds the global minimum of any wider window).
     Wells over step^2 + sqrt(eps) x scale + 1e-12 above their row's grid minimum
-    cannot win (E'' <= 2, see _minima_chunk); safeguarded float64 Newton on the
-    characteristic-polynomial slope refines the rest, bisecting whenever a step
-    would leave the bracket, and stops once an accepted step is at most 1e-9
-    k_r; the lowest refined energy wins, and exactly degenerate minima resolve
-    to smallest |q|, preferring q >= 0. An edge well where the band rises
+    cannot win (E'' <= 2, see _minima_chunk); safeguarded float64 Newton on
+    the closed-form slope and curvature of the trace-free root refines the
+    rest from the vertex of the parabola through each well's scanned energies,
+    bisecting whenever a step would leave the bracket. A row stops once an
+    accepted step s_k is at most 1e-9 k_r or s_k^3 / s_{k-1}^2, the error left
+    in the quadratic regime, is at most 1e-14 k_r. The lowest refined energy
+    wins, and exactly degenerate minima resolve to smallest |q|, preferring
+    q >= 0. An edge well where the band rises
     inward stays on its edge, so a window that cuts the band returns its lowest
     point, edges included. The scan runs in float32 where float32 resolves the
     grid (step^2 >= 1e-5 x max(1, |omega|, |delta|, |eps_q|): the default step
@@ -374,7 +467,10 @@ def find_band_minimum(params: RamanParams) -> DressedState:
     """Global minimum of the lowest band over all q (searched in [-2, 2] k_r).
 
     Grid scan at SCAN_STEP (0.1 k_r) plus safeguarded Newton refinement of each
-    grid well that can win brings |dE/dq| below 1e-8 E_r/k_r at the returned point.
+    grid well that can win, from the vertex of the parabola through its scanned
+    energies until a step is at most 1e-9 k_r or the error it leaves is
+    estimated at most 1e-14 k_r, brings |dE/dq| below 1e-8 E_r/k_r at the
+    returned point.
     """
     q, e, c = band_minima(params.omega_r, params.delta, params.epsilon_q)
     return _state(q[0], e[0], c[0])

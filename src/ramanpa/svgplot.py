@@ -86,6 +86,12 @@ def _ticks(lo, hi, target=6):
     return ticks
 
 
+def _pixels(v, lo, hi, start, end):
+    """Map data [lo, hi] onto pixels [start, end]: a number, or an array in one
+    pass per operation with the same operations in the same order."""
+    return start + (v - lo) / (hi - lo) * (end - start)
+
+
 def render_plot(title: str, x_label: str, y_label: str, series=(), bands=(),
                 markers=(), y_range=None) -> str:
     """Render everything into one fixed-size SVG document string."""
@@ -99,13 +105,14 @@ def render_plot(title: str, x_label: str, y_label: str, series=(), bands=(),
     y_lo, y_hi = y_range if y_range is not None else _data_range(ys)
 
     def px(v):
-        return _ML + (v - x_lo) / (x_hi - x_lo) * (_W - _ML - _MR)
+        return _pixels(v, x_lo, x_hi, _ML, _W - _MR)
 
     def py(v):
-        return _H - _MB - (v - y_lo) / (y_hi - y_lo) * (_H - _MT - _MB)
+        return _pixels(v, y_lo, y_hi, _H - _MB, _MT)
 
     def pts(x, y):
-        return " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(x, y))
+        return " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(
+            px(np.asarray(x)).tolist(), py(np.asarray(y)).tolist()))
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W:.0f}" height="{_H:.0f}" '
@@ -145,13 +152,15 @@ def render_plot(title: str, x_label: str, y_label: str, series=(), bands=(),
         out.append(f'<polyline points="{pts(s.x, s.y)}" fill="none" '
                    f'stroke="{s.color}" stroke-width="1.6"{dash}/>')
     for m in markers:
+        mx, my = np.asarray(m.x), np.asarray(m.y)
+        cx, cy = px(mx).tolist(), py(my).tolist()
         if m.yerr is not None:
-            for xv, yv, ev in zip(m.x, m.y, m.yerr):
-                out.append(f'<line x1="{px(xv):.2f}" y1="{py(yv - ev):.2f}" '
-                           f'x2="{px(xv):.2f}" y2="{py(yv + ev):.2f}" '
+            err = np.asarray(m.yerr)
+            for xv, lo, hi in zip(cx, py(my - err).tolist(), py(my + err).tolist()):
+                out.append(f'<line x1="{xv:.2f}" y1="{lo:.2f}" x2="{xv:.2f}" y2="{hi:.2f}" '
                            f'stroke="{m.color}" stroke-width="1"/>')
-        for xv, yv in zip(m.x, m.y):
-            out.append(f'<circle cx="{px(xv):.2f}" cy="{py(yv):.2f}" r="{m.radius:g}" '
+        for xv, yv in zip(cx, cy):
+            out.append(f'<circle cx="{xv:.2f}" cy="{yv:.2f}" r="{m.radius:g}" '
                        f'fill="{m.color}"/>')
 
     # legend for labeled layers, stacked top-right inside the frame

@@ -3,7 +3,8 @@ solver swap must keep them, so they pin "same numbers" where no oracle does."""
 import numpy as np
 import pytest
 
-from ramanpa.pa_kinetics import LorentzianLine, PulseParams
+from ramanpa.dressed_states import band_minima
+from ramanpa.pa_kinetics import LorentzianLine, MixtureState, PulseParams, simulate_mixture
 from ramanpa.spectra import Spectrum, fit_spectrum, synthesize_spectrum
 
 LINE = LorentzianLine(eta_res=1.0, nu0=0.3, gamma=20.0)
@@ -26,3 +27,36 @@ def test_fit_count_scaling_is_bit_exact(seed, weights):
     assert fit4.n0 == 4.0 * fit.n0
     assert (fit4.eta_res, fit4.nu0, fit4.gamma, fit4.converged) == (
         fit.eta_res, fit.nu0, fit.gamma, fit.converged)
+
+
+def test_band_mirror_in_detuning():
+    """delta -> -delta swaps the bare states m_f = -1 and +1 and q -> -q, so E
+    stays, q* changes sign and (C_-1, C_0, C_+1) reverses, to rounding (read:
+    9e-16 relative for E, 2e-14 for q* and 7e-15 for the coefficients)."""
+    rng = np.random.default_rng(1929)
+    n = 20000
+    omega, delta = rng.uniform(0.0, 15.0, n), rng.uniform(-4.0, 4.0, n)
+    eps = rng.uniform(0.0, 2.0, n)
+    q, e, c = band_minima(omega, delta, eps)
+    q_m, e_m, c_m = band_minima(omega, -delta, eps)
+    assert np.max(np.abs(e_m - e) / np.maximum(1.0, np.abs(e))) < 1e-14
+    assert np.max(np.abs(q_m + q)) < 5e-14
+    assert np.max(np.abs(c_m - c[:, ::-1])) < 2e-14
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_mixture_mirror_is_bit_exact(seed):
+    """Counts (a, b, c) -> (c, b, a) with a != c mirror every row of the
+    series, bit for bit: the edge components enter only through which one is
+    smaller, and whole-number counts sum exactly in either order. (At a = c
+    the solved and the conserved edge column may differ in the last bit.)"""
+    rng = np.random.default_rng(seed)
+    a, b, c = (float(v) for v in rng.integers(0, 10000, 3))
+    pulse = PulseParams(t_pa=0.01, rho0=1.0e14, n0=a + b + c)
+    run, mirror = (simulate_mixture(MixtureState(counts=counts), 3.0e-12, pulse,
+                                    dt=pulse.t_pa / 2000.0)
+                   for counts in ((a, b, c), (c, b, a)))
+    assert np.array_equal(mirror.times, run.times)
+    assert np.array_equal(mirror.counts, run.counts[:, ::-1])
+    assert np.array_equal(mirror.events_00, run.events_00)
+    assert np.array_equal(mirror.events_pm, run.events_pm)
