@@ -278,16 +278,16 @@ def _slope(q, omega, delta, epsilon_q):
     return x, v
 
 
-def _parabolic_start(qs, energy, rows, cols, om, de, ep):
+def _parabolic_start(qs, step, energy, rows, cols, row_scale):
     """Newton start of each well (rows, cols) of the scan block energy.
 
     An interior well starts at the vertex of the parabola through its scanned
     energy and its two grid neighbours where their difference exceeds the
-    row's own float32 rounding, eps_32 x max(1, |omega|, |delta|, |eps_q|);
-    every other well starts on its grid point. The gate is row-local, since
-    the chunk's scale would tie a row's start to the rows solved with it, and
-    it keeps an exact q* = 0 on an even band, where the neighbours differ by
-    rounding alone. A grid well's neighbours lie at or above it, so a resolved
+    row's own float32 rounding, eps_32 x row_scale (band_minima); every other
+    well starts on its grid point. The gate is row-local, since the chunk's
+    scale would tie a row's start to the rows solved with it, and it keeps an
+    exact q* = 0 on an even band, where the neighbours differ by rounding
+    alone. A grid well's neighbours lie at or above it, so a resolved
     difference implies a positive curvature at least as large, and the vertex
     lies within half a grid step of the well, inside its Newton bracket.
     """
@@ -295,29 +295,30 @@ def _parabolic_start(qs, energy, rows, cols, om, de, ep):
     inner = np.flatnonzero((cols > 0) & (cols < qs.size - 1))
     left, mid, right = (energy[cols[inner] + k, rows[inner]].astype(float) for k in (-1, 0, 1))
     tilt = left - right
-    row_scale = np.maximum(1.0, np.max(np.abs([om, de, ep]), axis=0))[rows[inner]]
-    sure = np.abs(tilt) > np.finfo(np.float32).eps * row_scale
-    start[inner[sure]] += (0.5 * (qs[1] - qs[0]) * tilt[sure]
+    sure = np.abs(tilt) > np.finfo(np.float32).eps * row_scale[rows[inner]]
+    start[inner[sure]] += (0.5 * step * tilt[sure]
                            / (left[sure] - 2.0 * mid[sure] + right[sure]))
     return start
 
 
-def _minima_chunk(qs, om, de, ep, scan_step):
-    """band_minima on one chunk of 1-D rows over the scan grid qs.
+def _minima_chunk(qs, om, de, ep, row_scale):
+    """band_minima on one chunk of 1-D rows over the scan grid qs, with
+    row_scale = max(1, |omega|, |delta|, |eps_q|) per row.
 
     The scan block is grid-major, (grid, rows), so each pass of the closed form
     runs over contiguous rows; wells come off its mask's transpose, sorted by
     row. qs holds both window ends and one bracketed Newton loop refines each
     well that can win, so a window that cuts the band returns its lowest point,
     edges included. The scan only proposes wells, so it runs in float32 (arccos
-    and cos are 5-10x cheaper) where its rounding, about 2^-24 x scale = max(1,
-    |omega|, |delta|, |eps_q|) over the chunk, sits far below the energy change
-    across one step, about step^2. Newton, winner and state are float64.
+    and cos are 5-10x cheaper) where its rounding, about 2^-24 x scale, the
+    chunk's largest row_scale, sits far below the energy change across one
+    grid step, about step^2. The grid's first cell sets step; linspace's cells
+    agree with it to rounding. Newton, winner and state are float64.
 
     Wells that can win: E(q) = q^2 + mu(q), mu = min over unit v of v.(A + qB)v
     with B = diag(4, 0, -4), is concave, so E'' <= 2 and E(q) <= E(x) + (q - x)^2
-    about a stationary x. Newton keeps a well q_c in [q_c - step, q_c + step],
-    whose ends lie at or above E(q_c), so it ends at or above E(q_c) - step^2;
+    about a stationary x. Newton keeps a well q_c between its grid neighbours,
+    which lie at or above E(q_c), so it ends at or above E(q_c) - step^2;
     the row's lowest grid well ends at or below its grid energy. Wells scanned
     over step^2 + sqrt(eps) x scale + 1e-12 above it land in a higher 1e-12 bin
     and skip Newton; sqrt(eps) of the scan dtype covers the rounding of two
@@ -334,22 +335,22 @@ def _minima_chunk(qs, om, de, ep, scan_step):
     two rows of the tridiagonal H - lam I (Kopp 2008, Int. J. Mod. Phys. C
     19:523), and the energy is its Rayleigh quotient, exact on decoupled rows.
     """
-    q_lo, q_hi = qs[0], qs[-1]
-    scale = max(1.0, *(float(np.max(np.abs(v))) for v in (om, de, ep)))
-    dt = np.float32 if scan_step * scan_step >= _F32_SCAN_MARGIN * scale else np.float64
+    step = qs[1] - qs[0]
+    scale = float(row_scale.max())
+    dt = np.float32 if step * step >= _F32_SCAN_MARGIN * scale else np.float64
     energy = _lowest_eigenvalue(*(v.astype(dt, copy=False) for v in (qs[:, None], om, de, ep)))
     is_min = np.ones(energy.shape, dtype=bool)
     is_min[1:] = energy[1:] <= energy[:-1]
     is_min[:-1] &= energy[:-1] <= energy[1:]
     # rows come out sorted, and each finite row has a well: its grid argmin
     rows, cols = np.divmod(np.flatnonzero(is_min.T), qs.size)
-    slack = scan_step * scan_step + math.sqrt(np.finfo(dt).eps) * scale + 1e-12
+    slack = step * step + math.sqrt(np.finfo(dt).eps) * scale + 1e-12
     keep = energy[cols, rows] - energy.min(axis=0)[rows] <= slack  # wells that can win
     rows, cols = rows[keep], cols[keep]
     om_c, de_c, ep_c = om[rows], de[rows], ep[rows]
-    blo = np.clip(qs[cols] - scan_step, q_lo, q_hi)
-    bhi = np.clip(qs[cols] + scan_step, q_lo, q_hi)
-    xl = _parabolic_start(qs, energy, rows, cols, om, de, ep)
+    blo = qs[np.maximum(cols - 1, 0)]
+    bhi = qs[np.minimum(cols + 1, qs.size - 1)]
+    xl = _parabolic_start(qs, step, energy, rows, cols, row_scale)
     # safeguarded Newton on the live rows only; a row leaves the set with its
     # final x after an accepted Newton step s of at most _NEWTON_DONE, or with
     # s^3 <= _NEWTON_LEFT x (the previous Newton step)^2; an edge well where
@@ -422,13 +423,13 @@ def band_minima(omega, delta, epsilon_q=EPSILON_Q_ER, scan_step=SCAN_STEP, q_win
     cannot win (E'' <= 2, see _minima_chunk); safeguarded float64 Newton on
     the closed-form slope and curvature of the trace-free root refines the
     rest from the vertex of the parabola through each well's scanned energies,
-    bisecting whenever a step would leave the bracket. A row stops once an
-    accepted step s_k is at most 1e-9 k_r or s_k^3 / s_{k-1}^2, the error left
-    in the quadratic regime, is at most 1e-14 k_r. The lowest refined energy
-    wins, and exactly degenerate minima resolve to smallest |q|, preferring
-    q >= 0. An edge well where the band rises
-    inward stays on its edge, so a window that cuts the band returns its lowest
-    point, edges included. The scan runs in float32 where float32 resolves the
+    bisecting whenever a step would leave the well's bracket, its two grid
+    neighbours. A row stops once an accepted step s_k is at most 1e-9 k_r or
+    s_k^3 / s_{k-1}^2, the error left in the quadratic regime, is at most
+    1e-14 k_r. The lowest refined energy wins, and exactly degenerate minima
+    resolve to smallest |q|, preferring q >= 0. An edge well where the band
+    rises inward stays on its edge, so a window that cuts the band returns its
+    lowest point, edges included. The scan runs in float32 where float32 resolves the
     grid (step^2 >= 1e-5 x max(1, |omega|, |delta|, |eps_q|): the default step
     up to 1000 E_r). The state at q* needs no eigensolver (see _minima_chunk).
     Rows are solved in chunks of about 2^17 grid cells, so the scan
@@ -443,7 +444,10 @@ def band_minima(omega, delta, epsilon_q=EPSILON_Q_ER, scan_step=SCAN_STEP, q_win
     de = np.atleast_1d(np.asarray(delta, dtype=float))
     ep = np.atleast_1d(np.asarray(epsilon_q, dtype=float))
     om, de, ep = np.broadcast_arrays(om, de, ep)
-    if not all(np.all(np.abs(v) <= DRESSING_LIMIT_ER) for v in (om, de, ep)):
+    row_scale = np.maximum(np.abs(om), 1.0)  # max(1, |omega|, |delta|, |eps_q|), NaN kept
+    for v in (de, ep):
+        np.maximum(row_scale, np.abs(v), out=row_scale)
+    if not np.all(row_scale <= DRESSING_LIMIT_ER):
         raise ValueError(f"omega, delta and epsilon_q must be finite, with magnitude "
                          f"<= {DRESSING_LIMIT_ER:g} E_r")
     q_lo, q_hi, step = float(q_window[0]), float(q_window[1]), float(scan_step)
@@ -459,7 +463,7 @@ def band_minima(omega, delta, epsilon_q=EPSILON_Q_ER, scan_step=SCAN_STEP, q_win
     for start in range(0, n, rows):
         part = slice(start, start + rows)
         q_star[part], energy[part], coeffs[part] = _minima_chunk(
-            qs, om[part], de[part], ep[part], step)
+            qs, om[part], de[part], ep[part], row_scale[part])
     return q_star, energy, coeffs
 
 
