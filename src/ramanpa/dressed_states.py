@@ -163,38 +163,44 @@ def band_curve(params: RamanParams, q_min: float, q_max: float, n_points: int) -
     return BandCurve(q_grid=qs, energies=vals, spin_weights=weights)
 
 
-def _lowest_eigenvalue(q, omega, delta, epsilon_q):
-    """Lowest eigenvalue of H(q), broadcasting over array arguments.
+def _root(xx, h, w2):
+    """Lowest root of the trace-free H at x^2 = xx, as (r, 2p) with r = -mu.
 
     Trace-free form of the closed-form root (Smith 1961, Commun. ACM 4:168).
     Less its mean diagonal q^2 + s, s = (8 - eps_q)/3, H has the diagonal
-    (h + x, -2h, h - x) with h = (4 + eps_q)/3 and x = 4q - delta, so
-    (2p)^2 = 4x^2/3 + 4h^2 + 8w^2/3 and -det/(2p^3) = 8h (h^2 + w^2 - x^2)/(2p)^3.
-    The lowest root is mean - 2p cos(arccos(-det/(2p^3))/3). Only x mixes q
-    with the other arguments, so on a (grid x rows) scan block each pass is
-    one in-place ufunc on one of two buffers. It computes in the dtype of its
-    arguments: float32 when every array among them is float32 (the coarse
-    scan of _minima_chunk), float64 when one is float64 or all are numbers.
+    (h + x, -2h, h - x) with h = (4 + eps_q)/3 and x = 4q - delta, and w2 =
+    w^2 off it, so (2p)^2 = 4x^2/3 + 4h^2 + 8w^2/3 and
+    -det/(2p^3) = 8h (h^2 + w^2 - x^2)/(2p)^3. The lowest root is
+    mu = -2p cos(arccos(-det/(2p^3))/3). Only xx mixes q with the other
+    arguments, so on a (grid x rows) scan block each pass is one in-place
+    ufunc on one of two buffers; xx is overwritten.
     """
-    h = (4.0 + epsilon_q) / 3.0
-    w2 = 0.25 * omega * omega
-    t = np.empty(np.broadcast_shapes(*map(np.shape, (q, omega, delta, epsilon_q))),
-                 dtype=np.result_type(q, omega, delta, epsilon_q, 1.0))
-    np.subtract(4.0 * q, delta, out=t)
-    t *= t  # x^2
-    cos_arg = np.subtract(h * h + w2, t, out=np.empty_like(t))
-    cos_arg *= 8.0 * h
-    t *= 4.0 / 3.0
-    t += 4.0 * h * h + (8.0 / 3.0) * w2  # (2p)^2
-    two_p = np.sqrt(t)
-    t *= two_p  # (2p)^3
+    r = np.subtract(h * h + w2, xx, out=np.empty_like(xx))
+    r *= 8.0 * h
+    xx *= 4.0 / 3.0
+    xx += 4.0 * h * h + (8.0 / 3.0) * w2  # (2p)^2
+    two_p = np.sqrt(xx)
+    xx *= two_p  # (2p)^3
     with np.errstate(divide="ignore", invalid="ignore"):
-        cos_arg /= t
-    _cos_third(cos_arg)
-    cos_arg *= two_p
-    np.subtract(q * q, cos_arg, out=cos_arg)
-    cos_arg += (8.0 - epsilon_q) / 3.0
-    return cos_arg
+        r /= xx
+    _cos_third(r)
+    r *= two_p
+    return r, two_p
+
+
+def _lowest_eigenvalue(q, omega, delta, epsilon_q):
+    """Lowest eigenvalue q^2 + s + mu of H(q) (_root), broadcasting. It computes
+    in the dtype of its arguments: float32 when every array among them is
+    float32 (the coarse scan of _minima_chunk), float64 when one is float64 or
+    all are numbers."""
+    xx = np.empty(np.broadcast_shapes(*map(np.shape, (q, omega, delta, epsilon_q))),
+                  dtype=np.result_type(q, omega, delta, epsilon_q, 1.0))
+    np.subtract(4.0 * q, delta, out=xx)
+    xx *= xx
+    e, _ = _root(xx, (4.0 + epsilon_q) / 3.0, 0.25 * omega * omega)
+    np.subtract(q * q, e, out=e)
+    e += (8.0 - epsilon_q) / 3.0
+    return e
 
 
 def _cos_third(z):
@@ -218,20 +224,19 @@ def _apply_sign_convention(vec):
 def _slope(q, omega, delta, epsilon_q):
     """Slope E' = dE/dq and curvature E'' of the lowest band at q, in float64.
 
-    From the trace-free root of _lowest_eigenvalue: E = q^2 + s + mu(x), with
-    x = 4q - delta and mu the lowest root of the trace-free H, whose diagonal
-    is (h + x, -2h, h - x). With u = h - mu and v = u - 3h, mu solves
-    P = (u^2 - x^2) v - 2 w^2 u = 0, and implicit differentiation (P_x = -2xv,
-    P_xx = -2v, P_x,mu = 2x, P_mu,mu = 2v + 4u = -6 mu) gives
+    E = q^2 + s + mu(x), with x = 4q - delta and mu the lowest root of the
+    trace-free H (_root), whose diagonal is (h + x, -2h, h - x). With
+    u = h - mu and v = u - 3h, mu solves P = (u^2 - x^2) v - 2 w^2 u = 0, and
+    implicit differentiation (P_x = -2xv, P_xx = -2v, P_x,mu = 2x,
+    P_mu,mu = 2v + 4u = -6 mu) gives
         mu' = 2xv / P_mu,  mu'' = (2v - 4x mu' - (2v + 4u) mu'^2) / P_mu,
     so E' = 2q + 4 mu' and E'' = 2 + 16 mu''. P_mu = S - 3 mu^2, with
-    S = x^2 + 3h^2 + 2w^2 = 3p^2 half the trace of the trace-free H squared.
-    With r = -mu = 2p cos(arccos(h (h^2 + w^2 - x^2) / p^3) / 3) it is
-    3 (p - r)(p + r) <= 0, zero where the two lowest bands meet; there E' and
-    E'' are not finite and Newton bisects. q and the parameters are arrays of
-    one shape, and each pass is one in-place ufunc on a buffer of it: about
-    45 passes, against 77 for the characteristic-polynomial slope with its
-    separate root.
+    S = x^2 + 3h^2 + 2w^2 = 3p^2 half the trace of the trace-free H squared,
+    is 3 (p - r)(p + r) <= 0 with r = -mu, zero where the two lowest bands
+    meet; there E' and E'' are not finite and Newton bisects. q and the
+    parameters are arrays of one shape, and each pass is one ufunc on a
+    buffer of it: about 50 passes, against 77 for the characteristic-polynomial
+    slope with its separate root.
     """
     x = np.multiply(q, 4.0)
     x -= delta
@@ -239,23 +244,10 @@ def _slope(q, omega, delta, epsilon_q):
     h /= 3.0
     w2 = np.multiply(omega, omega)
     w2 *= 0.25
-    xx = x * x
-    r = h * h
-    r += w2
-    p2 = np.multiply(r, 3.0)
-    p2 -= w2
-    p2 += xx
-    p2 /= 3.0  # p^2 = S / 3
-    r -= xx
-    r *= h  # h (h^2 + w^2 - x^2)
-    p = np.sqrt(p2)
-    p3 = np.multiply(p2, p, out=p2)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        r /= p3
-        _cos_third(r)
-        r *= p
-        r += r  # r = -mu
-        d = np.subtract(p, r, out=p3)
+        r, p = _root(x * x, h, w2)
+        p *= 0.5
+        d = np.subtract(p, r, out=w2)
         p += r
         d *= p  # P_mu / 3
         k = np.divide(8.0 / 3.0, d, out=d)  # 8 / P_mu
@@ -429,11 +421,11 @@ def band_minima(omega, delta, epsilon_q=EPSILON_Q_ER, scan_step=SCAN_STEP, q_win
     1e-14 k_r. The lowest refined energy wins, and exactly degenerate minima
     resolve to smallest |q|, preferring q >= 0. An edge well where the band
     rises inward stays on its edge, so a window that cuts the band returns its
-    lowest point, edges included. The scan runs in float32 where float32 resolves the
-    grid (step^2 >= 1e-5 x max(1, |omega|, |delta|, |eps_q|): the default step
-    up to 1000 E_r). The state at q* needs no eigensolver (see _minima_chunk).
-    Rows are solved in chunks of about 2^17 grid cells, so the scan
-    temporaries stay bounded for any row count and step.
+    lowest point, edges included. The scan runs in float32 where float32
+    resolves the grid (step^2 >= 1e-5 x max(1, |omega|, |delta|, |eps_q|), the
+    row scale: the default step up to 1000 E_r). The state at q* needs no
+    eigensolver (see _minima_chunk). Rows are solved in chunks of about 2^17
+    grid cells, so the scan temporaries stay bounded for any row count and step.
 
     Returns (q_star, energy, coeffs) with shapes (n,), (n,), (n, 3).
     Raises ValueError if any omega, delta or epsilon_q is not finite or exceeds
