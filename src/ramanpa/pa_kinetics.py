@@ -350,7 +350,7 @@ def simulate_mixture(initial: MixtureState, k00: float, pulse: PulseParams,
             counts[i:i + rows, lo] = np.sum(wlo / (1.0 + hi0 * g), axis=1)
     e00 = 0.5 * (counts[0, 1] - counts[:, 1])
     epm = counts[0, lo] - counts[:, lo]
-    counts[:, hi] = norm * float(np.sum(u * hi0)) - epm
+    counts[:, hi] = counts[:, lo] + norm * float(np.sum(u * diff))  # equal edges stay equal
 
     return MixtureSeries(times=times, counts=counts, events_00=e00, events_pm=epm)
 
