@@ -422,7 +422,6 @@ def _run_mixture(mixture: dict):
             "events_00": float(series.events_00[-1]),
             "events_pm": float(series.events_pm[-1]),
             "k00_cm3_s": k00, "t_pa_s": t_pa, "cross_weight": cross_weight,
-            "clamped": series.clamped,
         })),
         ("mixture_timeseries.svg", "svg", _svg(
             "Spin-mixture PA losses", "t (ms)", "atoms / molecules", series=layers)),

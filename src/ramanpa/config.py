@@ -182,10 +182,6 @@ class RunConfig:
     def raman_params(self, omega_r=None, delta=None) -> RamanParams:
         return self._build(_raman, {"raman.omega_r": omega_r, "raman.delta": delta})
 
-    def peak_density(self) -> float:
-        """Configured peak density, or the Thomas-Fermi value when unset."""
-        return self._build(_peak_density)
-
     def pulse_params(self, n0=None, t_pa_ms=None, rho0=None) -> PulseParams:
         """Configured pulse; n0 replaces atoms.n_total in it (not in the density)."""
         pulse = self._build(lambda v: _pulse(v, n0),

@@ -137,7 +137,7 @@ def test_mixture_sim_matches_library(tmp_path):
 
     from ramanpa.pa_kinetics import MixtureState, simulate_mixture
     config = RunConfig()
-    pulse = PulseParams(t_pa=0.010, rho0=config.peak_density(), n0=9300.0,
+    pulse = PulseParams(t_pa=0.010, rho0=config.pulse_params().rho0, n0=9300.0,
                         intensity=config.get("pulse.intensity_w_cm2"))
     series = simulate_mixture(
         MixtureState(counts=(1200.0, 7000.0, 1100.0)),

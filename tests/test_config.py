@@ -12,7 +12,7 @@ def test_defaults_build_every_view():
     config = RunConfig()
     assert isinstance(config.raman_params(), RamanParams)
     pulse = config.pulse_params()
-    assert isinstance(pulse, PulseParams) and pulse.rho0 == config.peak_density() > 0
+    assert isinstance(pulse, PulseParams) and pulse.rho0 > 0
     eta00 = config.eta00(pulse)
     assert eta00 > 0
     assert isinstance(config.lorentzian(eta_res=eta00), LorentzianLine)
@@ -91,9 +91,8 @@ def test_crlf_and_cr_line_ends_parse(tmp_path):
 def test_atom_count_is_bounded_where_it_is_read():
     at_bound = RunConfig({"atoms.n_total": 1e290, "pulse.rho0_cm3": 1e14})
     assert at_bound.pulse_params().n0 == 1e290
-    for views in (lambda c: c.pulse_params(), lambda c: c.peak_density()):
-        with pytest.raises(ConfigError, match="atoms.n_total must be > 0 and at most 1e290"):
-            views(RunConfig({"atoms.n_total": 1e291}))
+    with pytest.raises(ConfigError, match="atoms.n_total must be > 0 and at most 1e290"):
+        RunConfig({"atoms.n_total": 1e291}).pulse_params()
     # a given n0 and a configured density leave the atom count unread
     config = RunConfig({"atoms.n_total": 1e305, "pulse.rho0_cm3": 1e14})
     assert config.pulse_params(n0=9000.0).n0 == 9000.0
