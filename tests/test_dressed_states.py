@@ -413,6 +413,39 @@ def test_closed_form_eigenvalue_matches_eigvalsh():
     assert np.all(np.abs(flat - ref.ravel()) <= tol.ravel())
 
 
+def test_slope_matches_eigvalsh_differences():
+    """_slope's E' and E'' against central differences of the LAPACK lowest band,
+    on random rows and on weak-coupling rows at the bare (-1, 0) and (0, +1)
+    crossings, wherever the lowest gap is at least 1e-3 E_r. Each step is a
+    small fraction of the gap, so the differences resolve the avoided crossing."""
+    rng = np.random.default_rng(1961)
+    n = 2000
+    omega, delta = rng.uniform(0.0, 15.0, n), rng.uniform(-4.0, 4.0, n)
+    eps, q = rng.uniform(0.0, 2.0, n), rng.uniform(-2.5, 2.5, n)
+    omega[:200] = 0.0
+    cross = slice(200, 1000)
+    omega[cross] = rng.uniform(1e-3, 0.05, 800)
+    side = rng.choice([-1.0, 1.0], 800)
+    q[cross] = (side * (4.0 + eps[cross]) + delta[cross]) / 4.0 + rng.normal(0.0, 1e-3, 800)
+    vals = np.linalg.eigvalsh(_hamiltonians(q, omega, delta, eps))
+    gap = vals[:, 1] - vals[:, 0]
+    keep = gap >= 1e-3
+    assert np.sum(gap[keep] < 1e-2) > 50  # near-crossing rows really are in
+    q, omega, delta, eps, gap = q[keep], omega[keep], delta[keep], eps[keep], gap[keep]
+
+    def band(dq):
+        return np.linalg.eigvalsh(_hamiltonians(q + dq, omega, delta, eps))[:, 0]
+
+    slope, curvature = ds._slope(q, omega, delta, eps)
+    h = 1e-4 * np.minimum(1.0, gap)
+    ref = (band(h) - band(-h)) / (2.0 * h)
+    assert np.all(np.abs(slope - ref) <= 1e-6 * np.maximum(1.0, np.abs(ref)))
+    h = 3e-4 * np.minimum(1.0, gap)
+    ref = (band(h) - 2.0 * vals[keep, 0] + band(-h)) / (h * h)
+    assert np.all(np.abs(curvature - ref) <= 2e-4 * np.maximum(1.0, np.abs(ref)))
+    assert np.min(curvature) < -1e3  # the crossings bend the band sharply
+
+
 def _multi_well_rows(n=600):
     """Weak-coupling rows near delta = 0, more than a quarter with several grid wells."""
     rng = np.random.default_rng(77)
