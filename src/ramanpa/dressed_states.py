@@ -436,7 +436,11 @@ def band_minima(omega, delta, epsilon_q=EPSILON_Q_ER, scan_step=SCAN_STEP, q_win
     de = np.atleast_1d(np.asarray(delta, dtype=float))
     ep = np.atleast_1d(np.asarray(epsilon_q, dtype=float))
     om, de, ep = np.broadcast_arrays(om, de, ep)
-    row_scale = np.maximum(np.abs(om), 1.0)  # max(1, |omega|, |delta|, |eps_q|), NaN kept
+    n = om.shape[0]
+    q_star, energy, coeffs = np.empty(n), np.empty(n), np.empty((n, 3))
+    # max(1, |omega|, |delta|, |eps_q|), NaN kept, in the energy buffer: each
+    # chunk reads its rows' scale before their energies overwrite it
+    row_scale = np.maximum(np.abs(om), 1.0, out=energy)
     for v in (de, ep):
         np.maximum(row_scale, np.abs(v), out=row_scale)
     if not np.all(row_scale <= DRESSING_LIMIT_ER):
@@ -449,8 +453,6 @@ def band_minima(omega, delta, epsilon_q=EPSILON_Q_ER, scan_step=SCAN_STEP, q_win
                          f"spanning at most {_CHUNK_CELLS} steps")
     qs = np.linspace(q_lo, q_hi, max(1, round((q_hi - q_lo) / step)) + 1)
 
-    n = om.shape[0]
-    q_star, energy, coeffs = np.empty(n), np.empty(n), np.empty((n, 3))
     rows = max(1, _CHUNK_CELLS // qs.size)
     for start in range(0, n, rows):
         part = slice(start, start + rows)
