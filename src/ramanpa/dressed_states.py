@@ -362,13 +362,13 @@ def _minima_chunk(qs, om, de, ep, row_scale):
         np.subtract(xl, g, out=g)
         # inclusive test: a converged row sits on a bracket end and must stay put
         ok = (dg > 0.0) & (blo <= g) & (g <= bhi)
-        step = np.abs(np.subtract(g, xl, out=dg), out=dg)
-        step[~ok] = 0.0  # 0 after a bisection
-        done = ok & ((step <= _NEWTON_DONE) | (step ** 3 <= _NEWTON_LEFT * prev * prev))
+        s = np.abs(np.subtract(g, xl, out=dg), out=dg)
+        s[~ok] = 0.0  # 0 after a bisection
+        done = ok & ((s <= _NEWTON_DONE) | (s ** 3 <= _NEWTON_LEFT * prev * prev))
         np.add(blo, bhi, out=xl)
         xl *= 0.5
         np.copyto(xl, g, where=ok)
-        prev = step
+        prev = s
         if done.any():
             x[live[done]] = xl[done]
             keep = ~done
