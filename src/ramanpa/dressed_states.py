@@ -163,7 +163,7 @@ def band_curve(params: RamanParams, q_min: float, q_max: float, n_points: int) -
     return BandCurve(q_grid=qs, energies=vals, spin_weights=weights)
 
 
-def _root(xx, h, w2):
+def _root(xx, h, w2, out=None):
     """Lowest root of the trace-free H at x^2 = xx, as (r, 2p) with r = -mu.
 
     Trace-free form of the closed-form root (Smith 1961, Commun. ACM 4:168).
@@ -173,13 +173,15 @@ def _root(xx, h, w2):
     -det/(2p^3) = 8h (h^2 + w^2 - x^2)/(2p)^3. The lowest root is
     mu = -2p cos(arccos(-det/(2p^3))/3). Only xx mixes q with the other
     arguments, so on a (grid x rows) scan block each pass is one in-place
-    ufunc on one of two buffers; xx is overwritten.
+    ufunc on one of three buffers: xx, which is overwritten, and r and 2p,
+    written into out = (r, 2p) when it is given and fresh arrays otherwise.
     """
-    r = np.subtract(h * h + w2, xx, out=np.empty_like(xx))
+    r, two_p = (np.empty_like(xx), np.empty_like(xx)) if out is None else out
+    np.subtract(h * h + w2, xx, out=r)
     r *= 8.0 * h
     xx *= 4.0 / 3.0
     xx += 4.0 * h * h + (8.0 / 3.0) * w2  # (2p)^2
-    two_p = np.sqrt(xx)
+    np.sqrt(xx, out=two_p)
     xx *= two_p  # (2p)^3
     with np.errstate(divide="ignore", invalid="ignore"):
         r /= xx
@@ -188,16 +190,21 @@ def _root(xx, h, w2):
     return r, two_p
 
 
-def _lowest_eigenvalue(q, omega, delta, epsilon_q):
+def _lowest_eigenvalue(q, omega, delta, epsilon_q, out=None):
     """Lowest eigenvalue q^2 + s + mu of H(q) (_root), broadcasting. It computes
     in the dtype of its arguments: float32 when every array among them is
     float32 (the coarse scan of _minima_chunk), float64 when one is float64 or
-    all are numbers."""
-    xx = np.empty(np.broadcast_shapes(*map(np.shape, (q, omega, delta, epsilon_q))),
-                  dtype=np.result_type(q, omega, delta, epsilon_q, 1.0))
+    all are numbers. out = (xx, r, 2p), three arrays of the broadcast shape in
+    that dtype, holds _root's buffers in place of fresh ones; the energy is
+    returned in r."""
+    if out is None:
+        xx = np.empty(np.broadcast_shapes(*map(np.shape, (q, omega, delta, epsilon_q))),
+                      dtype=np.result_type(q, omega, delta, epsilon_q, 1.0))
+        out = xx, np.empty_like(xx), np.empty_like(xx)
+    xx, e, two_p = out
     np.subtract(4.0 * q, delta, out=xx)
     xx *= xx
-    e, _ = _root(xx, (4.0 + epsilon_q) / 3.0, 0.25 * omega * omega)
+    _root(xx, (4.0 + epsilon_q) / 3.0, 0.25 * omega * omega, out=(e, two_p))
     np.subtract(q * q, e, out=e)
     e += (8.0 - epsilon_q) / 3.0
     return e
@@ -293,7 +300,13 @@ def _parabolic_start(qs, step, energy, rows, cols, row_scale):
     return start
 
 
-def _minima_chunk(qs, om, de, ep, row_scale):
+def _scan_dtype(step, scale):
+    """The coarse scan's dtype at grid step `step` for rows of row scale at most
+    `scale`: float32 while step^2 >= _F32_SCAN_MARGIN x scale, else float64."""
+    return np.float32 if step * step >= _F32_SCAN_MARGIN * scale else np.float64
+
+
+def _minima_chunk(qs, om, de, ep, row_scale, scratch):
     """band_minima on one chunk of 1-D rows over the scan grid qs, with
     row_scale = max(1, |omega|, |delta|, |eps_q|) per row.
 
@@ -304,8 +317,15 @@ def _minima_chunk(qs, om, de, ep, row_scale):
     edges included. The scan only proposes wells, so it runs in float32 (arccos
     and cos are 5-10x cheaper) where its rounding, about 2^-24 x scale, the
     chunk's largest row_scale, sits far below the energy change across one
-    grid step, about step^2. The grid's first cell sets step; linspace's cells
-    agree with it to rounding. Newton, winner and state are float64.
+    grid step, about step^2 (_scan_dtype). The grid's first cell sets step;
+    linspace's cells agree with it to rounding. Newton, winner and state are
+    float64.
+
+    The scan writes its three buffers, _lowest_eigenvalue's xx, r and 2p, into
+    scratch, the block that band_minima allocates once a call for its largest
+    chunk and that every chunk reuses, viewed in the chunk's scan dtype. The
+    scanned energy is one of them; the chunk is done with it before it
+    returns, so the next chunk may overwrite it.
 
     Wells that can win: E(q) = q^2 + mu(q), mu = min over unit v of v.(A + qB)v
     with B = diag(4, 0, -4), is concave, so E'' <= 2 and E(q) <= E(x) + (q - x)^2
@@ -329,8 +349,10 @@ def _minima_chunk(qs, om, de, ep, row_scale):
     """
     step = qs[1] - qs[0]
     scale = float(row_scale.max())
-    dt = np.float32 if step * step >= _F32_SCAN_MARGIN * scale else np.float64
-    energy = _lowest_eigenvalue(*(v.astype(dt, copy=False) for v in (qs[:, None], om, de, ep)))
+    dt = _scan_dtype(step, scale)
+    buffers = scratch.view(dt)[:3 * qs.size * om.size].reshape(3, qs.size, om.size)
+    energy = _lowest_eigenvalue(*(v.astype(dt, copy=False) for v in (qs[:, None], om, de, ep)),
+                                out=buffers)
     is_min = np.ones(energy.shape, dtype=bool)
     is_min[1:] = energy[1:] <= energy[:-1]
     is_min[:-1] &= energy[:-1] <= energy[1:]
@@ -391,13 +413,18 @@ def _minima_chunk(qs, om, de, ep, row_scale):
     a, b, c = _diagonal(q_star, de, ep)
     w = 0.5 * om
     a_, b_, c_, w2 = a - lam, b - lam, c - lam, w * w
-    cross = np.stack([np.stack([w * c_, -a_ * c_, a_ * w], axis=-1),  # r0 x r2
-                      np.stack([w2, -a_ * w, a_ * b_ - w2], axis=-1),  # r0 x r1
-                      np.stack([b_ * c_ - w2, -w * c_, w2], axis=-1)])  # r1 x r2
-    norm2 = (cross * cross).sum(axis=-1)
-    best = np.argmax(norm2, axis=0)
-    pick = np.arange(q_star.size)
-    vec = cross[best, pick] / np.sqrt(norm2[best, pick])[:, None]
+    cross = ((w * c_, -a_ * c_, a_ * w),  # r0 x r2
+             (w2, -a_ * w, a_ * b_ - w2),  # r0 x r1
+             (b_ * c_ - w2, -w * c_, w2))  # r1 x r2
+    n02, n01, n12 = (x * x + y * y + z * z for x, y, z in cross)
+    # the longest, the first of equal norms winning (argmax's rule)
+    second = n01 > n02
+    norm2 = np.where(second, n01, n02)
+    third = n12 > norm2
+    norm = np.sqrt(np.where(third, n12, norm2))
+    vec = np.empty((q_star.size, 3))
+    for k, (u02, u01, u12) in enumerate(zip(*cross)):
+        np.divide(np.where(third, u12, np.where(second, u01, u02)), norm, out=vec[:, k])
     v0, v1, v2 = vec.T
     e = a * v0 * v0 + b * v1 * v1 + c * v2 * v2 + 2.0 * w * v1 * (v0 + v2)
     # + 0.0 turns the -0.0 of a flipped zero component into 0.0
@@ -426,6 +453,9 @@ def band_minima(omega, delta, epsilon_q=EPSILON_Q_ER, scan_step=SCAN_STEP, q_win
     row scale: the default step up to 1000 E_r). The state at q* needs no
     eigensolver (see _minima_chunk). Rows are solved in chunks of about 2^17
     grid cells, so the scan temporaries stay bounded for any row count and step.
+    The scan's three buffers of at most 2^17 cells each live in one block
+    that the call allocates once, in the widest scan dtype of its chunks, and
+    every chunk reuses.
 
     Returns (q_star, energy, coeffs) with shapes (n,), (n,), (n, 3).
     Raises ValueError if any omega, delta or epsilon_q is not finite or exceeds
@@ -454,10 +484,15 @@ def band_minima(omega, delta, epsilon_q=EPSILON_Q_ER, scan_step=SCAN_STEP, q_win
     qs = np.linspace(q_lo, q_hi, max(1, round((q_hi - q_lo) / step)) + 1)
 
     rows = max(1, _CHUNK_CELLS // qs.size)
+    # one block holds the scan buffers of every chunk (_minima_chunk), so a
+    # call pages them in once and not once a chunk. It takes the widest scan
+    # dtype of any chunk, since no chunk's row scale exceeds the call's.
+    scratch = np.empty(3 * qs.size * min(rows, n),
+                       dtype=_scan_dtype(qs[1] - qs[0], row_scale.max(initial=1.0)))
     for start in range(0, n, rows):
         part = slice(start, start + rows)
         q_star[part], energy[part], coeffs[part] = _minima_chunk(
-            qs, om[part], de[part], ep[part], row_scale[part])
+            qs, om[part], de[part], ep[part], row_scale[part], scratch)
     return q_star, energy, coeffs
 
 

@@ -318,7 +318,8 @@ def simulate_mixture(initial: MixtureState, k00: float, pulse: PulseParams,
     spaced sample times: rho_0(t) = rho_0 / (1 + k00 rho_0 t), and, as the
     larger minus the smaller edge density D = hi - lo is conserved,
     lo(t) = lo / (1 + hi g) with g = expm1(k_pm D t) / D (k_pm t when D = 0,
-    k_pm = cross_weight k00). Event counts follow from atom conservation.
+    k_pm = cross_weight k00). Row 0 holds the given counts exactly, and
+    event counts follow from atom conservation.
     """
     check_mixture_args(k00, pulse, dt, cross_weight, n_shells)
 
@@ -348,9 +349,15 @@ def simulate_mixture(initial: MixtureState, k00: float, pulse: PulseParams,
             g = k_pm * t if diff[0] == 0.0 else np.expm1(k_pm * diff * t) / diff
             counts[i:i + rows, 1] = np.sum(w00 / (1.0 + k00 * r00 * t), axis=1)
             counts[i:i + rows, lo] = np.sum(wlo / (1.0 + hi0 * g), axis=1)
+    counts[:, hi] = counts[:, lo] + norm * float(np.sum(u * diff))  # equal edges stay equal
+    # norm ties each column to its given count only to rounding; divided by
+    # its t = 0 value and scaled by the given count, in place, row 0 holds the
+    # given counts exactly (an empty component's zero column stays as it is)
+    for m in np.flatnonzero(counts[0] > 0.0):
+        counts[:, m] /= counts[0, m]
+        counts[:, m] *= counts0[m]
     e00 = 0.5 * (counts[0, 1] - counts[:, 1])
     epm = counts[0, lo] - counts[:, lo]
-    counts[:, hi] = counts[:, lo] + norm * float(np.sum(u * diff))  # equal edges stay equal
 
     return MixtureSeries(times=times, counts=counts, events_00=e00, events_pm=epm)
 

@@ -316,8 +316,8 @@ def _count_scan_blocks(monkeypatch):
     true_root = ds._lowest_eigenvalue
     count = {"rows": 0, "cells": 0}
 
-    def root(q, omega, delta, epsilon_q):
-        out = true_root(q, omega, delta, epsilon_q)
+    def root(q, omega, delta, epsilon_q, **kw):
+        out = true_root(q, omega, delta, epsilon_q, **kw)
         if out.ndim == 2:  # the (grid x rows) scan block
             count["rows"] += out.shape[1]
             count["cells"] += out.size
@@ -607,6 +607,106 @@ def test_band_minima_makes_no_linalg_call(monkeypatch):
     assert find_band_minimum(params(0.0, 0.0)).coeffs == (0.0, 1.0, 0.0)
 
 
+def _stacked_state(q, lam, omega, delta, eps):
+    """The state at q* as band_minima built it with np.stack and argmax: the
+    longest of the three cross products of rows of H - lam I, normalized, its
+    Rayleigh energy and the sign rule. An oracle for the component form."""
+    a, b, c = ds._diagonal(q, delta, eps)
+    w = 0.5 * omega
+    a_, b_, c_, w2 = a - lam, b - lam, c - lam, w * w
+    cross = np.stack([np.stack([w * c_, -a_ * c_, a_ * w], axis=-1),  # r0 x r2
+                      np.stack([w2, -a_ * w, a_ * b_ - w2], axis=-1),  # r0 x r1
+                      np.stack([b_ * c_ - w2, -w * c_, w2], axis=-1)])  # r1 x r2
+    norm2 = (cross * cross).sum(axis=-1)
+    best = np.argmax(norm2, axis=0)
+    pick = np.arange(q.size)
+    vec = cross[best, pick] / np.sqrt(norm2[best, pick])[:, None]
+    v0, v1, v2 = vec.T
+    e = a * v0 * v0 + b * v1 * v1 + c * v2 * v2 + 2.0 * w * v1 * (v0 + v2)
+    return e, _apply_sign_convention(vec) + 0.0, norm2
+
+
+def _monte_carlo_rows(n=20000, seed=1234):
+    """Rows drawn like a Monte Carlo point: omega, delta and eps_q about a nominal."""
+    rng = np.random.default_rng(seed)
+    omega = 6.0 * (1.0 + 0.05 * rng.standard_normal(n))
+    delta = 0.7 + 0.1 * rng.standard_normal(n)
+    eps = np.abs(EPSILON_Q_ER + 0.05 * rng.standard_normal(n))
+    return omega, delta, eps
+
+
+def _state_rows():
+    omega_mc, delta_mc, eps_mc = _monte_carlo_rows()
+    rng = np.random.default_rng(515)
+    n = 3000
+    return {
+        "monte carlo": (omega_mc, delta_mc, eps_mc),
+        # decoupled rows: H - lam I is diagonal and two cross products vanish
+        "omega = 0": (np.zeros(n), rng.uniform(-4.0, 4.0, n), rng.uniform(0.0, 2.0, n)),
+        # even bands with mirror-degenerate wells, and r0 x r1, r1 x r2 mirror images
+        "delta = 0": (np.concatenate([rng.uniform(0.0, 16.0, n), np.linspace(0.0, 1.0, 101)]),
+                      np.zeros(n + 101),
+                      np.concatenate([rng.uniform(0.0, 2.0, n), np.zeros(101)])),
+    }
+
+
+@pytest.mark.parametrize("name", ["monte carlo", "omega = 0", "delta = 0"])
+def test_state_matches_the_stacked_formula(name):
+    """The component-wise state at q* (strict comparisons in the order r0 x r2,
+    r0 x r1, r1 x r2) gives the stacked argmax formula's energy and
+    coefficients bit for bit, at the returned q* and its closed-form root.
+    Where lam is a diagonal entry exactly, two norms of an omega = 0 row are
+    0; at delta = 0 and q* = 0, r0 x r1 and r1 x r2 are mirror images."""
+    omega, delta, eps = _state_rows()[name]
+    q, e, c = band_minima(omega, delta, eps)
+    lam = _lowest_eigenvalue(q, omega, delta, eps)
+    e_ref, c_ref, norm2 = _stacked_state(q, lam, omega, delta, eps)
+    assert np.array_equal(e, e_ref)
+    assert np.array_equal(c, c_ref)
+    assert not np.any(np.signbit(c) & (c == 0.0))
+    if name != "monte carlo":  # some rows have two norms that tie exactly
+        n02, n01, n12 = norm2
+        assert np.any((n02 == n01) | (n02 == n12) | (n01 == n12))
+
+
+def _scratch_batches():
+    """Four batches that take the scan scratch block through its cases."""
+    rng = np.random.default_rng(77)
+    n = 500
+    return [
+        # float32 scan, one chunk
+        (rng.uniform(0.0, 15.0, n), rng.uniform(-4.0, 4.0, n), rng.uniform(0.0, 2.0, n)),
+        # float64 scan: the row scale passes step^2 / _F32_SCAN_MARGIN = 1000
+        (rng.uniform(0.0, 3e4, n), rng.uniform(-3e4, 3e4, n), rng.uniform(0.0, 2.0, n)),
+        # seven chunks, the last one short
+        _monte_carlo_rows(20000, seed=9),
+        # one row
+        (np.array([5.4]), np.array([-2.5]), np.array([EPSILON_Q_ER])),
+    ]
+
+
+def test_scan_scratch_does_not_leak_between_calls(monkeypatch):
+    """Each batch gives the bits it gives alone, whichever batches were solved
+    before it; a later call leaves earlier results as they were; and writing
+    into returned arrays does not reach the next call."""
+    batches = _scratch_batches()
+    seen = _scan_dtypes(monkeypatch)
+    alone = [[v.copy() for v in band_minima(*rows)] for rows in batches]
+    assert set(seen) == {np.dtype(np.float32), np.dtype(np.float64)}
+    for order in (batches, batches[::-1]):
+        results = [band_minima(*rows) for rows in order]
+        expected = alone if order is batches else alone[::-1]
+        for got, want in zip(results, expected):  # checked after every call ran
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+        for got in results:
+            for a in got:
+                a.fill(np.nan)
+        for rows, want in zip(order, expected):
+            for a, b in zip(band_minima(*rows), want):
+                assert np.array_equal(a, b)
+
+
 @pytest.mark.parametrize("omega, delta, window", [
     (0.0, 0.0, (0.5, 1.5)), (0.0, 0.0, (-1.5, -0.5)), (5.4, 2.5, (-1.0, 1.0)),
     (5.4, -2.5, (-1.0, 1.0)), (1.0, 0.3, (-2.5, -1.0)), (1.0, 0.3, (-1.9, 2.1)),
@@ -652,8 +752,8 @@ def test_band_minima_refines_every_grid_well(monkeypatch):
     true_root = ds._lowest_eigenvalue
     wells = []
 
-    def rippled(q, omega, delta, epsilon_q):
-        out = true_root(q, omega, delta, epsilon_q)
+    def rippled(q, omega, delta, epsilon_q, **kw):
+        out = true_root(q, omega, delta, epsilon_q, **kw)
         if out.ndim == 2:  # the (grid x rows) scan block
             out[1::2] += 0.05  # above any |dE/dq| * step of these rows
             inner = out[1:-1]
@@ -691,8 +791,8 @@ def _scan_dtypes(monkeypatch):
     true_root = ds._lowest_eigenvalue
     seen = []
 
-    def spy(q, omega, delta, epsilon_q):
-        out = true_root(q, omega, delta, epsilon_q)
+    def spy(q, omega, delta, epsilon_q, **kw):
+        out = true_root(q, omega, delta, epsilon_q, **kw)
         if out.ndim == 2:
             seen.append(out.dtype)
         return out

@@ -376,6 +376,20 @@ def test_mixture_cross_channel_closed_form():
         assert abs(got - expect) < 1e-6
 
 
+@pytest.mark.parametrize("counts", [
+    (3.0, 5.0, 3.0), (1200.0, 7000.0, 1100.0), (1500.0, 5000.0, 1500.0),
+    (2.0**-53, 0.7, 1.0 + 2.0**-52), (0.0, 5000.0, 1500.0),
+], ids=["equal_3_5_3", "unequal", "equal", "unequal_fractional", "one_empty_edge"])
+def test_mixture_start_row_is_the_given_counts(counts):
+    """Row 0 holds the given counts bit for bit, and no event has happened yet.
+    In the fractional case 2^-53 + ((1 + 2^-52) - 2^-53) rounds to 1, so the
+    larger edge taken as the smaller plus the difference of the counts would
+    miss its count."""
+    series = run_mixture(counts, 3.0e-12, cross_weight=2.0)
+    assert series.counts[0].tobytes() == np.array(counts).tobytes()
+    assert series.events_00[0] == 0.0 and series.events_pm[0] == 0.0
+
+
 def test_mixture_edge_difference_conserved():
     counts = (1200.0, 7000.0, 1100.0)
     series = run_mixture(counts, 3.0e-12)
