@@ -393,7 +393,7 @@ def _minima_chunk(qs, om, de, ep, row_scale, scratch):
         prev = s
         if done.any():
             x[live[done]] = xl[done]
-            keep = ~done
+            keep = np.flatnonzero(~done)  # eight gathers by one index, not eight mask scans
             live, xl, prev, blo, bhi, om_l, de_l, ep_l = (
                 v[keep] for v in (live, xl, prev, blo, bhi, om_l, de_l, ep_l))
             if not live.size:

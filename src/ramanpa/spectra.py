@@ -44,7 +44,7 @@ __all__ = [
 
 _COMPONENT_COLS = ("atoms_m_minus1", "atoms_m0", "atoms_m_plus1")
 _RESTART_SEED = 20210907  # fixed internal stream keeps fits deterministic
-_MAX_FIT_POINTS = 100_000  # a fit at the cap: about 161 MiB peak, 30 s on a 2-core Xeon
+_MAX_FIT_POINTS = 100_000  # a fit at the cap: about 138 MiB peak (tracemalloc), 25 s on a 2-core Xeon
 
 
 class SpectrumFormatError(ValueError):
@@ -179,10 +179,15 @@ def component_spectrum(data: Spectrum, m_f: int) -> Spectrum:
                     atoms_total=data.atoms_components[:, m_f + 1].copy())
 
 
+# |coordinate| bounds of the model's box: n0 and nu0 need only be finite
+_BOX = np.array([np.finfo(float).max, 60.0, np.finfo(float).max, 60.0])
+
+
 def _in_box(thetas):
     """Rows of (k, 4) internal coordinates the model is defined on: finite,
-    with |log eta_res| and |log gamma| at most 60."""
-    return np.isfinite(thetas).all(axis=1) & (np.abs(thetas[:, 1::2]) <= 60).all(axis=1)
+    with |log eta_res| and |log gamma| at most 60 (nan and +-inf fail every
+    column's bound)."""
+    return (np.abs(thetas) <= _BOX).all(axis=1)
 
 
 def _forward(det, thetas):
@@ -198,10 +203,20 @@ def _forward(det, thetas):
     """
     # contiguous columns keep every row on the same ufunc loops
     n0, log_eta, nu0, log_gamma = np.array(thetas.T)[:, :, None]
-    half = 0.5 * np.exp(log_gamma)
-    d = det - nu0
-    eta = np.exp(log_eta) * half * half / (d * d + half * half)
-    return n0 * _remaining_fraction(eta)
+    half = np.exp(log_gamma)
+    half *= 0.5
+    peak = np.exp(log_eta)
+    peak *= half
+    peak *= half  # (e^log_eta * half) * half
+    half *= half  # half^2 from here on
+    # eta = peak / (d * d + half^2), built in the one (k, n) buffer
+    eta = np.subtract(det, nu0)
+    eta *= eta
+    eta += half
+    np.divide(peak, eta, out=eta)
+    model = _remaining_fraction(eta)
+    model *= n0
+    return model
 
 
 _Simplex = namedtuple("_Simplex", "x fun nit nfev success")
@@ -213,30 +228,32 @@ _TRIAL_B = np.array([[1.0], [2.0], [0.5], [-0.5]])
 
 
 class _Search:
-    """One search of _simplex: views of its rows in the shared simplex arrays,
-    scipy's counters, and whether its iteration ends in a shrink."""
+    """One search of _simplex: a view of its (n+1, n+1) block [sim | fsim]
+    of the shared array, scipy's counters, and whether its iteration ends in
+    a shrink."""
 
-    __slots__ = ("sim", "fsim", "nit", "nfev", "shrinking")
+    __slots__ = ("block", "nit", "nfev", "shrinking")
 
-    def __init__(self, sim, fsim):
-        self.sim, self.fsim = sim, fsim
-        self.nit, self.nfev, self.shrinking = 1, len(fsim), False
+    def __init__(self, block):
+        self.block = block
+        self.nit, self.nfev, self.shrinking = 1, len(block), False
 
-    def take(self, pts, values):
+    def take(self, pts, values, fsim):
         """Finish the iteration from the values of pts, the trial points or
         the shrunk vertices, using only those scipy's order evaluates and
         counting them as it does: a capped evaluation ends the iteration,
-        uncounted in nit. True when the iteration ended and the simplex is
-        due its sort; False while a shrink is pending."""
-        sim, fsim = self.sim, self.fsim
+        uncounted in nit. fsim is the block's values as Python floats. True
+        when the iteration ended and the simplex is due its sort; False while
+        a shrink is pending."""
+        block = self.block
         if self.shrinking:
             self.shrinking = False
             for j, fx in enumerate(values, 1):
-                sim[j] = pts[j - 1]  # scipy moves the vertex before the cap stops it
+                block[j, :-1] = pts[j - 1]  # scipy moves the vertex before the cap stops it
                 if self.nfev >= _MAXFEV:
                     break
                 self.nfev += 1
-                fsim[j] = fx
+                block[j, -1] = fx
             else:
                 self.nit += 1
             return True
@@ -247,27 +264,30 @@ class _Search:
                 return True
             self.nfev += 1
         if fxr < fsim[0]:  # expand
-            sim[-1], fsim[-1] = (pts[1], fxe) if fxe < fxr else (pts[0], fxr)
+            k, fx = (1, fxe) if fxe < fxr else (0, fxr)
         elif fxr < fsim[-2]:  # reflect
-            sim[-1], fsim[-1] = pts[0], fxr
+            k, fx = 0, fxr
         elif fxr < fsim[-1] and fxc <= fxr:  # contract outside
-            sim[-1], fsim[-1] = pts[2], fxc
+            k, fx = 2, fxc
         elif not fxr < fsim[-1] and fxcc < fsim[-1]:  # contract inside
-            sim[-1], fsim[-1] = pts[3], fxcc
+            k, fx = 3, fxcc
         else:  # shrink toward the best vertex next round
             self.shrinking = True
             return False
+        block[-1, :-1] = pts[k]
+        block[-1, -1] = fx
         self.nit += 1
         return True
 
 
-def _sort_vertices(sims, fsims, rows):
-    """Order the given searches' vertices by value with np.argsort, as scipy
-    does; ties keep its order, which Python's stable sort would not."""
+def _sort_vertices(blocks, rows):
+    """Order the given searches' vertices, values alongside, by value with
+    np.argsort, as scipy does; ties keep its order, which Python's stable sort
+    would not. One argsort and one gather from the flat rows serve them all."""
     rows = np.asarray(rows, dtype=np.intp)
-    flat = fsims[rows].argsort(axis=1) + (rows * fsims.shape[1])[:, None]
-    fsims[rows] = fsims.reshape(-1)[flat]
-    sims[rows] = sims.reshape(-1, sims.shape[2])[flat]
+    flat = blocks[rows, :, -1].argsort(axis=1)
+    flat += (rows * blocks.shape[1])[:, None]
+    blocks[rows] = blocks.reshape(-1, blocks.shape[2])[flat]
 
 
 def _simplex(batch, starts):
@@ -285,40 +305,66 @@ def _simplex(batch, starts):
     (coefficients rho 1, chi 2, psi 0.5, sigma 0.5; xatol 1e-7, fatol 1e-9,
     maxiter 2000, maxfev 4000; no bounds), so each result's x, fun, nit, nfev
     and success equal scipy.optimize.minimize's from that start bit for bit.
+
+    The m searches live in one (m, n+1, n+1) array: search i's block holds
+    its vertices in columns :n and their values in column n, best first once
+    sorted, so one argsort and one gather order a block's vertices with their
+    values, and one comparison of |block[1:] - block[0]| against the row
+    (xatol, ..., xatol, fatol) is every search's stopping test. Every round
+    writes the (m, 4, n) trial points into one preallocated buffer, the
+    stopped searches' rows unused.
     """
     x0 = np.array(starts, dtype=float)
     m, n = x0.shape
-    sims = np.repeat(x0[:, None], n + 1, axis=1)
+    blocks = np.empty((m, n + 1, n + 1))
+    sims = blocks[:, :, :n]
+    sims[:] = x0[:, None]
     for k in range(n):  # 5 % steps, 0.00025 from a zero coordinate
         sims[:, k + 1, k] = np.where(x0[:, k] != 0, (1 + 0.05) * x0[:, k], 0.00025)
+    tol = np.array([_XATOL] * n + [_FATOL])
+    spread = np.empty((m, n, n + 1))
+    within = np.empty(spread.shape, dtype=bool)
+    trials, worst = np.empty((2, m, 4, n))
     # speculative points can lie far past any point scipy evaluates
     with np.errstate(over="ignore", invalid="ignore"):
-        fsims = np.array(batch(sims.reshape(-1, n)), dtype=float).reshape(m, n + 1)
-        searches = [_Search(sim, fsim) for sim, fsim in zip(sims, fsims)]
+        blocks[:, :, n] = np.asarray(batch(sims.reshape(-1, n)), dtype=float).reshape(m, n + 1)
+        searches = [_Search(block) for block in blocks]
         for _ in range(2):  # scipy sorts twice before the first iteration
-            _sort_vertices(sims, fsims, np.arange(m))
+            _sort_vertices(blocks, np.arange(m))
         live = list(enumerate(searches))
         while True:
             # every search's stopping test and trial points at once; the
             # stopped ones' go unused
-            converged = ((abs(sims[:, 1:] - sims[:, :1]).max(axis=(1, 2)) <= _XATOL)
-                         & (abs(fsims[:, :1] - fsims[:, 1:]).max(axis=1) <= _FATOL)).tolist()
+            np.subtract(blocks[:, 1:], blocks[:, :1], out=spread)
+            np.abs(spread, out=spread)
+            converged = np.less_equal(spread, tol, out=within).all(axis=(1, 2)).tolist()
             live = [(i, s) for i, s in live if s.shrinking
                     or (s.nfev < _MAXFEV and s.nit < _MAXITER and not converged[i])]
             if not live:
                 break
-            xbar = np.add.reduce(sims[:, :-1], 1) / n
-            trials = _TRIAL_A * xbar[:, None] - _TRIAL_B * sims[:, -1:]
-            points = [s.sim[0] + 0.5 * (s.sim[1:] - s.sim[0]) if s.shrinking else trials[i]
-                      for i, s in live]
-            values = batch(np.concatenate(points)).tolist()
+            xbar = np.add.reduce(sims[:, :-1], 1)
+            xbar /= n
+            np.multiply(_TRIAL_A, xbar[:, None], out=trials)
+            np.multiply(_TRIAL_B, sims[:, -1:], out=worst)
+            trials -= worst
+            fsims = blocks[:, :, n].tolist()
+            shrunk = {i: s.block[0, :-1] + 0.5 * (s.block[1:, :-1] - s.block[0, :-1])
+                      for i, s in live if s.shrinking}
+            if shrunk:
+                submitted = np.concatenate([shrunk.get(i, trials[i]) for i, _ in live])
+            elif len(live) == m:  # the usual round: the trial buffer as it stands
+                submitted = trials.reshape(-1, n)
+            else:
+                submitted = trials[[i for i, _ in live]].reshape(-1, n)
+            values = batch(submitted).tolist()
             k, ended = 0, []
-            for (i, s), pts in zip(live, points):
-                if s.take(pts, values[k:k + len(pts)]):
+            for i, s in live:
+                pts = shrunk[i] if s.shrinking else trials[i]
+                if s.take(pts, values[k:k + len(pts)], fsims[i]):
                     ended.append(i)
                 k += len(pts)
-            _sort_vertices(sims, fsims, ended)
-    return [_Simplex(s.sim[0].copy(), s.fsim.min(), s.nit, s.nfev,
+            _sort_vertices(blocks, ended)
+    return [_Simplex(s.block[0, :-1].copy(), s.block[:, -1].min(), s.nit, s.nfev,
                      not (s.nfev >= _MAXFEV or s.nit >= _MAXITER)) for s in searches]
 
 
@@ -370,12 +416,18 @@ def fit_spectrum(data: Spectrum) -> FitResult:
     def objective(theta_s):
         """Weighted sum of squared residuals of each row; inf off the box."""
         with np.errstate(over="ignore"):
-            thetas = to_internal(theta_s)
+            thetas = theta_s * internal_scale
             ok = _in_box(thetas)
-            out = np.full(len(thetas), np.inf)
-            if ok.any():
-                r = (y - _forward(x, thetas[ok])) * sqrt_w
-                out[ok] = np.add.reduce(r * r, axis=1)
+            every = ok.all()  # the usual round: no mask and no scatter
+            r = _forward(x, thetas if every else thetas[ok])
+            np.subtract(y, r, out=r)
+            r *= sqrt_w
+            r *= r
+            sums = np.add.reduce(r, axis=1)
+        if every:
+            return sums
+        out = np.full(len(thetas), np.inf)
+        out[ok] = sums
         return out
 
     nu0_init = float(x[np.argmin(y)])

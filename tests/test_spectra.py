@@ -1,4 +1,5 @@
 """Spectrum synthesis, CSV IO, line fitting, and rate extraction."""
+import itertools
 import math
 import warnings
 import zlib
@@ -12,6 +13,7 @@ from ramanpa.dressed_states import RamanParams, find_band_minimum
 from ramanpa.interference import rate_ratio
 from ramanpa.pa_kinetics import (
     _SERIES_SWITCH,
+    _remaining_fraction,
     LorentzianLine,
     PulseParams,
     invert_remaining_fraction,
@@ -420,6 +422,32 @@ def test_simplex_matches_scipy_wherever_the_evaluation_cap_falls(monkeypatch):
         _assert_same_search(ours, func, x0, maxfev=cap)
 
 
+def test_simplex_matches_scipy_in_mixed_lockstep_rounds(monkeypatch):
+    """Five searches on pure noise: in many rounds some shrink while others
+    submit trial points, the stopping test or the evaluation cap ends them in
+    different rounds, and each still equals scipy's from its start."""
+    func = lambda x: zlib.crc32(x.tobytes()) / 2**32  # noqa: E731
+    starts = [np.array([0.7, -1.3, 0.0, 2.1])] + list(np.random.default_rng(5).normal(size=(4, 4)))
+    rounds, take = [], spectra._Search.take
+
+    def batch(points):
+        rounds.append([])
+        return np.array([func(x) for x in points])
+
+    def spying(search, *args):
+        rounds[-1].append((id(search), search.shrinking))
+        return take(search, *args)
+
+    monkeypatch.setattr(spectra._Search, "take", spying)
+    results = spectra._simplex(batch, starts)
+    mixed = sum(len({shrinking for _, shrinking in r}) == 2 for r in rounds)
+    last_round = {search: k for k, r in enumerate(rounds) for search, _ in r}
+    assert mixed >= 10 and len(set(last_round.values())) == len(starts)
+    assert {ours.success for ours in results} == {True, False}
+    for x0, ours in zip(starts, results):
+        _assert_same_search(ours, func, x0)
+
+
 @pytest.mark.parametrize("name", _ORACLE_SPECTRA)
 def test_fit_equals_the_scipy_path_bit_for_bit(name, monkeypatch):
     data = _ORACLE_SPECTRA[name]
@@ -485,6 +513,74 @@ def test_batched_objective_rows_equal_rows_evaluated_alone(monkeypatch):
                                    LorentzianLine(math.exp(le), nu0, math.exp(lg)))
                     for _, le, nu0, lg in internal[boxed]]
     assert (np.array(etas) < _SERIES_SWITCH).any() and (np.array(etas) > _SERIES_SWITCH).any()
+
+
+def _in_box_reference(thetas):
+    """_in_box as two checks: every coordinate finite, both logs within 60."""
+    return np.isfinite(thetas).all(axis=1) & (np.abs(thetas[:, 1::2]) <= 60).all(axis=1)
+
+
+def test_in_box_equals_the_two_check_reference_on_edge_rows():
+    base = [1.0, 0.0, 0.0, 2.3]
+    rows = [base]
+    for col in range(4):
+        for bad in (math.nan, math.inf, -math.inf):
+            rows.append(base[:col] + [bad] + base[col + 1:])
+    for col in (1, 3):  # log eta and log gamma on and just past the bound
+        for edge in (60.0, -60.0, np.nextafter(60.0, math.inf), -np.nextafter(60.0, math.inf)):
+            rows.append(base[:col] + [edge] + base[col + 1:])
+    big = np.finfo(float).max
+    for col in (0, 2):  # n0 and nu0 need only be finite
+        for edge in (big, -big):
+            rows.append(base[:col] + [edge] + base[col + 1:])
+    rows = np.array(rows)
+    got = spectra._in_box(rows)
+    assert got.tolist() == _in_box_reference(rows).tolist()
+    assert got.sum() == 1 + 4 + 4  # the base, the four logs at +-60, the four +-float max
+
+
+def _forward_reference(det, thetas):
+    """_forward as one expression, each row's arithmetic in _forward's order."""
+    n0, log_eta, nu0, log_gamma = np.array(thetas.T)[:, :, None]
+    half = 0.5 * np.exp(log_gamma)
+    d = det - nu0
+    eta = np.exp(log_eta) * half * half / (d * d + half * half)
+    return n0 * _remaining_fraction(eta)
+
+
+def test_forward_equals_the_one_expression_reference_bit_for_bit():
+    """On the batch rows, 3000 drawn in-box rows and the box's 81 corners and
+    midpoints: eta below, across and above _SERIES_SWITCH, and rows whose
+    model is near float max or whose d^2 overflows, on the fit grid; on a
+    grid scaled to 1e308, d itself overflows."""
+    data = _ORACLE_SPECTRA["criterion5-seed0"]
+    det = data.detunings_khz
+    scale = np.array([float(np.max(data.atoms_total)), 1.0, 0.5 * (det[-1] - det[0]), 1.0])
+    rng = np.random.default_rng(11)
+    near = np.column_stack([rng.uniform(5e3, 1e4, 1500), rng.uniform(-8.0, 5.0, 1500),
+                            rng.uniform(-10.0, 10.0, 1500), rng.uniform(1.0, 4.0, 1500)])
+    signs = rng.choice([-1.0, 1.0], size=(1500, 2))
+    wide = np.column_stack([signs[:, 0] * 10.0 ** rng.uniform(-300, 308, 1500),
+                            rng.uniform(-60.0, 60.0, 1500),
+                            signs[:, 1] * 10.0 ** rng.uniform(-300, 308, 1500),
+                            rng.uniform(-60.0, 60.0, 1500)])
+    big = np.finfo(float).max
+    corners = np.array(list(itertools.product((9e3, -big, big), (-60.0, 0.0, 60.0),
+                                              (-big, 0.0, big), (-60.0, 0.0, 60.0))))
+    with np.errstate(over="ignore"):
+        batch_rows = _rows_for_batches() * scale
+    rows = np.concatenate([batch_rows[spectra._in_box(batch_rows)], near, wide, corners])
+    assert spectra._in_box(rows).all()
+    half = 0.5 * np.exp(rows[:, 3:])
+    with np.errstate(over="ignore"):
+        d2 = (det - rows[:, 2:3]) ** 2
+        eta = np.exp(rows[:, 1:2]) * half * half / (d2 + half * half)
+        assert np.isinf(d2).any() and (eta < _SERIES_SWITCH).any() and (eta > _SERIES_SWITCH).any()
+        assert np.isinf(1e308 / 60.0 * det - rows[:, 2:3]).any()
+        for grid in (det, 1e308 / 60.0 * det):
+            got = spectra._forward(grid, rows)
+            assert got.tobytes() == _forward_reference(grid, rows).tobytes()
+            assert (np.abs(got) > 1e300).any()
 
 
 # ---------------------------------------------- normalization and rate ratios
