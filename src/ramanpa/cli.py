@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from .config import ENV_CONFIG, ConfigError, RunConfig
+from .config import ENV_CONFIG, ConfigError, RunConfig, _float_list
 from .dressed_states import (
     _MAX_BAND_POINTS,
     _MAX_BAND_Q,
@@ -138,9 +138,8 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_fit, parser=p)
 
     p = sub.add_parser("simulate", parents=[seeded],
-                       help="synthesize spectra or mixture losses")
-    p.add_argument("--mode", choices=("superposition", "mixture"),
-                   default="superposition")
+                       help="synthesize a superposition-state spectrum")
+    p.add_argument("--mode", choices=("superposition",), default="superposition")
     p.add_argument("--omega", type=float)
     p.add_argument("--delta", type=float)
     p.add_argument("--noise", type=float, default=0.0, help="relative noise sigma, 0 to 1 (default 0)")
@@ -212,11 +211,11 @@ def cmd_bands(args, config: RunConfig):
 
 
 def cmd_coeffs(args, config: RunConfig):
+    if args.delta_list is not None and args.delta is not None:
+        raise ValueError("--delta-list takes no --delta")
     params = config.raman_params(args.omega, args.delta)
-    if args.delta_list:
-        deltas = [float(v) for v in args.delta_list.split(",")]
-    else:
-        deltas = [params.delta]
+    deltas = ([params.delta] if args.delta_list is None
+              else _float_list(args.delta_list, "--delta-list value"))
     states = coefficients_vs_delta(params, deltas)
 
     ratios = [rate_ratio(s.coeffs) for s in states]
@@ -250,6 +249,8 @@ def cmd_coeffs(args, config: RunConfig):
 
 
 def cmd_ratio_sweep(args, config: RunConfig):
+    if (args.omega if args.axis == "omega" else args.delta) is not None:
+        raise ValueError(f"--axis {args.axis} takes no --{args.axis}")
     start, stop, points = (default if value is None else value for value, default
                            in zip((args.start, args.stop, args.points),
                                   _SWEEP_DEFAULTS[args.axis]))
@@ -345,15 +346,6 @@ def cmd_fit(args, config: RunConfig):
 
 
 def cmd_simulate(args, config: RunConfig):
-    # the mixture mode reads none of the flags and configured values below
-    if args.mode == "mixture":
-        given = {"--omega": args.omega is not None, "--delta": args.delta is not None,
-                 "--noise": args.noise != 0.0, "--seed": args.seed is not None,
-                 "--no-interference": args.no_interference}
-        if ignored := [flag for flag, on in given.items() if on]:
-            raise ValueError(f"--mode mixture takes no {', '.join(ignored)}")
-        return _run_mixture(config.mixture_args())
-
     params = config.raman_params(args.omega, args.delta)
 
     state = find_band_minimum(params)
@@ -395,15 +387,9 @@ def cmd_mixture_sim(args, config: RunConfig):
     mixture = config.mixture_args(
         counts=args.counts, k00=args.k00, t_pa_ms=args.t_pa, dt_ms=args.dt,
         cross_weight=args.cross_weight, n_shells=args.n_shells)
-    return _run_mixture(mixture)
-
-
-def _run_mixture(mixture: dict):
-    """Solve the mixture kinetics for checked simulate_mixture arguments."""
     series = simulate_mixture(**mixture)
     k00, t_pa, cross_weight = mixture["k00"], mixture["pulse"].t_pa, mixture["cross_weight"]
-    start = series.counts[0]
-    end = series.counts[-1]
+    start, end = series.counts[0], series.counts[-1]
     losses = [(s - e) / s if s > 0 else 0.0 for s, e in zip(start, end)]
     per_spin = ", ".join(f"{lab} {lo:.1%}" for lab, lo in zip(_SPIN_LABELS, losses))
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import io
 import math
 import os
-import re
 from dataclasses import dataclass, field
 
 from .constants import (
@@ -33,6 +32,7 @@ from .pa_kinetics import (
     eta_from_rate,
     thomas_fermi_peak_density,
 )
+from .tables import read_text
 from .uncertainty import UncertaintySpec
 
 __all__ = ["RunConfig", "ConfigError", "ENV_CONFIG", "DEFAULTS"]
@@ -116,15 +116,9 @@ class RunConfig:
     @classmethod
     def from_file(cls, path) -> "RunConfig":
         try:
-            with open(path, "rb") as fh:
-                data = fh.read()
+            text = read_text(path, "utf-8", ConfigError, "config file is not UTF-8 text")
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from None
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            no = len(re.findall(rb"\r\n?|\n", data[:exc.start])) + 1
-            raise ConfigError(f"line {no}: config file is not UTF-8 text") from None
         values = {}
         for no, line in enumerate(io.StringIO(text, newline=None), start=1):
             body = line.split("#", 1)[0].strip()
@@ -302,14 +296,17 @@ def _out_dir(v) -> str:
     return v["output.dir"]
 
 
-def _mixture(v) -> dict:
-    raw = v["mixture.counts"]
+def _float_list(raw: str, item: str) -> tuple[float, ...]:
+    """The numbers of a comma list; ValueError naming item for an empty or bad field."""
     try:
-        counts = tuple(float(p) for p in raw.split(","))
+        return tuple(float(p) for p in raw.split(","))
     except ValueError:
-        raise ValueError(f"non-numeric count in {raw!r}") from None
-    initial = MixtureState(counts=counts)  # checks all three
-    pulse = _pulse(v, n0=max(sum(counts), 1.0))
+        raise ValueError(f"non-numeric {item} in {raw!r}") from None
+
+
+def _mixture(v) -> dict:
+    initial = MixtureState(counts=_float_list(v["mixture.counts"], "count"))  # checks all three
+    pulse = _pulse(v, n0=max(sum(initial.counts), 1.0))
     dt = pulse.t_pa / 1000.0 if v.get("dt_ms") is None else v["dt_ms"] * MS
     k00, cross_weight = v["kinetics.k00_cm3_s"], v["kinetics.cross_weight"]
     n_shells = v["kinetics.n_shells"]

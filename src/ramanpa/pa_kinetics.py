@@ -118,15 +118,15 @@ class MixtureSeries:
 
     counts[i] is (N_-1, N_0, N_+1) at times[i]; events_00 and events_pm are the
     cumulative (0,0) and (+1,-1) PA event counts, so N_0 drops by 2 per (0,0)
-    event and N_-1, N_+1 by 1 each per (+1,-1) event. clamped is always
-    False: the closed-form densities never go negative.
+    event and N_-1, N_+1 by 1 each per (+1,-1) event. clamped, a class
+    constant, is always False: the closed-form densities never go negative.
     """
 
     times: np.ndarray
     counts: np.ndarray
     events_00: np.ndarray
     events_pm: np.ndarray
-    clamped: bool = False
+    clamped = False  # not a field
 
     @property
     def molecules_cumulative(self) -> np.ndarray:
@@ -235,10 +235,20 @@ def rate_from_eta(eta: float, pulse: PulseParams) -> float:
 
 def lorentzian_eta(delta_nu, line: LorentzianLine):
     """Pulse strength versus PA detuning (kHz): a Lorentzian peaking at nu0."""
-    half = 0.5 * line.gamma
-    d = np.asarray(delta_nu, dtype=float) - line.nu0
-    out = line.eta_res * half * half / (d * d + half * half)
+    d = np.array(delta_nu, dtype=float)
+    d -= line.nu0
+    with np.errstate(over="ignore"):  # far off the line d^2 -> inf, and eta -> 0 exactly
+        out = _lorentzian(d, line.eta_res, 0.5 * line.gamma)
     return float(out) if np.ndim(delta_nu) == 0 else out
+
+
+def _lorentzian(d, eta_res, half):
+    """The one line shape, (eta_res * half) * half / (d * d + half * half), over d."""
+    peak = eta_res * half
+    peak *= half
+    d *= d
+    d += half * half
+    return np.divide(peak, d, out=d)
 
 
 # (+1,-1) channel strength relative to (0,0) for light on the (0,0) line: the

@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import re
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -23,12 +22,13 @@ import numpy as np
 from .pa_kinetics import (
     LorentzianLine,
     PulseParams,
+    _lorentzian,
     _remaining_fraction,
     invert_remaining_fraction,
     lorentzian_eta,
     remaining_fraction,
 )
-from .tables import write_csv
+from .tables import read_text, write_csv
 
 __all__ = [
     "Spectrum",
@@ -205,15 +205,7 @@ def _forward(det, thetas):
     n0, log_eta, nu0, log_gamma = np.array(thetas.T)[:, :, None]
     half = np.exp(log_gamma)
     half *= 0.5
-    peak = np.exp(log_eta)
-    peak *= half
-    peak *= half  # (e^log_eta * half) * half
-    half *= half  # half^2 from here on
-    # eta = peak / (d * d + half^2), built in the one (k, n) buffer
-    eta = np.subtract(det, nu0)
-    eta *= eta
-    eta += half
-    np.divide(peak, eta, out=eta)
+    eta = _lorentzian(np.subtract(det, nu0), np.exp(log_eta), half)
     model = _remaining_fraction(eta)
     model *= n0
     return model
@@ -410,9 +402,6 @@ def fit_spectrum(data: Spectrum) -> FitResult:
     # search coords are all O(1): (n0/n0_ref, log eta, nu0/x_scale, log gamma)
     internal_scale = np.array([n0_ref, 1.0, x_scale, 1.0])
 
-    def to_internal(theta_s):
-        return theta_s * internal_scale
-
     def objective(theta_s):
         """Weighted sum of squared residuals of each row; inf off the box."""
         with np.errstate(over="ignore"):
@@ -445,7 +434,7 @@ def fit_spectrum(data: Spectrum) -> FitResult:
     # the first of equal minima wins
     best, best_start = min(zip(_simplex(objective, starts), starts), key=lambda r: r[0].fun)
 
-    theta = to_internal(best.x)
+    theta = best.x * internal_scale
     n0 = float(theta[0])
     eta_res = math.exp(theta[1])
     nu0 = float(theta[2])
@@ -468,7 +457,7 @@ def fit_spectrum(data: Spectrum) -> FitResult:
     # overflows raise FloatingPointError.
     step = 1e-6
     with np.errstate(over="ignore", invalid="ignore"):
-        rows = to_internal(best.x + step * np.concatenate([np.eye(4), -np.eye(4)]))
+        rows = (best.x + step * np.concatenate([np.eye(4), -np.eye(4)])) * internal_scale
         if not _in_box(rows).all():
             raise FloatingPointError("fit covariance is not finite")
         hi, lo = np.split(_forward(x, rows), 2)
@@ -520,13 +509,7 @@ def read_spectrum_csv(path) -> Spectrum:
     Faults raise SpectrumFormatError naming the offending line (1-based, header
     included); a parse fault on any line is named before a value fault.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        text = data.decode("ascii")
-    except UnicodeDecodeError as exc:
-        k = len(re.findall(rb"\r\n?|\n", data[:exc.start])) + 1
-        raise SpectrumFormatError(f"line {k}: non-ASCII byte") from None
+    text = read_text(path, "ascii", SpectrumFormatError, "non-ASCII byte")
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         rows = list(reader)

@@ -1,8 +1,10 @@
-"""The one CSV writer behind every table ramanpa writes."""
+"""The one CSV writer behind every table and the one decoder of every file read."""
+
+import re
 
 import numpy as np
 
-__all__ = ["write_csv"]
+__all__ = ["write_csv", "read_text"]
 
 
 def write_csv(path, header, columns) -> None:
@@ -21,3 +23,15 @@ def write_csv(path, header, columns) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+
+
+def read_text(path, encoding: str, error: type[Exception], message: str) -> str:
+    """The file at path decoded as encoding; at a bad byte, raises error("line
+    k: message"), k the 1-based line of that byte, lines ending in LF, CR or CRLF."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode(encoding)
+    except UnicodeDecodeError as exc:
+        k = len(re.findall(rb"\r\n?|\n", data[:exc.start])) + 1
+        raise error(f"line {k}: {message}") from None

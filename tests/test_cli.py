@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import ramanpa.cli as cli
+import ramanpa.config as config_module
 import ramanpa.dressed_states as dressed_states
 import ramanpa.spectra as spectra
 from ramanpa.config import DEFAULTS, RunConfig
@@ -118,13 +119,14 @@ def test_simulate_superposition_scales_rate_by_ratio(tmp_path):
         payload["rate_ratio"] * payload["eta00_res"], rel=1e-12)
 
 
-def test_simulate_mixture_mode_writes_kinetics_outputs(tmp_path):
+def test_simulate_has_no_mixture_mode(tmp_path, capsys):
+    # mixture-sim writes the mixture files; --mode keeps one value
     out = tmp_path / "o"
-    res = run_cli(["simulate", "--mode", "mixture",
-                   "--out-dir", str(out), "--format", "csv,json"])
-    assert res.returncode == 0, res.stderr
-    assert (out / "mixture_timeseries.csv").exists()
-    assert (out / "mixture_summary.json").exists()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simulate", "--mode", "mixture", "--out-dir", str(out)])
+    assert exc.value.code == 1
+    assert "argument --mode: invalid choice: 'mixture'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_mixture_sim_matches_library(tmp_path):
@@ -378,9 +380,8 @@ def test_flags_replace_bad_raman_config(tmp_path, monkeypatch, capsys, verb):
     (["mixture-sim"], "kinetics.n_shells = 0"),
     (["mixture-sim"], "kinetics.cross_weight = -1"),
     (["mixture-sim"], "mixture.counts = -5,7000,1100"),
-    (["simulate", "--mode", "mixture"], "kinetics.n_shells = 0"),
-    (["simulate", "--mode", "mixture"], "kinetics.k00_cm3_s = -1e-12"),
-    (["simulate", "--mode", "mixture"], "pulse.intensity_w_cm2 = -1"),
+    (["mixture-sim"], "kinetics.k00_cm3_s = -1e-12"),
+    (["mixture-sim"], "pulse.intensity_w_cm2 = -1"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
 def test_out_of_range_mixture_config_is_data_error(tmp_path, monkeypatch, capsys, argv, line):
     cfg = tmp_path / "mix.cfg"
@@ -397,7 +398,7 @@ def test_out_of_range_mixture_config_is_data_error(tmp_path, monkeypatch, capsys
     ("pulse.t_pa_ms = 0", ["--t-pa", "2"]),
     ("kinetics.n_shells = 0", ["--n-shells", "50"]),
     ("mixture.counts = 1,2", ["--counts", "100,7000,1100"]),
-    # a value neither mixture verb reads needs no flag
+    # a value mixture-sim does not read needs no flag
     ("raman.omega_r = -1", []),
 ])
 def test_mixture_flags_replace_bad_config(tmp_path, monkeypatch, capsys, line, flags):
@@ -407,26 +408,6 @@ def test_mixture_flags_replace_bad_config(tmp_path, monkeypatch, capsys, line, f
     code, err = _main_in_process(base + flags + ["--out-dir", str(tmp_path / "o")],
                                  monkeypatch, capsys)
     assert code == 0, err
-    if not flags:
-        code, err = _main_in_process(["simulate", "--mode", "mixture", *base[1:],
-                                      "--out-dir", str(tmp_path / "s")], monkeypatch, capsys)
-        assert code == 0, err
-        assert tree_bytes(tmp_path / "s") == tree_bytes(tmp_path / "o")
-
-
-@pytest.mark.parametrize("flags, named", [
-    (["--omega", "3"], "--omega"), (["--delta=-1"], "--delta"),
-    (["--noise", "0.5"], "--noise"), (["--seed", "5"], "--seed"),
-    (["--no-interference"], "--no-interference"),
-], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
-def test_simulate_mixture_rejects_superposition_flags(tmp_path, monkeypatch, capsys,
-                                                      flags, named):
-    out = tmp_path / "o"
-    code, err = _main_in_process(["simulate", "--mode", "mixture", *flags,
-                                  "--out-dir", str(out)], monkeypatch, capsys)
-    assert code == 1, err
-    assert err.startswith("error:") and named in err
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("args", [
@@ -461,6 +442,40 @@ def test_subnormal_detuning_plots_finite_axes(tmp_path, monkeypatch, capsys, arg
                                  monkeypatch, capsys)
     assert code == 0, err
     assert not re.search(rb"\b(nan|inf)\b", (out / "coeffs.svg").read_bytes(), re.I)
+
+
+@pytest.mark.parametrize("args, named", [
+    (["ratio-sweep", "--axis", "omega", "--omega", "3"], "--omega"),
+    (["ratio-sweep", "--axis", "omega", "--omega", "1e7"], "--omega"),
+    (["ratio-sweep", "--axis", "delta", "--delta", "1"], "--delta"),
+    (["ratio-sweep", "--axis", "delta", "--delta", "1e7"], "--delta"),
+    (["coeffs", "--delta", "7", "--delta-list", "1,2"], "--delta"),
+    (["coeffs", "--delta", "1e7", "--delta-list", "1,2"], "--delta"),
+    (["coeffs", "--delta-list", "1,,2"], "--delta-list"),
+    (["coeffs", "--delta-list", ""], "--delta-list"),
+    (["coeffs", "--delta-list", "1,x"], "--delta-list"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_flag_the_run_does_not_read_or_cannot_parse_is_usage_error(tmp_path, monkeypatch,
+                                                                   capsys, args, named):
+    # the swept parameter's nominal, and --delta beside --delta-list, go unread
+    out = tmp_path / "o"
+    sizes = ["--points=2", "--samples=100"] if args[0] == "ratio-sweep" else []
+    code, err = _main_in_process(args + sizes + ["--out-dir", str(out)], monkeypatch, capsys)
+    assert code == 1, err
+    assert err.startswith("error:") and named in err and "could not convert" not in err
+    assert not out.exists()
+
+
+def test_delta_list_parses_like_counts():
+    # one parser: the same rule and message shape for both lists
+    assert config_module._float_list("1, 2.5,-3e-1", "x") == (1.0, 2.5, -0.3)
+    for raw in ("", "1,,2", "1,a"):
+        with pytest.raises(ValueError, match=re.escape(f"non-numeric count in {raw!r}")):
+            config_module._mixture({**DEFAULTS, "mixture.counts": raw})
+        with pytest.raises(ValueError,
+                           match=re.escape(f"non-numeric --delta-list value in {raw!r}")):
+            cli.cmd_coeffs(cli._build_parser().parse_args(["coeffs", f"--delta-list={raw}"]),
+                           RunConfig())
 
 
 def test_bad_sampling_flag_is_usage_error(tmp_path):
@@ -842,7 +857,7 @@ def test_no_plot_is_rendered_without_svg(tmp_path, monkeypatch, capsys, verb):
 
 @pytest.mark.parametrize("argv", [
     ["bands"], ["coeffs"], ["ratio-sweep", "--points=2", "--samples=100"],
-    ["fit", "{spec}"], ["simulate"], ["simulate", "--mode", "mixture"], ["mixture-sim"],
+    ["fit", "{spec}"], ["simulate"], ["mixture-sim"],
 ], ids=" ".join)
 def test_bad_configured_formats_is_data_error(tmp_path, monkeypatch, capsys, argv):
     spec = tmp_path / "spec.csv"
@@ -1031,12 +1046,11 @@ FORMS = {
     "ratio-sweep": ["ratio-sweep", "--points", "2", "--samples", "100"],
     "fit": ["fit"],  # the spectrum path follows
     "simulate": ["simulate"],
-    "simulate-mixture": ["simulate", "--mode", "mixture"],
     "mixture-sim": ["mixture-sim"],
 }
 _RAMAN = ("bands", "coeffs", "ratio-sweep", "simulate")
-_PULSE = ("fit", "simulate", "simulate-mixture", "mixture-sim")
-_MIXTURE = ("simulate-mixture", "mixture-sim")
+_PULSE = ("fit", "simulate", "mixture-sim")
+_MIXTURE = ("mixture-sim",)
 # every numeric config key and the verb forms that read it
 READERS = {
     "raman.omega_r": _RAMAN, "raman.delta": _RAMAN, "raman.epsilon_q": _RAMAN,

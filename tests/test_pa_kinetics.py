@@ -1,9 +1,11 @@
 """Loss kinetics: pulse-strength model, shell oracle, mixture kinetics."""
+import dataclasses
 import inspect
 import math
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from ramanpa.interference import bare_pair_singlet_weight
 from ramanpa.pa_kinetics import (
     DEFAULT_CROSS_WEIGHT,
     LorentzianLine,
+    MixtureSeries,
     MixtureState,
     PulseParams,
     eta_from_rate,
@@ -256,6 +259,28 @@ def test_lorentzian_array():
     assert out[1] == 2.0 and out[0] == out[2]
 
 
+@pytest.mark.parametrize("x", [3.0, -7.25, 1e-300, 1e140, np.array([-5.0, 0.0, 2.5, 1e140]),
+                               np.linspace(-60.0, 60.0, 31).astype(np.float32)])
+def test_lorentzian_equals_its_one_expression_bit_for_bit(x):
+    line = LorentzianLine(eta_res=1.0548, nu0=3.0, gamma=20.0)
+    half = 0.5 * line.gamma
+    d = np.asarray(x, dtype=float) - line.nu0
+    want = line.eta_res * half * half / (d * d + half * half)
+    got = lorentzian_eta(x, line)
+    assert type(got) is (float if np.ndim(x) == 0 else np.ndarray)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("x", [1e155, -1e300, 1e300, [-1e300, 0.0, 1e300]])
+def test_lorentzian_past_the_square_overflow_is_zero_without_warning(x):
+    # d^2 overflows to inf, where eta -> 0 is the exact limit
+    line = LorentzianLine(eta_res=2.0, nu0=0.0, gamma=20.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = np.atleast_1d(lorentzian_eta(x, line))
+    assert got.tolist() == [2.0 if v == 0.0 else 0.0 for v in np.atleast_1d(x)]
+
+
 def test_lorentzian_validation():
     with pytest.raises(ValueError):
         LorentzianLine(eta_res=-0.1, nu0=0.0, gamma=20.0)
@@ -326,6 +351,15 @@ def run_mixture(counts, k00, t_pa=0.01, rho0=1.0e14, **kw):
     pulse = PulseParams(t_pa=t_pa, rho0=rho0, n0=float(sum(counts)))
     return simulate_mixture(MixtureState(counts=counts), k00, pulse,
                             dt=t_pa / 2000.0, **kw)
+
+
+def test_mixture_series_clamped_is_a_constant_not_a_field():
+    assert "clamped" not in {f.name for f in dataclasses.fields(MixtureSeries)}
+    series = run_mixture((1200.0, 7000.0, 1100.0), 1e-12)
+    assert series.clamped is False and MixtureSeries.clamped is False
+    with pytest.raises(TypeError):
+        MixtureSeries(times=series.times, counts=series.counts, events_00=series.events_00,
+                      events_pm=series.events_pm, clamped=False)
 
 
 def test_mixture_no_rate_is_static():

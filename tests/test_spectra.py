@@ -583,6 +583,41 @@ def test_forward_equals_the_one_expression_reference_bit_for_bit():
             assert (np.abs(got) > 1e300).any()
 
 
+def test_forward_rows_are_the_public_model_bit_for_bit():
+    """A _forward row equals n0 * remaining_fraction(lorentzian_eta(x, line))
+    with line = LorentzianLine(e^log_eta, nu0, e^log_gamma): the fit and the
+    public model share one line shape. On the batch rows (one of them with d^2
+    past float max) and 400 drawn in-box rows; the public side warns of nothing."""
+    data = _ORACLE_SPECTRA["criterion5-seed0"]
+    det = data.detunings_khz
+    scale = np.array([float(np.max(data.atoms_total)), 1.0, 0.5 * (det[-1] - det[0]), 1.0])
+    rng = np.random.default_rng(29)
+    drawn = np.column_stack([rng.uniform(5e3, 1e4, 400), rng.uniform(-60.0, 60.0, 400),
+                             rng.uniform(-1e3, 1e3, 400), rng.uniform(-60.0, 60.0, 400)])
+    with np.errstate(over="ignore"):
+        batch_rows = _rows_for_batches() * scale
+    rows = np.concatenate([batch_rows[spectra._in_box(batch_rows)], drawn])
+    assert spectra._in_box(rows).all()
+    with np.errstate(over="ignore"):  # as _forward's callers run it
+        model = spectra._forward(det, rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for got, (n0, log_eta, nu0, log_gamma) in zip(model, rows):
+            line = LorentzianLine(eta_res=float(np.exp(log_eta)), nu0=float(nu0),
+                                  gamma=float(np.exp(log_gamma)))
+            want = n0 * remaining_fraction(lorentzian_eta(det, line))
+            assert got.tobytes() == want.tobytes(), (n0, log_eta, nu0, log_gamma)
+
+
+def test_spectrum_synthesized_far_off_the_line_warns_of_nothing():
+    # any finite detuning is a valid spectrum point; there the line's eta is 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        data = synthesize_spectrum(LINE, PULSE, [-1e300, 0.0, 1e300], 0.0, 0)
+    assert data.atoms_total[0] == data.atoms_total[2] == PULSE.n0
+    assert data.atoms_total[1] < PULSE.n0
+
+
 # ---------------------------------------------- normalization and rate ratios
 
 def test_normalize_spectrum_requires_convergence():

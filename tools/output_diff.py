@@ -7,8 +7,8 @@ directory under `.bench_tmp/` and runs one fixed command set against that
 tree's `src/` and against this one's, each side in its own run directory:
 
 - the six README commands, in default formats and in `--format csv,json,svg`
-- `ratio-sweep --axis delta`, `simulate --mode mixture` and
-  `mixture-sim --counts=3,5,3`, in `--format csv,json,svg`
+- `ratio-sweep --axis delta` and `mixture-sim --counts=3,5,3`, in
+  `--format csv,json,svg`
 - the six demos, each copied into its own directory, so its `output/` lands
   beside the copy
 
@@ -49,7 +49,6 @@ README = [
 ]
 EXTRA = [
     ("ratio-sweep-delta", ["ratio-sweep", "--axis", "delta", ALL]),
-    ("simulate-mixture", ["simulate", "--mode", "mixture", ALL]),
     ("mixture-sim-3-5-3", ["mixture-sim", "--counts=3,5,3", ALL]),
 ]
 # (run subdirectory, [(stdout name, ramanpa arguments)]); the commands of one
