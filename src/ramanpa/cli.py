@@ -92,15 +92,17 @@ def _build_parser() -> _Parser:
     # only the verbs that draw random numbers take a seed
     seeded = argparse.ArgumentParser(add_help=False, parents=[common])
     seeded.add_argument("--seed", type=int, help="random seed override")
+    # the dressing point of the verbs that solve band minima
+    dressing = argparse.ArgumentParser(add_help=False)
+    dressing.add_argument("--omega", type=float,
+                          help=f"Raman coupling in E_r, 0 to {DRESSING_LIMIT_ER:g}")
+    dressing.add_argument("--delta", type=float,
+                          help=f"detuning in E_r, |delta| <= {DRESSING_LIMIT_ER:g}")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("bands", parents=[common],
+    p = sub.add_parser("bands", parents=[common, dressing],
                        help="dressed band structure over a q grid")
-    p.add_argument("--omega", type=float,
-                   help=f"Raman coupling in E_r, 0 to {DRESSING_LIMIT_ER:g}")
-    p.add_argument("--delta", type=float,
-                   help=f"detuning in E_r, |delta| <= {DRESSING_LIMIT_ER:g}")
     p.add_argument("--q-min", type=float, default=-3.0,
                    help=f"grid start in k_r, |q| <= {_MAX_BAND_Q:g} (default -3)")
     p.add_argument("--q-max", type=float, default=3.0,
@@ -109,22 +111,18 @@ def _build_parser() -> _Parser:
                    help=f"q grid points, 2 to {_MAX_BAND_POINTS} (default 601)")
     p.set_defaults(func=cmd_bands, parser=p)
 
-    p = sub.add_parser("coeffs", parents=[common],
+    p = sub.add_parser("coeffs", parents=[common, dressing],
                        help="band-minimum superposition coefficients")
-    p.add_argument("--omega", type=float)
-    p.add_argument("--delta", type=float)
     p.add_argument("--delta-list", help="comma list of detunings in E_r")
     p.set_defaults(func=cmd_coeffs, parser=p)
 
-    p = sub.add_parser("ratio-sweep", parents=[seeded],
+    p = sub.add_parser("ratio-sweep", parents=[seeded, dressing],
                        help="PA rate-ratio bands over omega or delta")
     p.add_argument("--axis", choices=("omega", "delta"), default="omega")
     p.add_argument("--start", type=float)
     p.add_argument("--stop", type=float)
     p.add_argument("--points", type=int,
                    help=f"sweep points, 1 to {_MAX_SWEEP_POINTS} (default 25 omega, 21 delta)")
-    p.add_argument("--omega", type=float, help="nominal coupling for the delta axis")
-    p.add_argument("--delta", type=float, help="nominal detuning for the omega axis")
     p.add_argument("--samples", type=int,
                    help=f"Monte Carlo samples per point, 100 to {MAX_SAMPLES}")
     p.add_argument("--no-interference", action="store_true",
@@ -137,11 +135,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--t-pa", type=float, help="pulse duration override, ms")
     p.set_defaults(func=cmd_fit, parser=p)
 
-    p = sub.add_parser("simulate", parents=[seeded],
+    p = sub.add_parser("simulate", parents=[seeded, dressing],
                        help="synthesize a superposition-state spectrum")
     p.add_argument("--mode", choices=("superposition",), default="superposition")
-    p.add_argument("--omega", type=float)
-    p.add_argument("--delta", type=float)
     p.add_argument("--noise", type=float, default=0.0, help="relative noise sigma, 0 to 1 (default 0)")
     p.add_argument("--no-interference", action="store_true",
                    help="scale by the no-interference ratio instead")
@@ -213,9 +209,11 @@ def cmd_bands(args, config: RunConfig):
 def cmd_coeffs(args, config: RunConfig):
     if args.delta_list is not None and args.delta is not None:
         raise ValueError("--delta-list takes no --delta")
-    params = config.raman_params(args.omega, args.delta)
-    deltas = ([params.delta] if args.delta_list is None
+    listed = (None if args.delta_list is None
               else _float_list(args.delta_list, "--delta-list value"))
+    # the list's first detuning replaces raman.delta, as --delta does
+    params = config.raman_params(args.omega, args.delta if listed is None else listed[0])
+    deltas = listed or [params.delta]
     states = coefficients_vs_delta(params, deltas)
 
     ratios = [rate_ratio(s.coeffs) for s in states]
@@ -257,16 +255,17 @@ def cmd_ratio_sweep(args, config: RunConfig):
     if not (1 <= points <= _MAX_SWEEP_POINTS and -math.inf < start <= stop < math.inf):
         raise ValueError(f"need finite start <= stop and 1 <= points <= "
                          f"{_MAX_SWEEP_POINTS}")
-    nominal = config.raman_params(args.omega, args.delta)
-    mc_spec = config.uncertainty_spec(seed=args.seed, n_samples=args.samples)
-
     axis = np.linspace(start, stop, points)
+    # the axis's first value replaces the swept key's configured one, as a flag does
     if args.axis == "omega":
+        nominal = config.raman_params(axis[0], args.delta)
         omega_col, delta_col = axis, np.full(points, nominal.delta)
         x_label = "omega_R (E_r)"
     else:
+        nominal = config.raman_params(args.omega, axis[0])
         omega_col, delta_col = np.full(points, nominal.omega_r), axis
         x_label = "delta (E_r)"
+    mc_spec = config.uncertainty_spec(seed=args.seed, n_samples=args.samples)
     mc_with, mc_without = ratio_bands(axis, omega_col, delta_col, mc_spec, nominal.epsilon_q)
     first = 1 if args.no_interference else 0
     bands, colors = [mc_with, mc_without][first:], (_COLOR_WITH, _COLOR_WITHOUT)[first:]
@@ -313,7 +312,7 @@ def cmd_fit(args, config: RunConfig):
 
     def write_record(path):
         _write_ascii(path, text)
-        if normalized is None:  # warn only once the parameters are on disk
+        if not fit.converged:  # warn only once the parameters are on disk
             print("warning: fit did not converge; best-effort parameters written",
                   file=sys.stderr)
 

@@ -178,12 +178,11 @@ class RunConfig:
 
     def pulse_params(self, n0=None, t_pa_ms=None, rho0=None) -> PulseParams:
         """Configured pulse; n0 replaces atoms.n_total in it (not in the density)."""
-        pulse = self._build(lambda v: _pulse(v, n0),
-                            {"pulse.t_pa_ms": t_pa_ms, "pulse.rho0_cm3": rho0})
         # a configured rho0 <= 0 means: derive from the trap; a given one is bad
         if rho0 is not None and not rho0 > 0:
             raise ValueError("rho0 must be > 0")
-        return pulse
+        return self._build(lambda v: _pulse(v, n0),
+                           {"pulse.t_pa_ms": t_pa_ms, "pulse.rho0_cm3": rho0})
 
     def lorentzian(self, eta_res: float) -> LorentzianLine:
         return self._build(lambda v: _line(v, eta_res))

@@ -385,10 +385,13 @@ def fit_spectrum(data: Spectrum) -> FitResult:
         raise SpectrumFormatError(
             "half the detuning span must be at most e^60 (about 1.1e26) kHz")
 
+    # the search sees the detunings about the grid's centre, xc = x - centre,
+    # so a shift of the grid that xc absorbs exactly moves the fitted nu0
+    # alone; halving first keeps x[0] + x[-1] from overflowing
+    centre = 0.5 * float(x[0]) + 0.5 * float(x[-1])
     if np.ptp(y) == 0.0:
         # no structure to fit; pin the line to zero strength
-        return FitResult(n0=float(y[0]), eta_res=0.0,
-                         nu0=float(0.5 * (x[0] + x[-1])), gamma=0.5 * span,
+        return FitResult(n0=float(y[0]), eta_res=0.0, nu0=centre, gamma=0.5 * span,
                          residual_rms=0.0, converged=True, covariance=np.zeros((4, 4)))
 
     # uniform weights are normalized by the count scale so the objective is
@@ -399,8 +402,9 @@ def fit_spectrum(data: Spectrum) -> FitResult:
     n0_ref = float(np.max(y))
     x_scale = 0.5 * span
 
-    # search coords are all O(1): (n0/n0_ref, log eta, nu0/x_scale, log gamma)
+    # search coords are all O(1): (n0/n0_ref, log eta, (nu0 - centre)/x_scale, log gamma)
     internal_scale = np.array([n0_ref, 1.0, x_scale, 1.0])
+    xc = x - centre
 
     def objective(theta_s):
         """Weighted sum of squared residuals of each row; inf off the box."""
@@ -408,7 +412,7 @@ def fit_spectrum(data: Spectrum) -> FitResult:
             thetas = theta_s * internal_scale
             ok = _in_box(thetas)
             every = ok.all()  # the usual round: no mask and no scatter
-            r = _forward(x, thetas if every else thetas[ok])
+            r = _forward(xc, thetas if every else thetas[ok])
             np.subtract(y, r, out=r)
             r *= sqrt_w
             r *= r
@@ -422,7 +426,7 @@ def fit_spectrum(data: Spectrum) -> FitResult:
     nu0_init = float(x[np.argmin(y)])
     frac = min(max(float(np.min(y)) / n0_ref, 1e-9), 1.0)
     eta_init = max(invert_remaining_fraction(frac), 1e-8)
-    theta0 = np.array([1.0, math.log(eta_init), nu0_init / x_scale,
+    theta0 = np.array([1.0, math.log(eta_init), (nu0_init - centre) / x_scale,
                        math.log(max(0.5 * span, 1e-6))])
 
     rng = np.random.default_rng(_RESTART_SEED)
@@ -437,14 +441,14 @@ def fit_spectrum(data: Spectrum) -> FitResult:
     theta = best.x * internal_scale
     n0 = float(theta[0])
     eta_res = math.exp(theta[1])
-    nu0 = float(theta[2])
+    nu0 = float(theta[2]) + centre
     gamma = math.exp(theta[3])
     # a line narrower than every detuning spacing has captured a single point;
     # one wider than the span has its half-maximum points off the grid
     converged = (bool(best.success) and math.isfinite(best.fun)
                  and float(np.min(np.diff(x))) <= gamma <= span)
 
-    model = _forward(x, theta[None])[0]
+    model = _forward(xc, theta[None])[0]
     safe = np.where(np.abs(model) > 0, model, 1.0)
     residual_rms = float(np.sqrt(np.mean(((y - model) / safe) ** 2)))
 
@@ -460,7 +464,7 @@ def fit_spectrum(data: Spectrum) -> FitResult:
         rows = (best.x + step * np.concatenate([np.eye(4), -np.eye(4)])) * internal_scale
         if not _in_box(rows).all():
             raise FloatingPointError("fit covariance is not finite")
-        hi, lo = np.split(_forward(x, rows), 2)
+        hi, lo = np.split(_forward(xc, rows), 2)
         jac = ((hi - lo) * sqrt_w / (2.0 * step)).T
         s2 = 1.0 if data.stderr is not None else float(best.fun) / max(n - 4, 1)
         p = np.array([n0_ref, eta_res, x_scale, gamma])[:, None] * np.linalg.pinv(jac)

@@ -286,9 +286,13 @@ def _main_in_process(argv, monkeypatch, capsys):
     return code, capsys.readouterr().err
 
 
-@pytest.mark.parametrize("verb", ["bands", "coeffs", "simulate", "ratio-sweep"])
-@pytest.mark.parametrize("line", ["raman.omega_r = 1e200", "raman.omega_r = -1",
-                                  "raman.delta = -2e6", "raman.epsilon_q = -1"])
+@pytest.mark.parametrize("line, verb", [
+    pytest.param(line, verb, id=f"{line}-{verb}")
+    for verb in ["bands", "coeffs", "simulate", "ratio-sweep"]
+    for line in ["raman.omega_r = 1e200", "raman.omega_r = -1",
+                 "raman.delta = -2e6", "raman.epsilon_q = -1"]
+    # ratio-sweep sweeps omega_r, so it reads no configured one
+    if not (verb == "ratio-sweep" and line.startswith("raman.omega_r"))])
 def test_out_of_range_raman_config_is_data_error(tmp_path, monkeypatch, capsys, verb, line):
     cfg = tmp_path / "raman.cfg"
     cfg.write_text(line + "\n", encoding="ascii")
@@ -729,6 +733,20 @@ def test_edge_spike_fit_is_not_converged(tmp_path, monkeypatch, capsys):
     assert not (out / "spectrum_normalized.csv").exists()
 
 
+def test_flat_zero_spectrum_fit_converges_without_a_warning(tmp_path, monkeypatch, capsys):
+    # n0 = 0 leaves nothing to normalize, but the fit converged: no warning
+    spec = tmp_path / "s.csv"
+    spec.write_text("detuning_khz,atoms_total\n"
+                    + "".join(f"{d},0\n" for d in range(-30, 31, 10)), encoding="ascii")
+    monkeypatch.delenv("RAMANPA_CONFIG", raising=False)
+    out = tmp_path / "o"
+    code = cli.main(["fit", str(spec), "--out-dir", str(out), "--format", "csv"])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    assert "converged = True" in (out / "fit_result.txt").read_text()
+    assert not (out / "spectrum_normalized.csv").exists()
+
+
 @pytest.mark.parametrize("field, value", [("nu0", "nan"), ("eta_res", "nan"), ("gamma", "inf")])
 def test_fit_svg_with_non_finite_line_is_flat(tmp_path, monkeypatch, capsys, field, value):
     def broken(data):
@@ -777,9 +795,11 @@ def test_unresolvable_dressing_is_usage_error(tmp_path, args):
     assert not out.exists()
 
 
-def test_dressing_limit_is_documented():
-    text = " ".join(run_cli(["bands", "--help"]).stdout.split())
-    assert "0 to 1e+06" in text and "|delta| <= 1e+06" in text
+@pytest.mark.parametrize("verb", ["bands", "coeffs", "ratio-sweep", "simulate"])
+def test_dressing_limit_is_documented(verb):
+    text = " ".join(run_cli([verb, "--help"]).stdout.split())
+    assert "--omega OMEGA Raman coupling in E_r, 0 to 1e+06" in text
+    assert "--delta DELTA detuning in E_r, |delta| <= 1e+06" in text
 
 
 # {spec} is a spectrum CSV whose fit converges
@@ -1040,50 +1060,74 @@ def test_undecodable_input_file_is_data_error(tmp_path, monkeypatch, capsys, arg
 
 # ------------------------------------------- extreme configured values
 
+# each verb as run by default, then with flags, a swept axis or a list in
+# place of configured values; a fit form's spectrum path follows
 FORMS = {
     "bands": ["bands"],
     "coeffs": ["coeffs"],
     "ratio-sweep": ["ratio-sweep", "--points", "2", "--samples", "100"],
-    "fit": ["fit"],  # the spectrum path follows
+    "fit": ["fit"],
     "simulate": ["simulate"],
     "mixture-sim": ["mixture-sim"],
+    "ratio-sweep --axis omega": ["ratio-sweep", "--axis", "omega", "--points", "2",
+                                 "--samples", "100"],
+    "ratio-sweep --axis delta": ["ratio-sweep", "--axis", "delta", "--points", "2",
+                                 "--samples", "100"],
+    "coeffs --delta-list=0,1": ["coeffs", "--delta-list=0,1"],
+    "fit --rho0 1e14": ["fit", "--rho0", "1e14"],
+    "bands --omega 1 --delta 0": ["bands", "--omega", "1", "--delta", "0"],
 }
-_RAMAN = ("bands", "coeffs", "ratio-sweep", "simulate")
-_PULSE = ("fit", "simulate", "mixture-sim")
-_MIXTURE = ("mixture-sim",)
-# every numeric config key and the verb forms that read it
+NUMERIC_KEYS = sorted(k for k, v in DEFAULTS.items() if not isinstance(v, str))
+_RAMAN = {"raman.omega_r", "raman.delta", "raman.epsilon_q", "raman.recoil_energy_hz"}
+_PULSE = {"trap.frequency_hz", "atoms.mass_amu", "atoms.scattering_length_a0",
+          "atoms.n_total", "pulse.t_pa_ms", "pulse.intensity_w_cm2", "pulse.rho0_cm3"}
+# --samples replaces uncertainty.n_samples
+_SAMPLING = {"uncertainty.omega_rel_sigma", "uncertainty.delta_sigma",
+             "uncertainty.epsilon_q_sigma", "uncertainty.seed"}
+# each form and the numeric config keys it reads
 READERS = {
-    "raman.omega_r": _RAMAN, "raman.delta": _RAMAN, "raman.epsilon_q": _RAMAN,
-    "raman.recoil_energy_hz": _RAMAN,
-    "trap.frequency_hz": _PULSE, "atoms.mass_amu": _PULSE,
-    "atoms.scattering_length_a0": _PULSE, "atoms.n_total": _PULSE,
-    "pulse.t_pa_ms": _PULSE, "pulse.intensity_w_cm2": _PULSE, "pulse.rho0_cm3": _PULSE,
-    "kinetics.k00_cm3_s": ("simulate",) + _MIXTURE,
-    "kinetics.cross_weight": _MIXTURE, "kinetics.n_shells": _MIXTURE,
-    "line.nu0_khz": ("simulate",), "line.gamma_khz": ("simulate",),
-    "uncertainty.omega_rel_sigma": ("ratio-sweep",), "uncertainty.delta_sigma": ("ratio-sweep",),
-    "uncertainty.epsilon_q_sigma": ("ratio-sweep",), "uncertainty.n_samples": ("ratio-sweep",),
-    "uncertainty.seed": ("ratio-sweep", "simulate"),
+    "bands": _RAMAN,
+    "coeffs": _RAMAN,
+    "ratio-sweep": _RAMAN - {"raman.omega_r"} | _SAMPLING,
+    "fit": _PULSE,
+    "simulate": _RAMAN | _PULSE | {"kinetics.k00_cm3_s", "line.nu0_khz", "line.gamma_khz",
+                                   "uncertainty.seed"},
+    "mixture-sim": _PULSE | {"kinetics.k00_cm3_s", "kinetics.cross_weight",
+                             "kinetics.n_shells"},
+    "ratio-sweep --axis omega": _RAMAN - {"raman.omega_r"} | _SAMPLING,
+    "ratio-sweep --axis delta": _RAMAN - {"raman.delta"} | _SAMPLING,
+    "coeffs --delta-list=0,1": _RAMAN - {"raman.delta"},
+    "fit --rho0 1e14": {"pulse.t_pa_ms", "pulse.intensity_w_cm2"},
+    "bands --omega 1 --delta 0": _RAMAN - {"raman.omega_r", "raman.delta"},
 }
 
 
-def _run_configured(tmp_path, argv, line):
-    """Exit code of main(argv) with a one-line config, warnings raised."""
+def _form_argv(tmp_path, form):
+    """FORMS[form], with a spectrum to fit for a fit form."""
+    spectrum = [_write_spectrum(tmp_path / "spec.csv")] if form.startswith("fit") else []
+    return FORMS[form] + spectrum
+
+
+def _run_configured(tmp_path, form, line):
+    """Exit code of main on FORMS[form] with a one-line config, warnings raised."""
     cfg = tmp_path / "extreme.cfg"
     cfg.write_text(line + "\n", encoding="ascii")
-    argv = argv + ([_write_spectrum(tmp_path / "spec.csv")] if argv == ["fit"] else [])
+    argv = _form_argv(tmp_path, form)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         return cli.main(argv + ["--config", str(cfg), "--out-dir", str(tmp_path / "o"),
                                 "--format", "csv,json,svg"])
 
 
-@pytest.mark.parametrize("key", sorted(k for k, v in DEFAULTS.items() if not isinstance(v, str)))
+@pytest.mark.parametrize("key", NUMERIC_KEYS)
 def test_extreme_configured_value_exits_cleanly(tmp_path, monkeypatch, capsys, key):
     monkeypatch.delenv("RAMANPA_CONFIG", raising=False)
+    # no form reads uncertainty.n_samples, as each sweep passes --samples; the
+    # ratio-sweep form still parses it
+    forms = [form for form in FORMS if key in READERS[form]] or ["ratio-sweep"]
     for value in ("1e300", "-1e300", "1e-300"):
-        for form in READERS[key]:
-            code = _run_configured(tmp_path, FORMS[form], f"{key} = {value}")
+        for form in forms:
+            code = _run_configured(tmp_path, form, f"{key} = {value}")
             err = capsys.readouterr().err
             assert code in (0, 2), (form, key, value, err)
             assert code == 0 or key in err, (form, key, value, err)
@@ -1091,7 +1135,8 @@ def test_extreme_configured_value_exits_cleanly(tmp_path, monkeypatch, capsys, k
 
 @pytest.mark.parametrize("form, line", [
     *((form, line) for line in ("trap.frequency_hz = 1e300", "trap.frequency_hz = 1e-300",
-                                "atoms.mass_amu = 1e300") for form in _PULSE),
+                                "atoms.mass_amu = 1e300")
+      for form in ("fit", "simulate", "mixture-sim")),
     *(("simulate", f"line.nu0_khz = {v}") for v in ("1e20", "1e300", "-1e300")),
     *(("simulate", f"line.gamma_khz = {v}") for v in ("1e300", "1e-300")),
     # each value alone passes, but eta_res * (gamma/2)^2 overflowed in the
@@ -1103,8 +1148,38 @@ def test_extreme_trap_atom_or_line_value_is_data_error_naming_its_key(tmp_path, 
     # the trap and atom values raised ZeroDivisionError from the Thomas-Fermi
     # density; the line values exited 1 naming no key, gamma after RuntimeWarnings
     monkeypatch.delenv("RAMANPA_CONFIG", raising=False)
-    code = _run_configured(tmp_path, FORMS[form], line)
+    code = _run_configured(tmp_path, form, line)
     err = capsys.readouterr().err
     assert code == 2, err
     assert err.startswith("error: invalid configured value: ") and line.split()[0] in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_unread_configured_value_is_neither_checked_nor_used(tmp_path, monkeypatch, form):
+    """A configured value that the form does not read, at -1e300 (-1 for an
+    integer key), leaves the run's exit code and files as with no config."""
+    monkeypatch.delenv("RAMANPA_CONFIG", raising=False)
+    argv = _form_argv(tmp_path, form) + ["--format", "csv"]
+    assert cli.main(argv + ["--out-dir", str(tmp_path / "default")]) == 0
+    want = tree_bytes(tmp_path / "default")
+    cfg = tmp_path / "unread.cfg"
+    for key in sorted(set(NUMERIC_KEYS) - READERS[form]):
+        value = -1 if isinstance(DEFAULTS[key], int) else -1e300
+        cfg.write_text(f"{key} = {value}\n", encoding="ascii")
+        out = tmp_path / key
+        assert cli.main(argv + ["--config", str(cfg), "--out-dir", str(out)]) == 0, key
+        assert tree_bytes(out) == want, key
+
+
+def test_given_rho0_is_checked_before_the_trap(tmp_path, monkeypatch, capsys):
+    # a given density never falls back to the trap, so a bad one is the flag's
+    # fault, whatever the trap config holds
+    cfg = tmp_path / "trap.cfg"
+    cfg.write_text("trap.frequency_hz = -1\n", encoding="ascii")
+    out = tmp_path / "o"
+    code, err = _main_in_process(["fit", _write_spectrum(tmp_path / "spec.csv"), "--rho0", "0",
+                                  "--config", str(cfg), "--out-dir", str(out)],
+                                 monkeypatch, capsys)
+    assert code == 1 and err == "error: rho0 must be > 0\n"
+    assert not out.exists()

@@ -29,6 +29,23 @@ def test_fit_count_scaling_is_bit_exact(seed, weights):
         fit.eta_res, fit.nu0, fit.gamma, fit.converged)
 
 
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("weights", ["uniform", "stderr"])
+def test_fit_translation_is_bit_exact(seed, weights):
+    """Detunings + 64 kHz on a +-30 kHz grid give the same fit with nu0 + 64,
+    bit for bit: the search sees the detunings about the grid's centre, which
+    the shift leaves unchanged."""
+    grid = np.linspace(-30.0, 30.0, 31)
+    data = synthesize_spectrum(LINE, PULSE, grid, 0.03, seed,
+                               include_stderr=weights == "stderr")
+    shifted = Spectrum(data.detunings_khz + 64.0, data.atoms_total, stderr=data.stderr)
+    fit, moved = fit_spectrum(data), fit_spectrum(shifted)
+    assert moved.nu0 == fit.nu0 + 64.0
+    assert (moved.n0, moved.eta_res, moved.gamma, moved.residual_rms, moved.converged) == (
+        fit.n0, fit.eta_res, fit.gamma, fit.residual_rms, fit.converged)
+    assert np.array_equal(moved.covariance, fit.covariance)
+
+
 def test_band_mirror_in_detuning():
     """delta -> -delta swaps the bare states m_f = -1 and +1 and q -> -q, so E
     stays, q* changes sign and (C_-1, C_0, C_+1) reverses, to rounding (read:

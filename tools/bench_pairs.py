@@ -10,9 +10,13 @@ and quartiles, the parent's spread (the distance between its quartiles) and
 the number of pairs the change won, ties counting for neither. A metric reads
 "gain" when the change won at least nine tenths of the pairs and its median
 is better than the parent's by more than the parent's spread; "loss" is the
-same rule the other way. The exported tree is removed at exit. Nothing is
-written under `benchmarks/`; `run.py` leaves its result files in each tree's
-`.bench_out/`.
+same rule the other way. Each metric also reads against its `bound`, a
+fraction of the parent's median: "worse than bound" when the change's median
+is worse than the parent's by more than the bound; else "unresolved" when the
+parent's spread is wider than the bound, unless every change run beats every
+parent run; else "within bound". The exported tree is removed at exit.
+Nothing is written under `benchmarks/`; `run.py` leaves its result files in
+each tree's `.bench_out/`.
 """
 
 from __future__ import annotations
@@ -49,8 +53,8 @@ def run(tree: str, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(res.stdout.strip().splitlines()[-1])
 
 
-def summarize(name: str, better: str, parent: list, change: list) -> str:
-    """One table row: medians and quartiles, parent spread, wins, verdict."""
+def summarize(name: str, better: str, bound: float, parent: list, change: list) -> str:
+    """One table row: medians and quartiles, parent spread, wins, both verdicts."""
     sign = 1.0 if better == "higher" else -1.0
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     losses = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
@@ -61,9 +65,14 @@ def summarize(name: str, better: str, parent: list, change: list) -> str:
     n = len(parent)
     verdict = ("gain" if wins >= 0.9 * n and gap > spread
                else "loss" if losses >= 0.9 * n and -gap > spread else "no claim")
+    allowed = bound * abs(pm)
+    separated = min(sign * c for c in change) > max(sign * p for p in parent)
+    against_bound = ("worse than bound" if -gap > allowed
+                     else "unresolved" if spread > allowed and not separated
+                     else "within bound")
     return (f"{name:<12} parent {pm:.4g} [{p1:.4g}, {p3:.4g}]  "
             f"change {cm:.4g} [{c1:.4g}, {c3:.4g}]  "
-            f"parent IQR {spread:.3g}  change won {wins}/{n}  {verdict}")
+            f"parent IQR {spread:.3g}  change won {wins}/{n}  {verdict}, {against_bound}")
 
 
 def main(argv=None) -> int:
@@ -77,7 +86,7 @@ def main(argv=None) -> int:
     if args.pairs < 2:  # quartiles need two runs a side
         parser.error("--pairs must be at least 2")
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        metrics = [(m["name"], m["better"]) for m in json.load(fh)["end_to_end"]]
+        metrics = [(m["name"], m["better"], m["bound"]) for m in json.load(fh)["end_to_end"]]
 
     os.makedirs(os.path.join(ROOT, ".bench_tmp"), exist_ok=True)
     parent_dir = tempfile.mkdtemp(prefix="parent-", dir=os.path.join(ROOT, ".bench_tmp"))
@@ -99,8 +108,8 @@ def main(argv=None) -> int:
 
     print(f"\n{args.workload}: {args.pairs} pairs of {args.seconds:g} s runs, "
           f"parent {args.parent_ref} against the working tree")
-    for name, better in metrics:
-        print(summarize(name, better,
+    for name, better, bound in metrics:
+        print(summarize(name, better, bound,
                         [r["metrics"][name]["value"] for r in results["parent"]],
                         [r["metrics"][name]["value"] for r in results["change"]]))
     return 0
